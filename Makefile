@@ -22,6 +22,8 @@
 #                      delta-carrying and steady-state, plus assignment
 #                      throughput at K=1/3/5 coordinators), merged the same
 #                      way
+#   make bench-module - vet and test the separate bench/ module against this
+#                      checkout's product API (part of make ci)
 #   make fuzz        - the CI fuzz smoke: 10s on each internal/wire target
 #   make docs-check  - verify the docs suite: README/architecture/example
 #                      docs exist, every package carries a package comment,
@@ -40,7 +42,7 @@
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench bench-sched bench-api bench-fed bench-wire bench-gossip bench-paper fuzz loadgen docs-check chaos chaos-soak campaign-smoke
+.PHONY: ci fmt vet build test race bench bench-sched bench-api bench-fed bench-wire bench-gossip bench-module bench-paper fuzz loadgen docs-check chaos chaos-soak campaign-smoke
 
 ci:
 	./scripts/ci.sh
@@ -77,6 +79,9 @@ bench-wire:
 
 bench-gossip:
 	./scripts/bench.sh -only gossip
+
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s

@@ -754,39 +754,6 @@ func BenchmarkParallelCollectServerAccept(b *testing.B) {
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "submissions/s")
 }
 
-// BenchmarkParallelCollectServerAcceptAsync is the same workload with the
-// batched async ingest queue enabled; the drain is included in the timing.
-func BenchmarkParallelCollectServerAcceptAsync(b *testing.B) {
-	srv, store, index := benchCollector()
-	ingester := srv.EnableAsyncIngest(collectserver.DefaultIngestConfig())
-	b.RunParallel(func(pb *testing.PB) {
-		w := benchWorkerSeq.Add(1)
-		prefix := "a-" + strconv.FormatUint(w, 10) + "-"
-		ip := "11.0.2." + strconv.FormatUint(w%200, 10)
-		i := 0
-		for pb.Next() {
-			i++
-			id := prefix + strconv.Itoa(i)
-			index.Register(core.Task{
-				MeasurementID: id, Type: core.TaskImage,
-				TargetURL: "http://bench.com/favicon.ico", PatternKey: "domain:bench.com",
-			})
-			if err := srv.Accept(core.Submission{
-				MeasurementID: id, State: core.StateSuccess, ClientIP: ip,
-			}); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-	ingester.Close()
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "submissions/s")
-	if store.Len() != b.N {
-		b.Fatalf("stored %d, want %d", store.Len(), b.N)
-	}
-}
-
 // BenchmarkParallelIngestShardedStoreWithAggregator is the sharded-store
 // ingest workload with the incremental aggregation tier attached as the
 // store's commit observer — the per-submission cost of keeping the analysis

@@ -42,8 +42,6 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "seed for the synthetic GeoIP registry")
 		openTasks  = flag.Bool("accept-any", false, "register unknown measurement IDs on the fly instead of rejecting them (useful for manual testing with curl)")
 
-		asyncIngest = flag.Bool("async", false, "route submissions through the batched async ingest queue instead of writing to the store inline")
-
 		forwardTo     = flag.String("forward-to", "", "base URL of an upstream aggregation-tier collector; this instance becomes a federation edge and streams every committed measurement there in batched POST /v2/submissions calls")
 		forwardBatch  = flag.Int("forward-batch", 128, "measurements per federation batch")
 		forwardFlush  = flag.Duration("forward-flush", 200*time.Millisecond, "how often buffered commits are forwarded upstream (the floor of a dynamic window the upstream's load signal can widen)")
@@ -147,9 +145,6 @@ func main() {
 		log.Printf("federation edge: forwarding commits to %s (batch %d, flush %v, %s encoding, %s)",
 			*forwardTo, *forwardBatch, *forwardFlush, encoding, mode)
 	}
-	if *asyncIngest {
-		server.EnableAsyncIngest(collectserver.IngestConfig{})
-	}
 
 	var handler http.Handler = server
 	if *openTasks {
@@ -183,6 +178,11 @@ func main() {
 					log.Printf("WAL: %v", err)
 				}
 			}
+			// Without this a long-running collector keeps one rate bucket
+			// per client IP it has ever seen.
+			if server.Guard != nil {
+				server.Guard.Prune(time.Now())
+			}
 		case <-compactC:
 			if forwarder != nil && forwarder.Stats().CatchingUp {
 				// The forwarder is tailing the WAL to catch up after an
@@ -201,12 +201,12 @@ func main() {
 		case <-ctx.Done():
 			// Orderly shutdown, in dependency order: stop accepting HTTP
 			// submissions first (in-flight handlers finish against the still-
-			// open write path); then server.Close runs the crash-consistent
-			// sequence — drain the async queue (every accepted submission
-			// commits, reaching the forwarder), flush the forwarder to its
-			// acked cursor, fsync the WAL; then checkpoint, and only then
-			// close the log. Reordering any pair can acknowledge-and-drop a
-			// late submission or strand the forwarder's in-flight batch.
+			// open write path, so every acknowledged submission has committed
+			// and reached the forwarder); then server.Close runs the
+			// crash-consistent sequence — flush the forwarder to its acked
+			// cursor, fsync the WAL; then checkpoint, and only then close the
+			// log. Reordering any pair can acknowledge-and-drop a late
+			// submission or strand the forwarder's in-flight batch.
 			shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 			defer cancel()
 			_ = srv.Shutdown(shutdownCtx)
@@ -251,15 +251,29 @@ func (a acceptAny) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	a.server.ServeHTTP(w, r)
 }
 
+// writeStore checkpoints the store to path through a temporary file that is
+// fsynced and renamed into place, so a crash mid-write leaves the previous
+// good checkpoint intact.
 func writeStore(store *results.Store, path string) {
-	f, err := os.Create(path)
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		log.Printf("checkpoint: %v", err)
 		return
 	}
-	defer f.Close()
-	if err := store.WriteJSONL(f); err != nil {
+	err = store.WriteJSONL(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		log.Printf("checkpoint write: %v", err)
+		_ = os.Remove(tmp) // best effort: the next checkpoint recreates it
 		return
 	}
 	log.Printf("checkpointed %d measurements to %s", store.Len(), path)

@@ -30,7 +30,6 @@ func main() {
 
 		loadgenMode      = flag.Bool("loadgen", false, "drive the campaign with concurrent clients and report ingest throughput")
 		loadgenClients   = flag.Int("loadgen-clients", 8, "concurrent client streams in -loadgen mode")
-		loadgenSync      = flag.Bool("loadgen-sync", false, "disable the batched async ingest queue in -loadgen mode (for before/after comparisons)")
 		loadgenTransport = flag.String("loadgen-transport", "", "submission transport in -loadgen mode: '' (in-process), 'beacon' (v1 GET over loopback HTTP), 'v2' (JSON POST over loopback HTTP), or 'v2bin' (binary application/x-encore-records POST over loopback HTTP)")
 
 		walDir  = flag.String("wal-dir", "", "attach a durable write-ahead log to the simulated collector (for WAL-on vs WAL-off throughput comparisons)")
@@ -109,7 +108,6 @@ func main() {
 			Visits:            *visits,
 			Start:             campaignStart,
 			SimulatedDuration: campaignSpan,
-			AsyncIngest:       !*loadgenSync,
 			Transport:         transport,
 		})
 		fmt.Println(res)

@@ -145,16 +145,12 @@ func fetchBody(t *testing.T, url string, headers map[string]string) string {
 }
 
 // TestConcurrentIngestSoak runs a short measurement campaign with many
-// concurrent client streams submitting into one collection server with the
-// batched async ingest queue enabled — the §5.5 deployment shape — and then
-// audits the store for every invariant concurrency could have violated. Run
-// under -race (scripts/ci.sh does) this is the ingest path's soak test.
+// concurrent client streams submitting into one collection server — the §5.5
+// deployment shape — and then audits the store for every invariant
+// concurrency could have violated. Run under -race (scripts/ci.sh does) this
+// is the ingest path's soak test.
 func TestConcurrentIngestSoak(t *testing.T) {
 	stack := clientsim.BuildStack(clientsim.StackConfig{Seed: 271, Censor: censor.PaperPolicies()})
-	ingester := stack.Collector.EnableAsyncIngest(collectserver.IngestConfig{
-		Workers: 4, QueueSize: 256, BatchSize: 32,
-	})
-
 	const workers = 8
 	visits := 400
 	if testing.Short() {
@@ -165,21 +161,12 @@ func TestConcurrentIngestSoak(t *testing.T) {
 		Start:    time.Date(2014, 5, 1, 0, 0, 0, 0, time.UTC),
 		Duration: 24 * time.Hour,
 	}, workers)
-	ingester.Close()
-	stack.Collector.Ingest = nil
 
 	if res.Visits != visits {
 		t.Fatalf("campaign ran %d visits, want %d", res.Visits, visits)
 	}
 	if res.TasksSubmitted == 0 {
 		t.Fatal("no submissions survived the concurrent campaign")
-	}
-	st := ingester.Stats()
-	if st.StoreErrors != 0 {
-		t.Fatalf("ingest workers hit %d store errors", st.StoreErrors)
-	}
-	if st.Enqueued != st.Stored {
-		t.Fatalf("ingester enqueued %d but stored %d", st.Enqueued, st.Stored)
 	}
 
 	// Store invariants after concurrent ingest: consistent counters, no
@@ -294,10 +281,10 @@ func TestLongitudinalOnsetEndToEnd(t *testing.T) {
 }
 
 // TestKillAndRestartRecovery is the durability acceptance test: a deployment
-// ingests a concurrent campaign through the batched async path with the WAL
-// attached, the process "dies" (the in-memory store and aggregation tier are
-// discarded; under SyncAlways nothing needs a clean close), and a restarted
-// collector recovers via OpenStoreFromWAL + Aggregator.Backfill. The
+// ingests a concurrent campaign with the WAL attached, the process "dies"
+// (the in-memory store and aggregation tier are discarded; under SyncAlways
+// nothing needs a clean close), and a restarted collector recovers via
+// OpenStoreFromWAL + Aggregator.Backfill. The
 // recovered store must match the pre-crash store bit-for-bit, and incremental
 // detection over the backfilled aggregation tier must reproduce the pre-crash
 // batch DetectStore verdicts exactly.
@@ -311,10 +298,6 @@ func TestKillAndRestartRecovery(t *testing.T) {
 		// cooperation from the WAL at all.
 		WAL: &results.WALConfig{Dir: walDir, Policy: results.SyncAlways},
 	})
-	ingester := stack.Collector.EnableAsyncIngest(collectserver.IngestConfig{
-		Workers: 4, QueueSize: 256, BatchSize: 32,
-	})
-
 	visits := 300
 	if testing.Short() {
 		visits = 100
@@ -325,11 +308,8 @@ func TestKillAndRestartRecovery(t *testing.T) {
 		Duration: 24 * time.Hour,
 	}, 8)
 
-	// Drain the queue: submissions still in flight at a crash were never
-	// observable in the store, so the pre-crash reference state is what the
-	// drained store holds.
-	ingester.Close()
-	stack.Collector.Ingest = nil
+	// Every submission committed before its client call returned, so the
+	// pre-crash reference state is simply what the store holds.
 	if stack.Store.Len() == 0 {
 		t.Fatal("campaign stored nothing")
 	}

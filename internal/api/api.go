@@ -58,7 +58,7 @@ const (
 	CodeAttributionNotAllowed = "attribution_not_allowed" // 403
 	CodeUnauthorizedPeer      = "unauthorized_peer"       // 403 (gossip without the shared federation token)
 	CodeScheduleMismatch      = "schedule_mismatch"       // 409 (gossip from a peer with a different task set / quorum window)
-	CodeOverloaded            = "overloaded"              // 503 (ingest queue saturated; retry later)
+	CodeOverloaded            = "overloaded"              // 503 (too many batch requests in flight; retry later)
 	CodeDegraded              = "degraded"                // 503 (durability lost; durable lane closed)
 	CodeInternal              = "internal"                // 500
 )
@@ -190,14 +190,15 @@ type RejectedSubmission struct {
 }
 
 // LoadSignal is the upstream's explicit backpressure advice, carried on
-// every POST /v2/submissions response. Instead of silently shedding when its
-// async ingest queue saturates, the server tells submitters how loaded it is
-// and how often it would like to hear from them; the federation forwarder
-// honors SuggestedFlushMillis by widening its batch/flush window, so a slow
-// upstream slows its edges down before anything has to be dropped or 503'd.
+// every POST /v2/submissions response. Instead of silently shedding when it
+// saturates, the server tells submitters how loaded it is and how often it
+// would like to hear from them; the federation forwarder honors
+// SuggestedFlushMillis by widening its batch/flush window, so a slow upstream
+// slows its edges down before anything has to be dropped or 503'd.
 type LoadSignal struct {
-	// QueueDepth and QueueCapacity describe the ingest queue at response
-	// time; a synchronous (unqueued) server reports zeros.
+	// QueueDepth is the number of other batch requests the server had in
+	// flight (admitted, not yet committed) at response time; QueueCapacity
+	// is the fixed bound it sheds against.
 	QueueDepth    int `json:"queue_depth"`
 	QueueCapacity int `json:"queue_capacity,omitempty"`
 	// SuggestedFlushMillis is the flush interval the server asks batching

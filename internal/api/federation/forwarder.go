@@ -10,9 +10,8 @@
 // bespoke replication channel.
 //
 // The forwarder attaches to the edge store exactly like the Aggregator and
-// WAL tiers do (results.Store.AddObserver), so both collectserver write
-// paths — synchronous Accept and the batched async Ingester — feed it
-// automatically. With a WAL attached (ForwarderConfig.WAL) forwarding is
+// WAL tiers do (results.Store.AddObserver), so every lane of the
+// collectserver write path feeds it automatically. With a WAL attached (ForwarderConfig.WAL) forwarding is
 // lossless and resumable: the forwarder persists the highest contiguously
 // acknowledged commit-stream position in a tiny fsynced cursor file beside
 // the WAL, falls back to tailing the WAL whenever its in-memory buffer

@@ -124,7 +124,6 @@ func (r *Runner) runLoadgen(ctx context.Context, job Job, res *JobResult) {
 		Visits:            visits,
 		Start:             campaignEpoch,
 		SimulatedDuration: duration,
-		AsyncIngest:       true,
 		Transport:         loadgen.Transport(job.Cell.Transport),
 		Regions:           regions,
 	})

@@ -33,9 +33,8 @@ type Stack struct {
 	TaskIndex *results.TaskIndex
 	Store     *results.Store
 	// Aggregator is the incremental aggregation tier, attached to Store as
-	// its commit observer: every measurement the collector accepts (sync or
-	// via the async ingest queue) updates its pattern×region group counters
-	// at commit time, so detection (inference.Detector.DetectIncremental)
+	// its commit observer: every measurement the collector accepts updates
+	// its pattern×region group counters at commit time, so detection (inference.Detector.DetectIncremental)
 	// reads finished counters instead of rescanning the store.
 	Aggregator *results.Aggregator
 	// WAL is the durable commit log attached to Store when StackConfig.WAL
@@ -49,7 +48,7 @@ type Stack struct {
 }
 
 // Close releases the stack's durable resources: it closes the collector's
-// write path (draining any async ingest queue, syncing the WAL) and then
+// write path (flushing any forwarder, syncing the WAL) and then
 // closes the WAL itself. Stacks built without a WAL need not be closed, but
 // calling Close is always safe.
 func (s *Stack) Close() error {

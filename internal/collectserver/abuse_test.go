@@ -3,6 +3,7 @@ package collectserver
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -51,18 +52,33 @@ func TestAbuseGuardConflictingTerminalStates(t *testing.T) {
 	}
 }
 
+// TestAbuseGuardPrune pins what encore-collector's checkpoint tick relies on:
+// Prune forgets exactly the clients whose rate window has lapsed, so a
+// long-running collector tracks active addresses, not every address ever seen.
 func TestAbuseGuardPrune(t *testing.T) {
-	g := NewAbuseGuard(AbuseGuardConfig{MaxSubmissionsPerWindow: 10, Window: time.Minute})
-	now := time.Now()
-	for i := 0; i < 20; i++ {
-		_ = g.Check(fmt.Sprintf("11.0.0.%d", i), fmt.Sprintf("m%d", i), "success", now)
-	}
-	if g.TrackedClients() != 20 {
-		t.Fatalf("tracked clients=%d", g.TrackedClients())
-	}
-	g.Prune(now.Add(2 * time.Minute))
-	if g.TrackedClients() != 0 {
-		t.Fatalf("prune left %d clients", g.TrackedClients())
+	base := time.Date(2014, 8, 1, 0, 0, 0, 0, time.UTC)
+	for _, tc := range []struct {
+		name        string
+		pruneAfter  time.Duration
+		wantTracked int
+	}{
+		{"inside every window", 30 * time.Second, 20},
+		{"early half lapsed", 75 * time.Second, 10},
+		{"all lapsed", 2 * time.Minute, 0},
+	} {
+		g := NewAbuseGuard(AbuseGuardConfig{MaxSubmissionsPerWindow: 10, Window: time.Minute})
+		// Ten clients open their window at base, ten more 30s later.
+		for i := 0; i < 20; i++ {
+			at := base.Add(time.Duration(i/10) * 30 * time.Second)
+			_ = g.Check(fmt.Sprintf("11.0.0.%d", i), fmt.Sprintf("m%d", i), "success", at)
+		}
+		if g.TrackedClients() != 20 {
+			t.Fatalf("%s: tracked clients=%d before prune", tc.name, g.TrackedClients())
+		}
+		g.Prune(base.Add(tc.pruneAfter))
+		if got := g.TrackedClients(); got != tc.wantTracked {
+			t.Fatalf("%s: prune left %d clients, want %d", tc.name, got, tc.wantTracked)
+		}
 	}
 }
 
@@ -135,5 +151,83 @@ func TestServerRejectsConflictingResubmission(t *testing.T) {
 	m, _ := store.Get("m-conflict")
 	if m.State != core.StateSuccess {
 		t.Fatal("original result was overwritten by the poisoned one")
+	}
+}
+
+// TestAbuseGuardConcurrent exercises the sharded guard from many goroutines:
+// per-client rate limits must hold exactly under concurrency, and for each
+// measurement at most one terminal state may ever be accepted.
+func TestAbuseGuardConcurrent(t *testing.T) {
+	const limit = 50
+	g := NewAbuseGuard(AbuseGuardConfig{MaxSubmissionsPerWindow: limit, Window: time.Hour})
+	now := time.Date(2014, 5, 1, 0, 0, 0, 0, time.UTC)
+
+	// Rate limiting: `workers` goroutines share one IP; exactly `limit`
+	// submissions may pass in total.
+	const workers, attempts = 8, 20
+	var accepted, limited int64
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < attempts; i++ {
+				err := g.Check("11.0.0.1", fmt.Sprintf("rate-%d-%d", w, i), "init", now)
+				mu.Lock()
+				if err == nil {
+					accepted++
+				} else if err == ErrRateLimited {
+					limited++
+				}
+				mu.Unlock()
+			}
+		}(w)
+	}
+	wg.Wait()
+	if accepted != limit {
+		t.Fatalf("accepted %d submissions from one IP, want exactly %d", accepted, limit)
+	}
+	if limited != workers*attempts-limit {
+		t.Fatalf("limited %d, want %d", limited, workers*attempts-limit)
+	}
+
+	// Conflicting terminal states: goroutines race success vs failure for the
+	// same IDs from distinct IPs; for each ID only one state may win.
+	const ids = 100
+	acceptedStates := make([]map[string]bool, ids)
+	for i := range acceptedStates {
+		acceptedStates[i] = make(map[string]bool)
+	}
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			state := "success"
+			if w%2 == 1 {
+				state = "failure"
+			}
+			ip := fmt.Sprintf("22.0.0.%d", w)
+			for i := 0; i < ids; i++ {
+				if err := g.Check(ip, fmt.Sprintf("conflict-%d", i), state, now); err == nil {
+					mu.Lock()
+					acceptedStates[i][state] = true
+					mu.Unlock()
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i, states := range acceptedStates {
+		if len(states) > 1 {
+			t.Fatalf("measurement conflict-%d accepted both terminal states", i)
+		}
+	}
+	if g.TrackedClients() == 0 {
+		t.Fatal("no rate state tracked")
+	}
+	g.Prune(now.Add(2 * time.Hour))
+	if g.TrackedClients() != 0 {
+		t.Fatalf("prune left %d clients tracked", g.TrackedClients())
 	}
 }

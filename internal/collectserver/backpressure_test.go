@@ -1,22 +1,26 @@
 package collectserver
 
 // Tests for the v2 batch endpoint's backpressure surface (load signal,
-// shedding), the attributed lane's bearer-token auth, and the shutdown
-// ordering regression: the async ingest queue must drain before the
-// federation forwarder closes.
+// shedding, its in-flight producer), the attributed lane's gate on both
+// encodings, and the shutdown ordering: the federation forwarder closes with
+// every acknowledged commit in hand, before the WAL's final sync.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"encore/internal/api"
 	"encore/internal/core"
 	"encore/internal/results"
+	"encore/internal/wire"
 )
 
 // attributedRecord is a valid pre-attributed measurement for the federation
@@ -127,43 +131,133 @@ func TestV2BatchLoadSignalAndShed(t *testing.T) {
 	}
 }
 
-func TestV2AttributedLaneAuth(t *testing.T) {
-	s, store, index, _ := testServer(t)
-	s.Guard = nil
-	s.AllowAttributed = true
-	s.AttributedToken = "s3cret-token"
+// TestInFlightRequestIsTheLoadSignal pins the load signal's producer: a batch
+// request held open mid-body counts as queue depth in a concurrent response,
+// against the fixed in-flight bound, and stops counting once it completes.
+func TestInFlightRequestIsTheLoadSignal(t *testing.T) {
+	s, _, _, _ := testServer(t)
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 
-	expect403 := func(resp *http.Response, label string) {
+	probe := func() api.LoadSignal {
 		t.Helper()
-		defer resp.Body.Close()
-		var apiErr api.Error
-		if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
+		resp, err := http.Post(srv.URL+api.V2SubmissionsPath, "application/json", strings.NewReader("{}"))
+		if err != nil {
 			t.Fatal(err)
 		}
-		if resp.StatusCode != http.StatusForbidden || apiErr.Code != api.CodeAttributionNotAllowed {
-			t.Fatalf("%s: got %d %q, want 403 %q", label, resp.StatusCode, apiErr.Code, api.CodeAttributionNotAllowed)
+		out := decodeBatchResponse(t, resp)
+		if resp.StatusCode != http.StatusOK || out.Load == nil {
+			t.Fatalf("probe: status %d, load %+v", resp.StatusCode, out.Load)
 		}
+		return *out.Load
+	}
+	if idle := probe(); idle.QueueDepth != 0 || idle.QueueCapacity != maxInflightBatches {
+		t.Fatalf("idle load %+v, want 0/%d", idle, maxInflightBatches)
 	}
 
-	expect403(postAttributed(t, srv.URL, "", attributedRecord("edge-1")), "no token")
-	expect403(postAttributed(t, srv.URL, "wrong-token", attributedRecord("edge-1")), "wrong token")
-	if store.Len() != 0 {
-		t.Fatal("unauthenticated attributed records were stored")
+	// Hold one request open: headers and half a JSON body sent, the rest
+	// withheld until the pipe closes.
+	pr, pw := io.Pipe()
+	held := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(srv.URL+api.V2SubmissionsPath, "application/json", pr)
+		if err != nil {
+			t.Error(err)
+			held <- 0
+			return
+		}
+		resp.Body.Close()
+		held <- resp.StatusCode
+	}()
+	if _, err := pw.Write([]byte(`{"submissions":`)); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for probe().QueueDepth < 1 {
+		if time.Now().After(deadline) {
+			t.Fatal("held-open request never showed up as queue depth")
+		}
+		time.Sleep(time.Millisecond)
 	}
 
-	resp := postAttributed(t, srv.URL, "s3cret-token", attributedRecord("edge-1"))
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("valid token: status %d, want 200", resp.StatusCode)
+	if _, err := pw.Write([]byte(`[]}`)); err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := store.Get("edge-1"); !ok {
-		t.Fatal("authenticated attributed record not stored")
+	pw.Close()
+	if status := <-held; status != http.StatusOK {
+		t.Fatalf("held request finished with status %d", status)
+	}
+	if after := probe(); after.QueueDepth != 0 {
+		t.Fatalf("load %+v after the held request completed, want depth 0", after)
+	}
+}
+
+// TestV2AttributedLaneAuth runs the attributed-lane gate's cases over both
+// encodings: the gate is one piece of code, so JSON and binary must answer
+// every case with the same status and code.
+func TestV2AttributedLaneAuth(t *testing.T) {
+	const token = "s3cret-token"
+	cases := []struct {
+		name       string
+		allow      bool
+		token      string // the server's; "" means the lane needs none
+		present    string // the batch's bearer token
+		wantStatus int
+		wantCode   string
+	}{
+		{"lane off", false, "", "", http.StatusForbidden, api.CodeAttributionNotAllowed},
+		{"lane off, token presented", false, "", token, http.StatusForbidden, api.CodeAttributionNotAllowed},
+		{"no token", true, token, "", http.StatusForbidden, api.CodeAttributionNotAllowed},
+		{"wrong token", true, token, "wrong-token", http.StatusForbidden, api.CodeAttributionNotAllowed},
+		{"right token", true, token, token, http.StatusOK, ""},
+		{"lane on without a token", true, "", "", http.StatusOK, ""},
+	}
+	rec := attributedRecord("edge-1")
+	frame, err := wire.AppendRecordFrame(nil, 0, 0, (*wire.Record)(&rec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	encodings := []struct {
+		name string
+		post func(t *testing.T, url, token string) *http.Response
+	}{
+		{"json", func(t *testing.T, url, token string) *http.Response { return postAttributed(t, url, token, rec) }},
+		{"binary", func(t *testing.T, url, token string) *http.Response { return postRecords(t, url, frame, token) }},
+	}
+	for _, tc := range cases {
+		for _, enc := range encodings {
+			t.Run(tc.name+"/"+enc.name, func(t *testing.T) {
+				s, store, _, _ := testServer(t)
+				s.AllowAttributed = tc.allow
+				s.AttributedToken = tc.token
+				srv := httptest.NewServer(s)
+				defer srv.Close()
+
+				resp := enc.post(t, srv.URL, tc.present)
+				defer resp.Body.Close()
+				var apiErr api.Error
+				if resp.StatusCode != http.StatusOK {
+					if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if resp.StatusCode != tc.wantStatus || apiErr.Code != tc.wantCode {
+					t.Fatalf("got %d %q, want %d %q", resp.StatusCode, apiErr.Code, tc.wantStatus, tc.wantCode)
+				}
+				if _, stored := store.Get("edge-1"); stored != (tc.wantStatus == http.StatusOK) {
+					t.Fatalf("record stored = %v on status %d", stored, resp.StatusCode)
+				}
+			})
+		}
 	}
 
 	// The raw-submission lane carries no pre-attributed records and must not
 	// require the token: it is the public side of the same endpoint.
+	s, _, index, _ := testServer(t)
+	s.AllowAttributed = true
+	s.AttributedToken = token
+	srv := httptest.NewServer(s)
+	defer srv.Close()
 	registerTask(index, "cmh-public", false)
 	body, _ := json.Marshal(api.BatchSubmitRequest{Submissions: []api.SubmitRequest{
 		{MeasurementID: "cmh-public", Result: string(core.StateSuccess)},
@@ -172,59 +266,73 @@ func TestV2AttributedLaneAuth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rawResp.Body.Close()
-	var out api.BatchSubmitResponse
-	if err := json.NewDecoder(rawResp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if rawResp.StatusCode != http.StatusOK || out.Accepted != 1 {
+	if out := decodeBatchResponse(t, rawResp); rawResp.StatusCode != http.StatusOK || out.Accepted != 1 {
 		t.Fatalf("raw lane with auth enabled: %d %+v", rawResp.StatusCode, out)
 	}
 }
 
 // drainRecorder stands in for the federation forwarder: it observes commits
-// and snapshots how many it had seen when Close ran.
+// and snapshots, when Close runs, how many it had seen and how many fsyncs
+// the WAL had done.
 type drainRecorder struct {
-	seen        int
-	seenAtClose int
+	wal           *results.WAL
+	seen          atomic.Int64
+	seenAtClose   int64
+	fsyncsAtClose uint64
 }
 
-func (d *drainRecorder) Commit(_ *results.Measurement, _ results.Measurement) { d.seen++ }
+func (d *drainRecorder) Commit(_ *results.Measurement, _ results.Measurement) { d.seen.Add(1) }
 func (d *drainRecorder) Close() error {
-	d.seenAtClose = d.seen
+	d.seenAtClose = d.seen.Load()
+	d.fsyncsAtClose = d.wal.Stats().Fsyncs
 	return nil
 }
 
 // TestCloseDrainsIngestBeforeForwarder is the shutdown-ordering regression
-// test: Server.Close must drain the async ingest queue (so every accepted
-// submission commits and reaches the forwarder) before closing the
-// forwarder. Closing the forwarder first would strand the queue's tail until
-// the next run's WAL catch-up — or lose it outright without a WAL.
+// test. Ingest is drained by construction — a batch has committed, and so
+// reached the forwarder, before its 200 is written — so Server.Close must
+// close the forwarder with every acknowledged commit in hand, and only then
+// sync the WAL: the forwarder's final flush persists a cursor that the sync
+// must cover.
 func TestCloseDrainsIngestBeforeForwarder(t *testing.T) {
 	s, store, _, _ := testServer(t)
-	s.Guard = nil
 	s.AllowAttributed = true
-	rec := &drainRecorder{}
+	wal, err := results.OpenWAL(results.WALConfig{Dir: t.TempDir(), Policy: results.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	s.AttachWAL(wal)
+	rec := &drainRecorder{wal: wal}
 	// Observer registration order mirrors production: forwarder after WAL.
 	store.AddObserver(rec)
 	s.Forwarder = rec
-	// One slow worker and a deep queue make the race real: at Close time the
-	// queue still holds most of the batch.
-	s.EnableAsyncIngest(IngestConfig{Workers: 1, QueueSize: 4096, BatchSize: 8})
+	srv := httptest.NewServer(s)
+	defer srv.Close()
 
-	const n = 500
-	ms := make([]results.Measurement, n)
-	for i := range ms {
-		ms[i] = attributedRecord(fmt.Sprintf("edge-%d", i))
+	// More than one commit chunk, so the tail commit is covered too.
+	const n = commitChunk*2 + 7
+	var frames []byte
+	for i := 0; i < n; i++ {
+		m := attributedRecord(fmt.Sprintf("edge-%d", i))
+		if frames, err = wire.AppendRecordFrame(frames, 0, 0, (*wire.Record)(&m)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := s.storeBatch(ms); err != nil {
-		t.Fatal(err)
+	if out := decodeBatchResponse(t, postRecords(t, srv.URL, frames, "")); out.Accepted != n {
+		t.Fatalf("batch: %+v", out)
+	}
+	if got := rec.seen.Load(); got != n {
+		t.Fatalf("forwarder had observed %d of %d commits when the batch was acknowledged", got, n)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if rec.seenAtClose != n {
-		t.Fatalf("forwarder closed after observing %d of %d commits; ingest queue was not drained first", rec.seenAtClose, n)
+		t.Fatalf("forwarder closed after observing %d of %d commits", rec.seenAtClose, n)
+	}
+	if after := wal.Stats().Fsyncs; after <= rec.fsyncsAtClose {
+		t.Fatalf("WAL fsyncs %d at forwarder close, %d after Server.Close: the log was not synced after the forwarder's final flush", rec.fsyncsAtClose, after)
 	}
 	if store.Len() != n {
 		t.Fatalf("store has %d records after Close, want %d", store.Len(), n)

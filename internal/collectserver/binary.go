@@ -1,52 +1,33 @@
 package collectserver
 
-// The binary lane of the v2 collection surface: POST /v2/submissions with
-// Content-Type application/x-encore-records carries the same CRC-framed
-// record encoding the WAL persists, decoded as a stream — each frame is
-// validated, prepared, and batched straight into the store's write path
-// without ever materializing the DTO slice the JSON lane unmarshals into.
-// Responses stay JSON (BatchSubmitResponse with per-index rejections and the
-// load signal), so a submitter switches encodings without switching
-// protocols.
+// The binary lane of the v2 collection surface: application/x-encore-records
+// is the same CRC-framed record encoding the WAL persists, decoded frame by
+// frame straight into the sink without ever materializing the DTO slice the
+// JSON lane unmarshals into. Responses stay JSON, so a submitter switches
+// encodings without switching protocols.
 
 import (
-	"crypto/subtle"
 	"errors"
+	"fmt"
 	"io"
-	"net/http"
 	"strings"
 
 	"encore/internal/api"
 	"encore/internal/results"
-	"encore/internal/urlpattern"
 	"encore/internal/wire"
 )
 
-// binaryCommitChunk is how many decoded measurements the streaming lane
-// buffers before committing them to the write path. Small enough to keep the
-// handler's footprint independent of batch size, large enough to amortize the
-// per-commit lock (or queue) round-trip.
-const binaryCommitChunk = 256
-
-// isRecordsContentType reports whether a Content-Type header names the
-// binary record stream (parameters ignored).
-func isRecordsContentType(ct string) bool {
-	if i := strings.IndexByte(ct, ';'); i >= 0 {
-		ct = ct[:i]
-	}
-	return strings.TrimSpace(ct) == wire.ContentTypeRecords
-}
-
-// acceptsRecords reports whether an Accept header asks for the binary record
-// stream. Negotiation is deliberately minimal: a client either names the
-// exact media type or gets JSONL — the default, and the */* answer.
-func acceptsRecords(accept string) bool {
-	for accept != "" {
-		part := accept
-		if i := strings.IndexByte(accept, ','); i >= 0 {
-			part, accept = accept[:i], accept[i+1:]
+// namesRecords reports whether a Content-Type or Accept header names the
+// binary record stream (parameters ignored). Negotiation is deliberately
+// minimal: a client either names the exact media type or gets JSON — the
+// default, and the */* answer.
+func namesRecords(header string) bool {
+	for header != "" {
+		part := header
+		if i := strings.IndexByte(header, ','); i >= 0 {
+			part, header = header[:i], header[i+1:]
 		} else {
-			accept = ""
+			header = ""
 		}
 		if i := strings.IndexByte(part, ';'); i >= 0 {
 			part = part[:i]
@@ -58,128 +39,50 @@ func acceptsRecords(accept string) bool {
 	return false
 }
 
-// handleSubmitBatchBinary is the application/x-encore-records lane of the
-// batch endpoint, entered from handleSubmitBatch after the shared
-// WAL-degraded and load-shed prologue (and gzip unwrapping — though binary
-// submitters shouldn't compress: the frames don't shrink much and the gzip
-// round-trip costs more than it saves).
-//
+// decodeFrames is the application/x-encore-records decoder.
 // The body is one frame stream, a single index space covering both lanes:
-// kind-3 submission frames take the raw-submission path (normalize,
-// attribute, guard — via the same prepareRawSubmission the JSON lane calls),
-// kind-1/2 record frames take the federation path (validity re-check only).
-// Wire-level failures — a torn or truncated frame, a CRC mismatch, an
-// over-length prefix, a CRC-clean payload that doesn't decode — abort the
-// request with a typed 400 naming the frame index, exactly as an unparsable
-// JSON body aborts the JSON lane; semantic failures (guard, validation)
-// reject per-index and the stream continues.
-//
-// Decoded measurements commit in chunks of binaryCommitChunk as the stream
-// is read, so acceptance is incremental: a request that aborts mid-stream
-// may have committed a prefix. That is safe to retry whole — the store keys
-// records by measurement ID with upgrade-only transitions, so re-submitting
-// a committed prefix is idempotent.
-func (s *Server) handleSubmitBatchBinary(w http.ResponseWriter, r *http.Request, body io.Reader) {
-	fr := wire.GetFrameReader(io.LimitReader(body, maxBatchBody))
+// kind-3 submission frames are raw submissions, kind-1/2 record frames are
+// attributed records. Wire-level failures — a torn or truncated frame, a CRC
+// mismatch, an over-length prefix, a CRC-clean payload that doesn't decode —
+// abort the request with a typed 400 naming the frame index, exactly as an
+// unparsable JSON body aborts the JSON lane; semantic failures (guard,
+// validation) reject per-index in the sink and the stream continues.
+func (k *batchSink) decodeFrames(body io.Reader) *api.Error {
+	fr := wire.GetFrameReader(body)
 	defer wire.PutFrameReader(fr)
-
-	resp := api.BatchSubmitResponse{}
-	batch := make([]results.Measurement, 0, binaryCommitChunk)
-	accepted := 0
-	commit := func() bool {
-		if err := s.storeBatch(batch); err != nil {
-			api.WriteError(w, api.Errorf(api.CodeInternal, "write path closed"))
-			return false
-		}
-		accepted += len(batch)
-		batch = batch[:0]
-		return true
-	}
-
-	// Transport identity is shared by every raw submission in the stream,
-	// exactly as the JSON lane shares it across a batch.
-	ip := clientIP(r)
-	ua := r.UserAgent()
-	referer := urlpattern.DomainOf(r.Referer())
-	arrival := s.Now()
-
-	// The attributed-lane gate runs lazily on the first record frame — the
-	// binary lane cannot see "does this batch carry measurements" up front
-	// the way the JSON lane's decoded struct can.
-	attributedOK := false
 
 	for index := 0; ; index++ {
 		payload, err := fr.Next()
 		if errors.Is(err, io.EOF) {
-			break
+			return nil
+		}
+		var e *api.Error
+		if err == nil {
+			switch kind := wire.PayloadKind(payload); kind {
+			case wire.KindSubmission:
+				var sub wire.Submission
+				if sub, err = wire.DecodeSubmission(payload); err == nil {
+					e = k.raw(index, api.SubmitRequest(sub))
+				}
+			case wire.KindRecord, wire.KindRecordV1:
+				// A stream names its lanes only as they arrive, so the gate
+				// runs at the first record frame — before decoding it: a
+				// refused lane answers 403 whatever the frame holds.
+				if e = k.gate(); e == nil {
+					var rec wire.Record
+					if _, _, rec, err = wire.DecodeRecord(payload); err == nil {
+						e = k.attributed(index, results.Measurement(rec))
+					}
+				}
+			default:
+				err = fmt.Errorf("unknown payload kind %d", kind)
+			}
 		}
 		if err != nil {
-			api.WriteError(w, api.Errorf(api.CodeBadRequest,
-				"bad record stream at frame %d: %v", index, err))
-			return
+			e = api.Errorf(api.CodeBadRequest, "bad record stream at frame %d: %v", index, err)
 		}
-		switch wire.PayloadKind(payload) {
-		case wire.KindSubmission:
-			wsub, err := wire.DecodeSubmission(payload)
-			if err != nil {
-				api.WriteError(w, api.Errorf(api.CodeBadRequest,
-					"bad record stream at frame %d: %v", index, err))
-				return
-			}
-			m, err := s.prepareRawSubmission(api.SubmitRequest(wsub), ip, ua, referer, arrival)
-			if err != nil {
-				e := submissionError(err)
-				resp.Rejected = append(resp.Rejected, api.RejectedSubmission{
-					Index: index, MeasurementID: wsub.MeasurementID, Code: e.Code, Message: e.Message,
-				})
-				continue
-			}
-			batch = append(batch, m)
-		case wire.KindRecord, wire.KindRecordV1:
-			if !attributedOK {
-				if !s.AllowAttributed {
-					api.WriteError(w, api.Errorf(api.CodeAttributionNotAllowed,
-						"this collector does not accept pre-attributed measurements"))
-					return
-				}
-				if s.AttributedToken != "" &&
-					subtle.ConstantTimeCompare([]byte(api.BearerToken(r)), []byte(s.AttributedToken)) != 1 {
-					api.WriteError(w, api.Errorf(api.CodeAttributionNotAllowed,
-						"attributed submissions require a valid bearer token"))
-					return
-				}
-				attributedOK = true
-			}
-			_, _, rec, err := wire.DecodeRecord(payload)
-			if err != nil {
-				api.WriteError(w, api.Errorf(api.CodeBadRequest,
-					"bad record stream at frame %d: %v", index, err))
-				return
-			}
-			m := results.Measurement(rec)
-			if err := m.Validate(); err != nil {
-				resp.Rejected = append(resp.Rejected, api.RejectedSubmission{
-					Index: index, MeasurementID: m.MeasurementID,
-					Code: api.CodeInvalidSubmission, Message: "invalid measurement record",
-				})
-				continue
-			}
-			batch = append(batch, m)
-		default:
-			api.WriteError(w, api.Errorf(api.CodeBadRequest,
-				"bad record stream at frame %d: unknown payload kind %d", index, wire.PayloadKind(payload)))
-			return
-		}
-		if len(batch) >= binaryCommitChunk && !commit() {
-			return
+		if e != nil {
+			return e
 		}
 	}
-	if !commit() {
-		return
-	}
-
-	resp.Accepted = accepted
-	sig, _ := s.loadSignal()
-	resp.Load = &sig
-	api.WriteJSON(w, http.StatusOK, resp)
 }

@@ -226,7 +226,7 @@ func TestV2BinaryAttributedLane(t *testing.T) {
 func TestV2BinaryBatchChunkedCommit(t *testing.T) {
 	s, store, index, _ := testServer(t)
 	s.Guard = nil
-	const n = binaryCommitChunk*2 + 37
+	const n = commitChunk*2 + 37
 	var frames []byte
 	for i := 0; i < n; i++ {
 		id := fmt.Sprintf("m-%d", i)

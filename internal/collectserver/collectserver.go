@@ -7,14 +7,15 @@
 // browser family from the User-Agent, joins the submission with the task
 // metadata registered by the coordination server, and stores a Measurement.
 //
-// The write path scales and persists through three optional tiers, all
-// attached before traffic starts: EnableAsyncIngest routes accepted
-// submissions through a bounded batched write queue so the §5.5 beacon
-// returns without waiting on store locks; AttachAggregator keeps the
-// incremental analysis tier current at the point of arrival; AttachWAL makes
-// every committed measurement durable. Close shuts the path down in
-// crash-consistent order (drain the queue, then sync the log). An AbuseGuard
-// applies the §8 anti-poisoning defences inline.
+// The write path is one synchronous pipeline (pipeline.go): every lane — v1
+// beacon, v2 JSON body, v2 binary frame stream, attributed federation records
+// — is a decoder over the same admit and commit stages, and a submission is
+// acknowledged only after it has committed to the store. Two optional tiers
+// observe every commit, both attached before traffic starts:
+// AttachAggregator keeps the incremental analysis tier current at the point
+// of arrival; AttachWAL makes every committed measurement durable. Close
+// shuts the path down in crash-consistent order (flush the forwarder, then
+// sync the log). An AbuseGuard applies the §8 anti-poisoning defences inline.
 package collectserver
 
 import (
@@ -25,6 +26,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"encore/internal/api"
@@ -58,16 +60,10 @@ type Server struct {
 	// Guard applies the §8 anti-poisoning defences (rate limiting and
 	// conflicting-result rejection). Nil disables them.
 	Guard *AbuseGuard
-	// Ingest, when non-nil, routes accepted submissions through the batched
-	// async write queue instead of writing to Store inline, so the §5.5
-	// beacon response returns without waiting on store locks. Enable it with
-	// EnableAsyncIngest; stored counts become visible as workers drain the
-	// queue (Ingest.Close drains fully).
-	Ingest *Ingester
 	// WAL, when non-nil (AttachWAL), is the durability tier behind Store:
 	// every committed measurement is appended to its segmented log, and
-	// Close syncs it after draining the ingest queue so a clean shutdown
-	// leaves everything the server acknowledged on stable storage.
+	// Close syncs it so a clean shutdown leaves everything the server
+	// acknowledged on stable storage.
 	WAL *results.WAL
 	// AllowAttributed accepts pre-attributed measurement records on the
 	// batch endpoint's federation lane (BatchSubmitRequest.Measurements).
@@ -85,18 +81,21 @@ type Server struct {
 	// and the abuse guard, so an aggregation tier reachable beyond its own
 	// edges needs more than a config bit between it and §8 poisoning.
 	AttributedToken string
-	// Forwarder, when non-nil, is closed by Close between draining the
-	// ingest queue and syncing the WAL — the one ordering in which a clean
-	// shutdown loses nothing: drain first so every accepted submission has
-	// committed (and reached the forwarder's buffer), flush the forwarder
-	// next so the upstream acknowledges them, sync the WAL last so the
-	// cursor's view of the log is on stable storage.
+	// Forwarder, when non-nil, is closed by Close before the WAL is synced:
+	// every acknowledged submission has already committed (and reached the
+	// forwarder's buffer), so the forwarder's final flush ships them
+	// upstream, and the WAL sync last puts the cursor's view of the log on
+	// stable storage.
 	Forwarder interface{ Close() error }
-	// LoadProbe overrides where the v2 batch endpoint reads its queue
-	// depth/capacity from (default: the attached Ingester, or zeros without
-	// one). Tests use it to exercise the load signal and 503 shedding
-	// deterministically.
+	// LoadProbe overrides where the v2 batch endpoint reads its load
+	// depth/capacity from (default: batch requests in flight against
+	// maxInflightBatches). Tests use it to exercise the load signal and 503
+	// shedding deterministically.
 	LoadProbe func() (depth, capacity int)
+
+	// inflight counts POST /v2/submissions requests between admission and
+	// their last commit — the producer of the load signal.
+	inflight atomic.Int64
 
 	// router dispatches HTTP requests; built lazily on the first request
 	// from the configuration fields above (all of which must be set before
@@ -202,59 +201,38 @@ var transparentGIF = []byte{
 	0x00, 0x02, 0x02, 0x44, 0x01, 0x00, 0x3b,
 }
 
-// EnableAsyncIngest starts a batched async write queue and routes subsequent
-// Accept calls through it. Call before the server starts handling traffic.
-// The returned Ingester's Close drains the queue; callers that need every
-// accepted submission visible in the store (reports, shutdown) must close it
-// first.
-func (s *Server) EnableAsyncIngest(cfg IngestConfig) *Ingester {
-	s.Ingest = NewIngester(s.Store, cfg)
-	return s.Ingest
-}
-
 // AttachAggregator wires an incremental aggregation tier into the server's
-// store: every measurement that commits — whether through the synchronous
-// Accept path or the Ingester's batched async path — updates its
-// pattern×region group in the aggregator at the point of arrival, so
-// detection passes read finished counters instead of rescanning the store.
-// Call before the server starts handling traffic, like the other
-// configuration fields. Attaching to a store that already holds measurements
-// does not replay them; use Aggregator.Backfill first for that.
+// store: every measurement that commits updates its pattern×region group in
+// the aggregator at the point of arrival, so detection passes read finished
+// counters instead of rescanning the store. Call before the server starts
+// handling traffic, like the other configuration fields. Attaching to a store
+// that already holds measurements does not replay them; use
+// Aggregator.Backfill first for that.
 func (s *Server) AttachAggregator(agg *results.Aggregator) {
 	s.Store.AddObserver(agg)
 }
 
 // AttachWAL wires a write-ahead log into the server's store: every
-// measurement that commits — through either write path — is appended to the
-// durable log at commit time, alongside any attached aggregator. Call before
-// the server starts handling traffic, like the other configuration fields.
-// The caller owns the WAL's lifecycle (the server's Close syncs it but does
-// not close it); recover a crashed collector's store with
-// results.OpenStoreFromWAL before attaching a reopened WAL.
+// measurement that commits is appended to the durable log at commit time,
+// alongside any attached aggregator. Call before the server starts handling
+// traffic, like the other configuration fields. The caller owns the WAL's
+// lifecycle (the server's Close syncs it but does not close it); recover a
+// crashed collector's store with results.OpenStoreFromWAL before attaching a
+// reopened WAL.
 func (s *Server) AttachWAL(w *results.WAL) {
 	s.WAL = w
 	s.Store.AddObserver(w)
 }
 
 // Close shuts the server's write path down cleanly, in crash-consistent
-// order: it drains and closes the async ingest queue (if enabled) so every
-// accepted submission has committed to the store — and therefore reached
-// every commit observer; then closes the attached Forwarder (if any), whose
-// final flush ships those commits upstream and persists the acked cursor;
-// then syncs the WAL (if attached) so everything the server acknowledged is
-// on stable storage. Reversing the first two steps is the shutdown bug this
-// ordering exists to prevent: a forwarder closed before the queue drains
-// never sees the queue's tail, and a clean SIGTERM would strand those
-// records until the next run's catch-up. A submission the queue had not yet
-// committed at a crash was never observable in the store either, so
-// recovery stays consistent with what analysis could have seen. Safe to
-// call more than once. A forwarder close error (records that could not
-// reach the upstream) is reported after the WAL sync still ran — durability
-// first, then the error.
+// order. Every acknowledged submission has already committed to the store —
+// and therefore reached every commit observer — so Close closes the attached
+// Forwarder (if any), whose final flush ships those commits upstream and
+// persists the acked cursor, then syncs the WAL (if attached) so everything
+// the server acknowledged is on stable storage. Safe to call more than once.
+// A forwarder close error (records that could not reach the upstream) is
+// reported after the WAL sync still ran — durability first, then the error.
 func (s *Server) Close() error {
-	if s.Ingest != nil {
-		s.Ingest.Close()
-	}
 	var fwdErr error
 	if s.Forwarder != nil {
 		fwdErr = s.Forwarder.Close()
@@ -268,79 +246,23 @@ func (s *Server) Close() error {
 }
 
 // Accept validates a submission and stores the resulting measurement. It is
-// the programmatic entry point used by the in-process client simulator; the
-// HTTP handler delegates to it. Validation, attribution, and abuse checks run
-// synchronously (so callers observe rejections); with async ingest enabled
-// the store write itself is queued and a nil return means the submission was
-// accepted for storage.
+// the programmatic entry point used by the in-process client simulator, and
+// the v1 beacon handler's whole write path: a decoder over admit and a
+// one-record commit. The submission's Received time (the server clock when
+// zero) is its arrival time, so simulated campaigns rate-limit over
+// simulated time.
 func (s *Server) Accept(sub core.Submission) error {
-	m, err := s.prepare(sub)
+	arrival := sub.Received
+	if arrival.IsZero() {
+		arrival = s.Now()
+	}
+	m, err := s.admit(
+		api.SubmitRequest{MeasurementID: sub.MeasurementID, Result: string(sub.State), ElapsedMillis: sub.DurationMillis},
+		transport{ip: sub.ClientIP, userAgent: sub.UserAgent, referer: sub.OriginSite, arrival: arrival})
 	if err != nil {
 		return err
 	}
-	if s.Ingest != nil {
-		return s.Ingest.Enqueue(m)
-	}
 	return s.Store.Add(m)
-}
-
-// prepare validates a submission, attributes it to its registered task,
-// applies the abuse guard, and geolocates the client, producing the
-// Measurement to store. The guard's rate window runs over the submission's
-// Received time, which on every v1 path is the server clock.
-func (s *Server) prepare(sub core.Submission) (results.Measurement, error) {
-	return s.prepareGuardAt(sub, time.Time{})
-}
-
-// prepareGuardAt is prepare with the abuse guard's clock pinned to guardAt
-// (zero means the submission's Received time). The v2 batch path uses it to
-// honour a client-carried observation timestamp in the stored record while
-// still rate-limiting over server arrival time — windowing the §8 guard
-// over a client-controlled clock would let one address reset its rate
-// bucket at will by spacing backdated timestamps a window apart.
-func (s *Server) prepareGuardAt(sub core.Submission, guardAt time.Time) (results.Measurement, error) {
-	if err := sub.Validate(); err != nil {
-		return results.Measurement{}, err
-	}
-	task, known := s.Tasks.Lookup(sub.MeasurementID)
-	if !known {
-		// Unknown measurement IDs are most likely crawler noise or
-		// poisoning attempts (§8); reject them.
-		return results.Measurement{}, fmt.Errorf("%w %q", ErrUnknownMeasurement, sub.MeasurementID)
-	}
-	received := sub.Received
-	if received.IsZero() {
-		received = s.Now()
-	}
-	if s.Guard != nil {
-		at := guardAt
-		if at.IsZero() {
-			at = received
-		}
-		if err := s.Guard.Check(sub.ClientIP, sub.MeasurementID, string(sub.State), at); err != nil {
-			return results.Measurement{}, err
-		}
-	}
-	region := geo.CountryCode("")
-	if s.Geo != nil && sub.ClientIP != "" {
-		if code, err := s.Geo.LookupString(sub.ClientIP); err == nil {
-			region = code
-		}
-	}
-	return results.Measurement{
-		MeasurementID:  sub.MeasurementID,
-		PatternKey:     task.PatternKey,
-		TargetURL:      task.TargetURL,
-		TaskType:       task.Type,
-		State:          sub.State,
-		DurationMillis: sub.DurationMillis,
-		ClientIP:       sub.ClientIP,
-		Region:         region,
-		Browser:        ParseBrowserFamily(sub.UserAgent),
-		OriginSite:     sub.OriginSite,
-		Control:        task.Control,
-		Received:       received,
-	}, nil
 }
 
 // clientIP extracts the submitting client's address, honouring

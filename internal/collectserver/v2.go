@@ -2,67 +2,59 @@ package collectserver
 
 import (
 	"compress/gzip"
-	"crypto/subtle"
 	"encoding/json"
 	"io"
 	"net/http"
 	"strconv"
-	"time"
 
 	"encore/internal/api"
-	"encore/internal/core"
 	"encore/internal/results"
 	"encore/internal/urlpattern"
 	"encore/internal/wire"
 )
 
-// The v2 collection surface: batched JSON submissions, JSON health, and a
-// JSONL measurement export. The batch endpoint is the API the federation
-// forwarder and the client SDK's batching path speak — one POST carries what
-// would otherwise be dozens of beacon GETs, and the decoded batch feeds the
-// sharded store (or the async ingest queue) with one call instead of one
-// lock round-trip per submission.
+// The v2 collection surface: batched submissions (JSON or binary), JSON
+// health, and a measurement export. The batch endpoint is the API the
+// federation forwarder and the client SDK's batching path speak — one POST
+// carries what would otherwise be dozens of beacon GETs, and feeds the store
+// one call per commit chunk instead of one lock round-trip per submission.
 
 // maxBatchBody bounds a decoded v2 submission body; a batch larger than this
 // is a misbehaving client, not a bigger beacon.
 const maxBatchBody = 32 << 20
 
-// Backpressure tuning for the v2 batch endpoint. Advice starts at half
-// queue utilization and ramps the suggested flush interval linearly to
+// Backpressure tuning for the v2 batch endpoint. The load is the number of
+// batch requests in flight against maxInflightBatches. Advice starts at half
+// utilization and ramps the suggested flush interval linearly to
 // loadMaxAdviceMillis at saturation; past shedUtilization the endpoint stops
 // accepting and answers 503 + Retry-After instead. Advising well before
 // shedding is the point: a submitter that honors the load signal slows down
-// while the queue can still absorb it, and never sees the 503.
+// while the server can still absorb it, and never sees the 503.
 const (
+	maxInflightBatches    = 4096
 	loadAdviceUtilization = 0.5
 	loadMaxAdviceMillis   = 2000
 	shedUtilization       = 0.9
 	shedRetryAfterSeconds = 1
 )
 
-// queueLoad reads the ingest queue's depth and capacity: from LoadProbe when
-// overridden, from the attached Ingester otherwise, zeros for a synchronous
-// (unqueued) server.
+// queueLoad reads the batch endpoint's load: from LoadProbe when overridden,
+// otherwise the requests in flight against their fixed bound.
 func (s *Server) queueLoad() (depth, capacity int) {
 	if s.LoadProbe != nil {
 		return s.LoadProbe()
 	}
-	if s.Ingest != nil {
-		return s.Ingest.Pending(), s.Ingest.Capacity()
-	}
-	return 0, 0
+	return int(s.inflight.Load()), maxInflightBatches
 }
 
 // loadSignal builds the backpressure advice for one response, and reports
-// whether the queue is past the shedding threshold.
+// whether the load is past the shedding threshold.
 func (s *Server) loadSignal() (sig api.LoadSignal, shed bool) {
-	depth, capacity := s.queueLoad()
-	sig.QueueDepth = depth
-	sig.QueueCapacity = capacity
-	if capacity <= 0 {
+	sig.QueueDepth, sig.QueueCapacity = s.queueLoad()
+	if sig.QueueCapacity <= 0 {
 		return sig, false
 	}
-	util := float64(depth) / float64(capacity)
+	util := float64(sig.QueueDepth) / float64(sig.QueueCapacity)
 	if util > loadAdviceUtilization {
 		ramp := (util - loadAdviceUtilization) / (1 - loadAdviceUtilization)
 		if ramp > 1 {
@@ -73,16 +65,13 @@ func (s *Server) loadSignal() (sig api.LoadSignal, shed bool) {
 	return sig, util >= shedUtilization
 }
 
-// handleSubmitBatch accepts POST /v2/submissions: a BatchSubmitRequest whose
-// body may be gzip-compressed (Content-Encoding: gzip). Raw submissions are
-// validated, attributed, and guard-checked exactly like v1 beacons — the
-// batch shares the caller's transport identity (remote address, User-Agent),
-// so it carries one client's submissions. Attributed measurement records
-// (the federation lane) are accepted only when the server was configured as
-// an aggregation-tier upstream (AllowAttributed) and, when AttributedToken
-// is set, the batch authenticated with it. Every response carries the
-// server's load signal; a saturated ingest queue sheds with 503 +
-// Retry-After before accepting work it would have to drop.
+// handleSubmitBatch accepts POST /v2/submissions: a JSON BatchSubmitRequest
+// or a binary frame stream, either optionally gzip-compressed. Raw
+// submissions are admitted exactly like v1 beacons — the batch shares the
+// caller's transport identity (remote address, User-Agent), so it carries one
+// client's submissions. Every response carries the server's load signal; a
+// saturated server sheds with 503 + Retry-After before accepting work. A 200
+// means every accepted record has committed.
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	// Graceful degradation: once the WAL records a sticky error, this
 	// server can no longer keep the durability promise the v2 batch lane
@@ -99,145 +88,82 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	if shed {
 		w.Header().Set("Retry-After", strconv.Itoa(shedRetryAfterSeconds))
 		api.WriteError(w, api.Errorf(api.CodeOverloaded,
-			"ingest queue at %d/%d; retry later", load.QueueDepth, load.QueueCapacity))
+			"%d/%d batch requests in flight; retry later", load.QueueDepth, load.QueueCapacity))
 		return
 	}
+	resp, e := s.ingestBatch(r)
+	if e != nil {
+		api.WriteError(w, e)
+		return
+	}
+	// Re-read the load after the commit: this batch's work is done, advice
+	// should reflect what is still in flight.
+	load, _ = s.loadSignal()
+	resp.Load = &load
+	api.WriteJSON(w, http.StatusOK, resp)
+}
+
+// ingestBatch runs one batch request through the pipeline: pick the decoder
+// the Content-Type names, feed the sink, commit the tail.
+func (s *Server) ingestBatch(r *http.Request) (api.BatchSubmitResponse, *api.Error) {
+	s.inflight.Add(1)
+	defer s.inflight.Add(-1)
+
 	body := io.Reader(r.Body)
 	if r.Header.Get("Content-Encoding") == "gzip" {
 		gz, err := gzip.NewReader(r.Body)
 		if err != nil {
-			api.WriteError(w, api.Errorf(api.CodeBadRequest, "bad gzip body"))
-			return
+			return api.BatchSubmitResponse{}, api.Errorf(api.CodeBadRequest, "bad gzip body")
 		}
 		defer gz.Close()
 		body = gz
 	}
-	if isRecordsContentType(r.Header.Get("Content-Type")) {
-		s.handleSubmitBatchBinary(w, r, body)
-		return
+	chunk := chunkPool.Get().(*[commitChunk]results.Measurement)
+	k := batchSink{s: s, r: r, pending: chunk[:0], from: transport{
+		ip: clientIP(r), userAgent: r.UserAgent(),
+		referer: urlpattern.DomainOf(r.Referer()), arrival: s.Now(),
+	}}
+	defer func() {
+		clear(k.pending) // an aborted request's uncommitted tail
+		chunkPool.Put(chunk)
+	}()
+	body = io.LimitReader(body, maxBatchBody)
+	var e *api.Error
+	if namesRecords(r.Header.Get("Content-Type")) {
+		e = k.decodeFrames(body)
+	} else {
+		e = k.decodeJSON(body)
 	}
+	if e == nil {
+		e = k.commit()
+	}
+	return k.resp, e
+}
+
+// decodeJSON is the application/json decoder: one BatchSubmitRequest, whose
+// two lanes index their rejections separately. The body names its lanes up
+// front, so the attributed gate runs before anything is admitted.
+func (k *batchSink) decodeJSON(body io.Reader) *api.Error {
 	var req api.BatchSubmitRequest
-	dec := json.NewDecoder(io.LimitReader(body, maxBatchBody))
-	if err := dec.Decode(&req); err != nil {
-		api.WriteError(w, api.Errorf(api.CodeBadRequest, "bad JSON body"))
-		return
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		return api.Errorf(api.CodeBadRequest, "bad JSON body")
 	}
 	if len(req.Measurements) > 0 {
-		if !s.AllowAttributed {
-			api.WriteError(w, api.Errorf(api.CodeAttributionNotAllowed,
-				"this collector does not accept pre-attributed measurements"))
-			return
-		}
-		// Constant-time comparison so the shared secret cannot be recovered
-		// byte-by-byte from response timing.
-		if s.AttributedToken != "" &&
-			subtle.ConstantTimeCompare([]byte(api.BearerToken(r)), []byte(s.AttributedToken)) != 1 {
-			api.WriteError(w, api.Errorf(api.CodeAttributionNotAllowed,
-				"attributed submissions require a valid bearer token"))
-			return
+		if e := k.gate(); e != nil {
+			return e
 		}
 	}
-
-	resp := api.BatchSubmitResponse{}
-	accepted := make([]results.Measurement, 0, len(req.Submissions)+len(req.Measurements))
-
-	// Raw-submission lane: the transport supplies the client identity once
-	// for the whole batch, exactly as it would for a run of beacons.
-	ip := clientIP(r)
-	ua := r.UserAgent()
-	referer := urlpattern.DomainOf(r.Referer())
-	arrival := s.Now()
 	for i, sub := range req.Submissions {
-		m, err := s.prepareRawSubmission(sub, ip, ua, referer, arrival)
-		if err != nil {
-			e := submissionError(err)
-			resp.Rejected = append(resp.Rejected, api.RejectedSubmission{
-				Index: i, MeasurementID: sub.MeasurementID, Code: e.Code, Message: e.Message,
-			})
-			continue
+		if e := k.raw(i, sub); e != nil {
+			return e
 		}
-		accepted = append(accepted, m)
 	}
-
-	// Federation lane: records were attributed, guarded, and geolocated at
-	// the edge collector that committed them; only validity is re-checked.
 	for i, m := range req.Measurements {
-		if err := m.Validate(); err != nil {
-			resp.Rejected = append(resp.Rejected, api.RejectedSubmission{
-				Index: i, MeasurementID: m.MeasurementID,
-				Code: api.CodeInvalidSubmission, Message: "invalid measurement record",
-			})
-			continue
-		}
-		accepted = append(accepted, m)
-	}
-
-	if err := s.storeBatch(accepted); err != nil {
-		api.WriteError(w, api.Errorf(api.CodeInternal, "write path closed"))
-		return
-	}
-	resp.Accepted = len(accepted)
-	// Re-read the load after the enqueue: advice should reflect the work
-	// this batch just added.
-	sig, _ := s.loadSignal()
-	resp.Load = &sig
-	api.WriteJSON(w, http.StatusOK, resp)
-}
-
-// prepareRawSubmission normalizes, attributes, and guard-checks one
-// body-supplied raw submission against the batch's shared transport identity.
-// Both the JSON and binary batch lanes call it, so the two encodings cannot
-// drift semantically: same origin normalization, same timestamp clamp, same
-// guard windowing.
-//
-// The origin is normalized exactly like the v1 path normalizes the Referer
-// header, so per-origin analysis over a mixed v1/v2 store keys one site one
-// way: URLs reduce to their host, bare domains are case/dot-normalized. The
-// client-side observation time is honoured when carried (late-uploaded
-// batches keep their timeline), clamped to arrival time so nothing lands in
-// the future; the §8 rate guard deliberately does NOT window over this
-// client-controlled clock — prepareGuardAt pins it to arrival time, so
-// backdating cannot reset rate buckets.
-func (s *Server) prepareRawSubmission(sub api.SubmitRequest, ip, ua, referer string, arrival time.Time) (results.Measurement, error) {
-	origin := sub.OriginSite
-	if origin != "" {
-		if d := urlpattern.DomainOf(origin); d != "" {
-			origin = d
-		} else {
-			origin = urlpattern.NormalizeHost(origin)
-		}
-	} else {
-		origin = referer
-	}
-	received := arrival
-	if sub.ReceivedUnixMillis > 0 {
-		if t := time.UnixMilli(sub.ReceivedUnixMillis).UTC(); t.Before(received) {
-			received = t
+		if e := k.attributed(i, m); e != nil {
+			return e
 		}
 	}
-	return s.prepareGuardAt(core.Submission{
-		MeasurementID:  sub.MeasurementID,
-		State:          core.State(sub.Result),
-		DurationMillis: sub.ElapsedMillis,
-		ClientIP:       ip,
-		UserAgent:      ua,
-		OriginSite:     origin,
-		Received:       received,
-	}, arrival)
-}
-
-// storeBatch commits prepared measurements through whichever write path the
-// server runs: the batched async ingest queue when enabled, otherwise one
-// grouped store write.
-func (s *Server) storeBatch(ms []results.Measurement) error {
-	if len(ms) == 0 {
-		return nil
-	}
-	if s.Ingest != nil {
-		return s.Ingest.EnqueueBatch(ms)
-	}
-	_, err := s.Store.AddBatch(ms)
-	return err
+	return nil
 }
 
 // ForwarderHealth is the structural interface the health endpoint probes an
@@ -288,7 +214,7 @@ func (s *Server) handleHealthV2(w http.ResponseWriter, _ *http.Request) {
 // Accept header names application/x-encore-records gets the binary frame
 // stream instead (same records, same order, WAL wire format).
 func (s *Server) handleMeasurements(w http.ResponseWriter, r *http.Request) {
-	if acceptsRecords(r.Header.Get("Accept")) {
+	if namesRecords(r.Header.Get("Accept")) {
 		w.Header().Set("Content-Type", wire.ContentTypeRecords)
 		w.WriteHeader(http.StatusOK)
 		_ = s.Store.WriteWire(w)

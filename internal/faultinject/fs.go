@@ -52,7 +52,6 @@ type FS interface {
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
 	Open(name string) (File, error)
 	ReadFile(name string) ([]byte, error)
-	WriteFile(name string, data []byte, perm os.FileMode) error
 	Rename(oldpath, newpath string) error
 	Remove(name string) error
 	Glob(pattern string) ([]string, error)
@@ -74,10 +73,6 @@ func (osFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
 func (osFS) Open(name string) (File, error) { return os.Open(name) }
 
 func (osFS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
-
-func (osFS) WriteFile(name string, data []byte, perm os.FileMode) error {
-	return os.WriteFile(name, data, perm)
-}
 
 func (osFS) Rename(oldpath, newpath string) error { return os.Rename(oldpath, newpath) }
 
@@ -275,20 +270,6 @@ func (fs *FaultFS) ReadFile(name string) ([]byte, error) {
 		return nil, err
 	}
 	return os.ReadFile(name)
-}
-
-func (fs *FaultFS) WriteFile(name string, data []byte, perm os.FileMode) error {
-	if err := fs.check(); err != nil {
-		return err
-	}
-	// WriteFile callers (the WAL's meta pin) follow with a rename and a
-	// directory sync; model the contents as durable.
-	fs.mu.Lock()
-	st := fs.state(name)
-	st.written = int64(len(data))
-	st.synced = st.written
-	fs.mu.Unlock()
-	return os.WriteFile(name, data, perm)
 }
 
 func (fs *FaultFS) Rename(oldpath, newpath string) error {

@@ -3,8 +3,8 @@
 // simulated clients and reports the achieved ingest throughput. The paper's
 // collection server must absorb beacon submissions from clients mid-page-view
 // at deployment scale (§5.5, §8); loadgen is the harness that measures
-// whether the sharded stores, sharded abuse guard, and batched async ingest
-// queue actually deliver that headroom on a given machine.
+// whether the sharded stores, sharded abuse guard, and synchronous ingest
+// pipeline actually deliver that headroom on a given machine.
 package loadgen
 
 import (
@@ -15,7 +15,6 @@ import (
 
 	apiclient "encore/internal/api/client"
 	"encore/internal/clientsim"
-	"encore/internal/collectserver"
 	"encore/internal/geo"
 	"encore/internal/inference"
 	"encore/internal/results"
@@ -61,12 +60,6 @@ type Config struct {
 	// SimulatedDuration is the campaign interval the visit timestamps span;
 	// it is simulation time, not wall-clock time.
 	SimulatedDuration time.Duration
-	// AsyncIngest enables the collector's batched async ingest queue for the
-	// run (the run drains the queue before reporting).
-	AsyncIngest bool
-	// Ingest configures the async queue when AsyncIngest is set; zero fields
-	// fall back to collectserver defaults.
-	Ingest collectserver.IngestConfig
 	// Transport selects the submission path: in-process Accept calls
 	// (default), or real loopback HTTP through the API client SDK
 	// (TransportBeacon / TransportV2).
@@ -88,7 +81,6 @@ func DefaultConfig() Config {
 		Visits:            2000,
 		Start:             time.Date(2014, 5, 1, 0, 0, 0, 0, time.UTC),
 		SimulatedDuration: 24 * time.Hour,
-		AsyncIngest:       true,
 	}
 }
 
@@ -104,7 +96,7 @@ type Result struct {
 	// records upgraded in place, so Stored <= TasksSubmitted + inits).
 	Stored int
 	// Elapsed is the wall-clock time of the concurrent drive, including the
-	// async queue drain.
+	// final WAL sync.
 	Elapsed time.Duration
 	// SubmissionsPerSec is TasksSubmitted / Elapsed — the headline ingest
 	// throughput.
@@ -166,10 +158,9 @@ func (r Result) String() string {
 }
 
 // Run drives the stack's population with cfg.Clients concurrent streams and
-// reports throughput. Measurements accumulate in the stack's store; when
-// AsyncIngest is set the collector's queue is enabled for the run and fully
-// drained (and disabled again) before Run returns, so the store is complete
-// for any analysis that follows.
+// reports throughput. Measurements accumulate in the stack's store; every
+// submission has committed by the time its client call returns, so the store
+// is complete for any analysis that follows.
 func Run(stack *clientsim.Stack, cfg Config) Result {
 	if cfg.Clients <= 0 {
 		cfg.Clients = 1
@@ -179,11 +170,6 @@ func Run(stack *clientsim.Stack, cfg Config) Result {
 	}
 	if cfg.SimulatedDuration <= 0 {
 		cfg.SimulatedDuration = 24 * time.Hour
-	}
-
-	var ingester *collectserver.Ingester
-	if cfg.AsyncIngest {
-		ingester = stack.Collector.EnableAsyncIngest(cfg.Ingest)
 	}
 
 	// Wire transports: serve the collector on a loopback listener and point
@@ -215,10 +201,6 @@ func Run(stack *clientsim.Stack, cfg Config) Result {
 		Duration: cfg.SimulatedDuration,
 		Regions:  cfg.Regions,
 	}, cfg.Clients)
-	if ingester != nil {
-		ingester.Close()
-		stack.Collector.Ingest = nil
-	}
 	var walErr error
 	if stack.WAL != nil {
 		// The durability cost belongs in the measured window: sync before

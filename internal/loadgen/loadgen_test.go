@@ -20,7 +20,6 @@ func TestRunDrivesConcurrentClients(t *testing.T) {
 		Visits:            160,
 		Start:             time.Date(2014, 5, 1, 0, 0, 0, 0, time.UTC),
 		SimulatedDuration: time.Hour,
-		AsyncIngest:       true,
 	}
 	res := Run(stack, cfg)
 
@@ -41,10 +40,6 @@ func TestRunDrivesConcurrentClients(t *testing.T) {
 	if res.Stored != stack.Store.Len() {
 		t.Fatalf("Stored=%d disagrees with store Len=%d", res.Stored, stack.Store.Len())
 	}
-	// The async queue must have been drained and disabled.
-	if stack.Collector.Ingest != nil {
-		t.Fatal("Run left the async ingester enabled")
-	}
 	if s := res.String(); !strings.Contains(s, "submissions/s") {
 		t.Fatalf("report missing throughput: %s", s)
 	}
@@ -57,12 +52,11 @@ func TestRunDrivesConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestRunSyncPath exercises the synchronous (no queue) path for comparison
-// runs.
+// TestRunSyncPath checks an uneven visit total is spread across the streams
+// and run exactly, with every submission committed when Run returns.
 func TestRunSyncPath(t *testing.T) {
 	stack := clientsim.BuildStack(clientsim.StackConfig{Seed: 10})
-	// An uneven total must be spread across the streams and run exactly.
-	res := Run(stack, Config{Clients: 3, Visits: 41, AsyncIngest: false})
+	res := Run(stack, Config{Clients: 3, Visits: 41})
 	if res.Visits != 41 {
 		t.Fatalf("Visits=%d, want 41", res.Visits)
 	}
@@ -83,7 +77,6 @@ func TestRunHTTPTransports(t *testing.T) {
 			Visits:            80,
 			Start:             time.Date(2014, 5, 1, 0, 0, 0, 0, time.UTC),
 			SimulatedDuration: time.Hour,
-			AsyncIngest:       true,
 			Transport:         transport,
 		})
 		if res.TasksSubmitted == 0 {
@@ -117,7 +110,6 @@ func TestRunWithWALAttached(t *testing.T) {
 		Visits:            120,
 		Start:             time.Date(2014, 5, 1, 0, 0, 0, 0, time.UTC),
 		SimulatedDuration: time.Hour,
-		AsyncIngest:       true,
 	})
 	if !res.WALAttached {
 		t.Fatal("result does not report the attached WAL")

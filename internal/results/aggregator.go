@@ -14,9 +14,9 @@ import (
 // instead of rescanning (and defensively copying) every stored measurement.
 //
 // Wiring: attach it to a Store with Store.SetObserver before traffic starts.
-// Both collectserver write paths then feed it — the synchronous Accept path
-// (Store.Add) and the Ingester's batched async commit path (Store.AddBatch) —
-// because the store reports every effective insert and in-place upgrade,
+// Both collectserver commit calls then feed it — Accept's one-record
+// Store.Add and the batch endpoint's Store.AddBatch — because the store
+// reports every effective insert and in-place upgrade,
 // including the retracted previous record, so the Aggregator's counters track
 // the store's deduplicated content exactly. For a cold start over a store
 // that was loaded before the Aggregator existed (e.g. from a JSONL file),
@@ -25,8 +25,8 @@ import (
 // Consistency: each commit updates its group atomically under that group's
 // shard lock, so Groups and Windowed always see internally-consistent cells.
 // Cross-cell reads taken while writers are running reflect a moment that may
-// interleave with in-flight commits; quiesce the ingest path (Ingester.Close)
-// for reads that must match a batch recomputation bit-for-bit.
+// interleave with in-flight commits; quiesce the ingest path (stop the
+// submitters) for reads that must match a batch recomputation bit-for-bit.
 //
 // Dirty-group contract: every commit marks the affected pattern dirty.
 // DrainDirtyPatterns atomically hands the accumulated dirty set to the caller

@@ -283,8 +283,21 @@ func pinShardCount(fs faultinject.FS, dir string, requested int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	// Fsync before the rename: a crash must leave either no meta or a whole
+	// one, never a renamed-but-empty file that refuses every later boot.
 	tmp := metaPath + ".tmp"
-	if err := fs.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
+	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return 0, err
+	}
+	_, err = f.Write(append(data, '\n'))
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return 0, err
 	}
 	if err := fs.Rename(tmp, metaPath); err != nil {

@@ -161,6 +161,29 @@ func TestWALCrashTornTailRecovery(t *testing.T) {
 	}
 }
 
+// TestWALCrashOnFirstOpenLeavesBootableMeta crashes the machine right after
+// the first open pinned the shard count: the meta file was fsynced before it
+// was renamed into place, so the next boot reads the pin back instead of
+// refusing a truncated wal-meta.json forever.
+func TestWALCrashOnFirstOpenLeavesBootableMeta(t *testing.T) {
+	dir := t.TempDir()
+	_, w, ffs := buildFaultWAL(t, dir, WALConfig{Policy: SyncNone, Shards: 2})
+	defer w.Close()
+	if _, err := ffs.Crash(0); err != nil {
+		t.Fatalf("Crash: %v", err)
+	}
+	pinned, err := pinShardCount(faultinject.OS(), dir, 8)
+	if err != nil {
+		t.Fatalf("reading the shard pin after a crash on first open: %v", err)
+	}
+	if pinned != 2 {
+		t.Fatalf("pinned shard count = %d after the crash, want the 2 first open wrote", pinned)
+	}
+	if _, _, err := OpenStoreFromWAL(dir); err != nil {
+		t.Fatalf("OpenStoreFromWAL: %v", err)
+	}
+}
+
 func TestWALFaultFSDefaultsToHostFS(t *testing.T) {
 	// A nil WALConfig.FS must behave exactly as before the chaos tier
 	// existed: plain host-filesystem round trip.

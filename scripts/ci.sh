@@ -4,8 +4,9 @@
 # every package, README-referenced commands build), the full test suite
 # (including the concurrent ingest soak, the WAL kill-and-restart tests, and
 # the federation soak — concurrent edge commits against a flapping upstream
-# with a WAL-backed forwarder) under the race detector, the deterministic
-# chaos suite at fixed seeds (scripts/chaos.sh), and the campaign-tier smoke
+# with a WAL-backed forwarder) under the race detector, the separate bench/
+# module's vet and tests, the deterministic chaos suite at fixed seeds
+# (scripts/chaos.sh), and the campaign-tier smoke
 # (scripts/campaign_smoke.sh: grid/dispatcher property tests under -race plus
 # a fixed-seed kill-and-resume pass through the encore-campaign binary).
 set -eu
@@ -31,6 +32,12 @@ echo "== docs check =="
 
 echo "== go test -race =="
 go test -race ./...
+
+# bench/ is its own module (replace encore => ../), so ./... above never
+# compiles it: a product change that removes exported API would break the
+# benchmark unnoticed.
+echo "== bench module =="
+(cd bench && go vet ./... && go test ./...)
 
 # Short fuzz smoke over the untrusted wire surfaces: the record payload
 # decoder and the full streaming frame path. Ten seconds each — enough to
