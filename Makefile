@@ -1,27 +1,15 @@
 # Development and CI entry points for the Encore reproduction.
 #
-#   make ci          - everything CI runs: format check, vet, build, race tests
+#   make ci          - everything CI runs (scripts/ci.sh): format check, vet,
+#                      build, docs check, race tests, the paper evaluation and
+#                      the retained scale families once each (-benchtime 1x),
+#                      bench-module, fuzz, chaos, campaign-smoke
 #   make test        - fast test run (no race detector)
 #   make race        - full test suite under the race detector
-#   make bench       - aggregation-tier (E18), ingest (E17), WAL durability
-#                      (E19), and scheduler assignment (E20) benchmarks,
-#                      recorded as BENCH_aggregate.json via scripts/bench.sh
-#   make bench-sched - only the E20 scheduler benchmarks, merged into
-#                      BENCH_aggregate.json without touching E17-E19 entries
-#   make bench-api   - only the E21 API-transport benchmarks (v1 beacon vs
-#                      v2 batch over loopback HTTP, federation forwarder),
-#                      merged into BENCH_aggregate.json the same way
-#   make bench-fed   - only the E22 lossless-federation benchmarks (WAL-tail
-#                      forwarder throughput vs the in-memory baseline, plus
-#                      the recovery-resume replay rate), merged the same way
-#   make bench-wire  - the E23 binary-wire benchmarks (binary batch POSTs and
-#                      binary federation forwarding) plus the E22 federation
-#                      set, merged into BENCH_aggregate.json while keeping
-#                      the pinned E21 JSON numbers as the comparison baseline
-#   make bench-gossip- the E24 control-plane benchmarks (gossip round cost,
-#                      delta-carrying and steady-state, plus assignment
-#                      throughput at K=1/3/5 coordinators), merged the same
-#                      way
+#   make bench       - the end-to-end benchmark (bench/README.md): builds
+#                      encore-bench and runs its four socket-level workloads
+#                      once each; per-layer and steadiness modes are
+#                      `bash bench/run.sh trace` and `... aa`
 #   make bench-module - vet and test the separate bench/ module against this
 #                      checkout's product API (part of make ci)
 #   make fuzz        - the CI fuzz smoke: 10s on each internal/wire target
@@ -37,12 +25,12 @@
 #                      and dispatcher property tests under the race detector,
 #                      then a fixed-seed 2x2 grid through the encore-campaign
 #                      binary with a mid-campaign kill and a journal resume
-#   make bench-paper - the paper's full evaluation benchmark suite
-#   make loadgen     - concurrent ingest throughput benchmarks (-cpu=4)
+#   make bench-paper - the paper's full evaluation benchmark suite (E1-E16 in
+#                      bench_test.go, plus the families in scale_bench_test.go)
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench bench-sched bench-api bench-fed bench-wire bench-gossip bench-module bench-paper fuzz loadgen docs-check chaos chaos-soak campaign-smoke
+.PHONY: ci fmt vet build test race bench bench-module bench-paper fuzz docs-check chaos chaos-soak campaign-smoke
 
 ci:
 	./scripts/ci.sh
@@ -63,22 +51,7 @@ race:
 	$(GO) test -race ./...
 
 bench:
-	./scripts/bench.sh
-
-bench-sched:
-	./scripts/bench.sh -only sched
-
-bench-api:
-	./scripts/bench.sh -only api
-
-bench-fed:
-	./scripts/bench.sh -only fed
-
-bench-wire:
-	./scripts/bench.sh -only wire
-
-bench-gossip:
-	./scripts/bench.sh -only gossip
+	bash bench/run.sh run
 
 bench-module:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
@@ -89,9 +62,6 @@ fuzz:
 
 bench-paper:
 	$(GO) test -bench=. -benchmem .
-
-loadgen:
-	$(GO) test -run xxx -bench 'ParallelIngest|ParallelCollect' -cpu 4 .
 
 docs-check:
 	./scripts/docs_check.sh

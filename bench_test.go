@@ -1,40 +1,29 @@
-// Package encore's top-level benchmark harness regenerates every table and
-// figure of the paper's evaluation (see DESIGN.md's per-experiment index and
-// EXPERIMENTS.md for measured-vs-paper comparisons).
+// Package encore's top-level benchmark harness is the paper's evaluation and
+// only that: E1-E16 regenerate Table 1, Figures 4-7, the §6.2 pilot, §7.1
+// testbed soundness, §7.2 detection, the ablations and §8 robustness. Each
+// experiment's header below names the table, figure or section it reproduces.
 //
 // Run all experiments with:
 //
-//	go test -bench=. -benchmem
+//	make bench-paper        # go test -bench=. -benchmem .
 //
 // Each benchmark prints the reproduced table or figure series via b.Logf
 // (visible with -v) and reports its headline quantities as custom benchmark
-// metrics so runs can be compared numerically.
+// metrics so runs can be compared numerically. Scale and per-layer cost are
+// measured by the separate bench/ module (make bench, bench/README.md).
 package encore
 
 import (
-	"context"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"runtime"
-	"strconv"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"encore/internal/analytics"
-	"encore/internal/api"
-	apiclient "encore/internal/api/client"
-	"encore/internal/api/federation"
 	"encore/internal/baseline"
 	"encore/internal/browser"
 	"encore/internal/censor"
 	"encore/internal/clientsim"
-	"encore/internal/collectserver"
-	"encore/internal/coordfed"
 	"encore/internal/core"
 	"encore/internal/geo"
 	"encore/internal/inference"
@@ -467,6 +456,62 @@ func BenchmarkAblationDetectionParameters(b *testing.B) {
 // E13 — ablation: scheduling quorum window.
 // ---------------------------------------------------------------------------
 
+// BenchmarkAblationSchedulingQuorum varies the scheduler's quorum window and
+// reports how concentrated measurements of a single pattern become within a
+// 60-second analysis window — the property §5.3 argues enables cross-region
+// comparison.
+func BenchmarkAblationSchedulingQuorum(b *testing.B) {
+	report := feasibility()
+	windows := []time.Duration{time.Second, 15 * time.Second, 60 * time.Second, 5 * time.Minute}
+	type row struct {
+		window        time.Duration
+		concentration float64
+	}
+	var rows []row
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rows = rows[:0]
+		for _, w := range windows {
+			cfg := scheduler.DefaultConfig()
+			cfg.QuorumWindow = w
+			cfg.Seed = uint64(i) + 1
+			sched := scheduler.New(report.Tasks, cfg)
+			// Simulate 200 clients arriving over one minute and measure the
+			// share of assignments that hit the most-assigned pattern.
+			counts := map[string]int{}
+			total := 0
+			start := time.Unix(1_000_000, 0)
+			for c := 0; c < 200; c++ {
+				at := start.Add(time.Duration(c*300) * time.Millisecond)
+				tasks := sched.Assign(scheduler.ClientInfo{Region: "PK", Browser: core.BrowserFirefox, ExpectedDwellSeconds: 5}, at)
+				for _, t := range tasks {
+					counts[t.PatternKey]++
+					total++
+				}
+			}
+			max := 0
+			for _, n := range counts {
+				if n > max {
+					max = n
+				}
+			}
+			conc := 0.0
+			if total > 0 {
+				conc = float64(max) / float64(total)
+			}
+			rows = append(rows, row{window: w, concentration: conc})
+		}
+	}
+	b.StopTimer()
+	b.Logf("quorum-window ablation (fraction of one minute's assignments on the single most-measured pattern):")
+	for _, r := range rows {
+		b.Logf("  window=%-8v concentration=%.2f", r.window, r.concentration)
+	}
+	if len(rows) >= 3 {
+		b.ReportMetric(rows[2].concentration, "concentration-60s-window")
+	}
+}
+
 // ---------------------------------------------------------------------------
 // E14 — longitudinal detection of a filtering onset.
 // ---------------------------------------------------------------------------
@@ -611,1191 +656,5 @@ func BenchmarkInfrastructureBlockingResilience(b *testing.B) {
 		b.ReportMetric(float64(rows[0].submissions), "submissions-single")
 		b.ReportMetric(float64(rows[1].submissions), "submissions-mirrored")
 		b.ReportMetric(float64(rows[2].submissions), "submissions-proxied")
-	}
-}
-
-// ---------------------------------------------------------------------------
-// E17 — ingest throughput: the sharded concurrent ingest path vs the seed's
-// single-mutex store. Run with -cpu=4 (or higher) to exercise contention:
-//
-//	go test -bench='ParallelIngest' -cpu=4 .
-// ---------------------------------------------------------------------------
-
-// singleMutexStore replicates the seed's original results store — one RWMutex
-// serializing every submission — and serves as the benchmark baseline the
-// sharded store is measured against.
-type singleMutexStore struct {
-	mu           sync.RWMutex
-	measurements []results.Measurement
-	byID         map[string]int
-}
-
-func (s *singleMutexStore) Add(m results.Measurement) error {
-	if err := m.Validate(); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if idx, ok := s.byID[m.MeasurementID]; ok {
-		existing := s.measurements[idx]
-		if existing.Completed() && m.State == core.StateInit {
-			return nil
-		}
-		s.measurements[idx] = m
-		return nil
-	}
-	s.byID[m.MeasurementID] = len(s.measurements)
-	s.measurements = append(s.measurements, m)
-	return nil
-}
-
-func (s *singleMutexStore) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.measurements)
-}
-
-// benchWorkerSeq hands each RunParallel goroutine a distinct ID namespace.
-var benchWorkerSeq atomic.Uint64
-
-func benchMeasurement(worker uint64, i int) results.Measurement {
-	return results.Measurement{
-		MeasurementID: strconv.FormatUint(worker, 10) + "-" + strconv.Itoa(i),
-		PatternKey:    "domain:bench.com",
-		State:         core.StateSuccess,
-		Region:        "US",
-		ClientIP:      "11.0.0." + strconv.Itoa(i%200),
-	}
-}
-
-// BenchmarkParallelIngestSingleMutexBaseline measures concurrent submissions
-// into the seed's single-RWMutex store shape.
-func BenchmarkParallelIngestSingleMutexBaseline(b *testing.B) {
-	s := &singleMutexStore{byID: make(map[string]int)}
-	b.RunParallel(func(pb *testing.PB) {
-		w := benchWorkerSeq.Add(1)
-		i := 0
-		for pb.Next() {
-			i++
-			if err := s.Add(benchMeasurement(w, i)); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "submissions/s")
-	if s.Len() != b.N {
-		b.Fatalf("stored %d, want %d", s.Len(), b.N)
-	}
-}
-
-// BenchmarkParallelIngestShardedStore measures the same workload against the
-// sharded store.
-func BenchmarkParallelIngestShardedStore(b *testing.B) {
-	s := results.NewStore()
-	b.RunParallel(func(pb *testing.PB) {
-		w := benchWorkerSeq.Add(1)
-		i := 0
-		for pb.Next() {
-			i++
-			if err := s.Add(benchMeasurement(w, i)); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "submissions/s")
-	if s.Len() != b.N {
-		b.Fatalf("stored %d, want %d", s.Len(), b.N)
-	}
-}
-
-// benchCollector builds a collection server with an open-throttle abuse guard
-// for full-path ingest benchmarks.
-func benchCollector() (*collectserver.Server, *results.Store, *results.TaskIndex) {
-	g := geo.NewRegistry(17)
-	store := results.NewStore()
-	index := results.NewTaskIndex()
-	srv := collectserver.New(store, index, g)
-	srv.Guard = collectserver.NewAbuseGuard(collectserver.AbuseGuardConfig{
-		MaxSubmissionsPerWindow: 1 << 30, Window: time.Hour,
-	})
-	return srv, store, index
-}
-
-// BenchmarkParallelCollectServerAccept measures the full synchronous
-// submission path — task registration, validation, sharded abuse guard,
-// geolocation, sharded store — under concurrent clients.
-func BenchmarkParallelCollectServerAccept(b *testing.B) {
-	srv, _, index := benchCollector()
-	b.RunParallel(func(pb *testing.PB) {
-		w := benchWorkerSeq.Add(1)
-		prefix := "c-" + strconv.FormatUint(w, 10) + "-"
-		ip := "11.0.1." + strconv.FormatUint(w%200, 10)
-		i := 0
-		for pb.Next() {
-			i++
-			id := prefix + strconv.Itoa(i)
-			index.Register(core.Task{
-				MeasurementID: id, Type: core.TaskImage,
-				TargetURL: "http://bench.com/favicon.ico", PatternKey: "domain:bench.com",
-			})
-			if err := srv.Accept(core.Submission{
-				MeasurementID: id, State: core.StateSuccess, ClientIP: ip,
-			}); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "submissions/s")
-}
-
-// BenchmarkParallelIngestShardedStoreWithAggregator is the sharded-store
-// ingest workload with the incremental aggregation tier attached as the
-// store's commit observer — the per-submission cost of keeping the analysis
-// tier current at the point of arrival (E18).
-func BenchmarkParallelIngestShardedStoreWithAggregator(b *testing.B) {
-	s := results.NewStore()
-	agg := results.NewAggregator(results.AggregatorConfig{Window: 24 * time.Hour})
-	s.SetObserver(agg)
-	base := time.Date(2014, 5, 1, 0, 0, 0, 0, time.UTC)
-	b.RunParallel(func(pb *testing.PB) {
-		w := benchWorkerSeq.Add(1)
-		i := 0
-		for pb.Next() {
-			i++
-			m := benchMeasurement(w, i)
-			m.Received = base.Add(time.Duration(i%1440) * time.Minute)
-			if err := s.Add(m); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "submissions/s")
-	if s.Len() != b.N {
-		b.Fatalf("stored %d, want %d", s.Len(), b.N)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// E18 — the incremental aggregation tier: detection cost vs store size.
-//
-// DetectStore rescans (and defensively copies) the whole store every pass,
-// so its latency grows linearly with stored measurements; DetectIncremental
-// reads the group counters the collector maintained at ingest and recomputes
-// only dirtied patterns, so its latency tracks the number of groups — which
-// is fixed here — no matter how many measurements built them. scripts/bench.sh
-// records both trajectories in BENCH_aggregate.json.
-// ---------------------------------------------------------------------------
-
-// detectionBenchSizes are the store sizes the batch-vs-incremental crossover
-// is measured at.
-var detectionBenchSizes = []int{10_000, 100_000, 1_000_000}
-
-type detectionFixture struct {
-	store *results.Store
-	agg   *results.Aggregator
-}
-
-var (
-	detectionFixtureMu sync.Mutex
-	detectionFixtures  = map[int]*detectionFixture{}
-)
-
-// detectionStore builds, once per size, a store of n measurements spread over
-// a fixed 40-pattern × 25-region grid (1000 groups) with the incremental
-// aggregation tier attached, so every size measures the same group cardinality
-// and only the measurement count varies.
-func detectionStore(b *testing.B, n int) *detectionFixture {
-	b.Helper()
-	detectionFixtureMu.Lock()
-	defer detectionFixtureMu.Unlock()
-	if f, ok := detectionFixtures[n]; ok {
-		return f
-	}
-	store := results.NewStore()
-	agg := results.NewAggregator(results.AggregatorConfig{Window: 24 * time.Hour})
-	store.SetObserver(agg)
-	base := time.Date(2014, 5, 1, 0, 0, 0, 0, time.UTC)
-	const batchSize = 4096
-	batch := make([]results.Measurement, 0, batchSize)
-	for i := 0; i < n; i++ {
-		state := core.StateSuccess
-		switch i % 10 {
-		case 0:
-			state = core.StateInit
-		case 1, 2:
-			state = core.StateFailure
-		}
-		batch = append(batch, results.Measurement{
-			MeasurementID: "e18-" + strconv.Itoa(i),
-			PatternKey:    "domain:site" + strconv.Itoa(i%40) + ".com",
-			State:         state,
-			Region:        geo.CountryCode("R" + strconv.Itoa((i/40)%25)),
-			ClientIP:      "11.0.0." + strconv.Itoa(i%200),
-			Browser:       core.BrowserChrome,
-			Received:      base.Add(time.Duration(i%100000) * time.Second),
-		})
-		if len(batch) == batchSize || i == n-1 {
-			if _, err := store.AddBatch(batch); err != nil {
-				b.Fatal(err)
-			}
-			batch = batch[:0]
-		}
-	}
-	f := &detectionFixture{store: store, agg: agg}
-	detectionFixtures[n] = f
-	return f
-}
-
-// BenchmarkDetectionBatchRescan measures the O(store) path: every pass copies
-// the whole store and re-aggregates from scratch.
-func BenchmarkDetectionBatchRescan(b *testing.B) {
-	for _, n := range detectionBenchSizes {
-		b.Run(fmt.Sprintf("store=%d", n), func(b *testing.B) {
-			f := detectionStore(b, n)
-			detector := inference.New(inference.DefaultConfig())
-			var verdicts []inference.Verdict
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				verdicts = detector.DetectStore(f.store)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(len(verdicts)), "groups")
-			b.ReportMetric(float64(f.store.Len()), "stored")
-		})
-	}
-}
-
-// BenchmarkDetectionIncremental measures the O(groups) path under its
-// steady-state workload: each iteration commits one in-place upgrade
-// (dirtying exactly one group) and recomputes verdicts incrementally. The
-// store size stays constant across iterations — the dirtying commit replaces
-// the same measurement — so the reported latency is the per-pass detection
-// cost at that store size.
-func BenchmarkDetectionIncremental(b *testing.B) {
-	for _, n := range detectionBenchSizes {
-		b.Run(fmt.Sprintf("store=%d", n), func(b *testing.B) {
-			f := detectionStore(b, n)
-			detector := inference.New(inference.DefaultConfig())
-			detector.DetectIncremental(f.agg) // prime the verdict cache
-			dirty := results.Measurement{
-				MeasurementID: "e18-dirty",
-				PatternKey:    "domain:site0.com",
-				Region:        "R0",
-				Browser:       core.BrowserChrome,
-			}
-			var verdicts []inference.Verdict
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dirty.State = core.StateSuccess
-				if i%2 == 1 {
-					dirty.State = core.StateFailure
-				}
-				if err := f.store.Add(dirty); err != nil {
-					b.Fatal(err)
-				}
-				verdicts = detector.DetectIncremental(f.agg)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(len(verdicts)), "groups")
-			b.ReportMetric(float64(f.store.Len()), "stored")
-		})
-	}
-}
-
-// BenchmarkAggregatorBackfill measures the parallel shard-fanout cold start:
-// folding an existing store into a fresh aggregator.
-func BenchmarkAggregatorBackfill(b *testing.B) {
-	for _, n := range []int{100_000, 1_000_000} {
-		b.Run(fmt.Sprintf("store=%d", n), func(b *testing.B) {
-			f := detectionStore(b, n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				agg := results.NewAggregator(results.AggregatorConfig{Window: 24 * time.Hour})
-				if folded := agg.Backfill(f.store); folded != f.store.Len() {
-					b.Fatalf("backfilled %d, want %d", folded, f.store.Len())
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(f.store.Len())/b.Elapsed().Seconds()*float64(b.N), "measurements/s")
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// E19 — durable ingest: the cost of the write-ahead log.
-//
-// The WAL makes the store crash-safe by appending every commit to a
-// per-shard segmented log from inside the commit's shard lock. These
-// benchmarks run the E17 parallel-ingest workload with the WAL attached
-// under each fsync policy, so BENCH_aggregate.json records the durability
-// overhead against BenchmarkParallelIngestShardedStore (the WAL-off
-// baseline). The acceptance budget is ≤25% for the non-fsync-per-record
-// policies; SyncAlways pays an fsync per commit and is benchmarked to
-// quantify, not to pass, that budget.
-// ---------------------------------------------------------------------------
-
-// benchmarkParallelIngestWAL runs the sharded-store parallel ingest workload
-// with a WAL attached under the given fsync policy. The final Sync is inside
-// the timed window: a run's durability cost includes making its tail durable.
-func benchmarkParallelIngestWAL(b *testing.B, policy results.SyncPolicy) {
-	wal, err := results.OpenWAL(results.WALConfig{Dir: b.TempDir(), Policy: policy})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := results.NewStore()
-	s.AddObserver(wal)
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		w := benchWorkerSeq.Add(1)
-		i := 0
-		for pb.Next() {
-			i++
-			if err := s.Add(benchMeasurement(w, i)); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-	if err := wal.Sync(); err != nil {
-		b.Fatal(err)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "submissions/s")
-	st := wal.Stats()
-	b.ReportMetric(float64(st.Bytes)/float64(b.N), "wal-bytes/op")
-	b.ReportMetric(float64(st.Segments), "segments")
-	if err := wal.Close(); err != nil {
-		b.Fatal(err)
-	}
-	if s.Len() != b.N {
-		b.Fatalf("stored %d, want %d", s.Len(), b.N)
-	}
-}
-
-// BenchmarkParallelIngestWALOffBaseline is the same workload with no WAL —
-// the E19 baseline. It duplicates BenchmarkParallelIngestShardedStore, but
-// deliberately runs adjacent to the WAL benchmarks: by this point in a full
-// suite run the E18 fixtures (over a million live measurements) burden the
-// heap, and the durability overhead must be computed against a baseline
-// measured under the same conditions.
-func BenchmarkParallelIngestWALOffBaseline(b *testing.B) {
-	s := results.NewStore()
-	b.RunParallel(func(pb *testing.PB) {
-		w := benchWorkerSeq.Add(1)
-		i := 0
-		for pb.Next() {
-			i++
-			if err := s.Add(benchMeasurement(w, i)); err != nil {
-				b.Error(err)
-				return
-			}
-		}
-	})
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "submissions/s")
-	if s.Len() != b.N {
-		b.Fatalf("stored %d, want %d", s.Len(), b.N)
-	}
-}
-
-// BenchmarkParallelIngestWALSyncNone measures ingest with the WAL buffering
-// to the OS only (background flush, fsync on rotation and close).
-func BenchmarkParallelIngestWALSyncNone(b *testing.B) {
-	benchmarkParallelIngestWAL(b, results.SyncNone)
-}
-
-// BenchmarkParallelIngestWALSyncInterval measures ingest with the default
-// periodic-fsync policy — the production configuration.
-func BenchmarkParallelIngestWALSyncInterval(b *testing.B) {
-	benchmarkParallelIngestWAL(b, results.SyncInterval)
-}
-
-// BenchmarkParallelIngestWALSyncAlways measures ingest with an fsync per
-// committed record — zero loss, worst-case cost.
-func BenchmarkParallelIngestWALSyncAlways(b *testing.B) {
-	benchmarkParallelIngestWAL(b, results.SyncAlways)
-}
-
-// BenchmarkWALRecovery measures OpenStoreFromWAL replay throughput over the
-// E18 fixture stores — the restart-latency side of the durability trade.
-func BenchmarkWALRecovery(b *testing.B) {
-	for _, n := range []int{100_000} {
-		b.Run(fmt.Sprintf("store=%d", n), func(b *testing.B) {
-			f := detectionStore(b, n)
-			dir := b.TempDir()
-			wal, err := results.OpenWAL(results.WALConfig{Dir: dir, Policy: results.SyncNone})
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Rebuild the fixture through a WAL-attached store once to
-			// produce the log to recover from.
-			src := results.NewStore()
-			src.AddObserver(wal)
-			f.store.Range(nil, func(m results.Measurement) bool {
-				if err := src.Add(m); err != nil {
-					b.Error(err)
-				}
-				return true
-			})
-			if err := wal.Close(); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				recovered, _, err := results.OpenStoreFromWAL(dir)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if recovered.Len() != src.Len() {
-					b.Fatalf("recovered %d, want %d", recovered.Len(), src.Len())
-				}
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(src.Len())*float64(b.N)/b.Elapsed().Seconds(), "measurements/s")
-		})
-	}
-}
-
-// ---------------------------------------------------------------------------
-// E20 — assignment throughput: the sharded lock-free assignment tier vs the
-// seed's single-mutex scheduler. The baseline below replicates the seed
-// implementation exactly: one mutex serializing every client, a per-pick
-// copy + insertion sort of all pattern keys for coverage balancing, and a
-// per-pick linear compatibility filter with its two transient slices.
-// Run at ≥8 goroutines (b.SetParallelism pads to 8 when GOMAXPROCS is low)
-// over 1, 8, and 64 simulated client regions:
-//
-//	go test -bench='ParallelAssign|SchedulerPick' -benchmem .
-// ---------------------------------------------------------------------------
-
-// mutexScheduler is the seed scheduler, preserved as the E20 baseline.
-type mutexScheduler struct {
-	cfg    scheduler.Config
-	nextID atomic.Uint64
-
-	mu                sync.Mutex
-	rng               *stats.RNG
-	tasks             *pipeline.TaskSet
-	patternKeys       []string
-	focusIndex        int
-	focusSince        time.Time
-	assignedPerRegion map[string]map[geo.CountryCode]int
-}
-
-func newMutexScheduler(tasks *pipeline.TaskSet, cfg scheduler.Config) *mutexScheduler {
-	return &mutexScheduler{
-		cfg:               cfg,
-		rng:               stats.NewRNG(cfg.Seed),
-		tasks:             tasks,
-		patternKeys:       tasks.PatternKeys(),
-		assignedPerRegion: make(map[string]map[geo.CountryCode]int),
-	}
-}
-
-func (s *mutexScheduler) focusPattern(now time.Time) string {
-	if len(s.patternKeys) == 0 {
-		return ""
-	}
-	if s.focusSince.IsZero() || now.Sub(s.focusSince) >= s.cfg.QuorumWindow {
-		if !s.focusSince.IsZero() {
-			s.focusIndex = (s.focusIndex + 1) % len(s.patternKeys)
-		}
-		s.focusSince = now
-	}
-	return s.patternKeys[s.focusIndex]
-}
-
-func (s *mutexScheduler) Assign(client scheduler.ClientInfo, now time.Time) []core.Task {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	budget := 1
-	if client.ExpectedDwellSeconds > s.cfg.SecondsPerTask {
-		budget = int(client.ExpectedDwellSeconds / s.cfg.SecondsPerTask)
-	}
-	if budget > s.cfg.MaxTasksPerClient {
-		budget = s.cfg.MaxTasksPerClient
-	}
-	if s.tasks == nil || s.tasks.Len() == 0 {
-		return nil
-	}
-
-	var assigned []core.Task
-	seenTargets := make(map[string]bool)
-	for len(assigned) < budget {
-		cand := s.pickCandidate(client, now)
-		if cand == nil {
-			break
-		}
-		if seenTargets[cand.Type.String()+cand.TargetURL] {
-			break
-		}
-		seenTargets[cand.Type.String()+cand.TargetURL] = true
-		n := s.nextID.Add(1)
-		task := cand.Task(fmt.Sprintf("bm-%08d", n), false)
-		task.Created = now
-		task.TimeoutMillis = int(s.cfg.SecondsPerTask * 1000 * 3)
-		assigned = append(assigned, task)
-		if s.assignedPerRegion[cand.PatternKey] == nil {
-			s.assignedPerRegion[cand.PatternKey] = make(map[geo.CountryCode]int)
-		}
-		s.assignedPerRegion[cand.PatternKey][client.Region]++
-	}
-	return assigned
-}
-
-func (s *mutexScheduler) pickCandidate(client scheduler.ClientInfo, now time.Time) *pipeline.Candidate {
-	focus := s.focusPattern(now)
-	order := make([]string, 0, len(s.patternKeys))
-	if focus != "" {
-		order = append(order, focus)
-	}
-	rest := append([]string(nil), s.patternKeys...)
-	region := client.Region
-	count := func(k string) int {
-		if s.assignedPerRegion[k] == nil {
-			return 0
-		}
-		return s.assignedPerRegion[k][region]
-	}
-	for i := 1; i < len(rest); i++ {
-		for j := i; j > 0; j-- {
-			ci, cj := count(rest[j]), count(rest[j-1])
-			if ci < cj || (ci == cj && rest[j] < rest[j-1]) {
-				rest[j], rest[j-1] = rest[j-1], rest[j]
-			} else {
-				break
-			}
-		}
-	}
-	order = append(order, rest...)
-
-	for _, key := range order {
-		var compatible, strict []pipeline.Candidate
-		for _, c := range s.tasks.Candidates(key) {
-			if client.Browser.SupportsTask(c.Type) {
-				compatible = append(compatible, c)
-				if c.Strict {
-					strict = append(strict, c)
-				}
-			}
-		}
-		pool := compatible
-		if len(strict) > 0 {
-			pool = strict
-		}
-		if len(pool) > 0 {
-			pick := pool[s.rng.Intn(len(pool))]
-			return &pick
-		}
-	}
-	return nil
-}
-
-// benchSchedTaskSet builds `patterns` patterns with an image, a script, and
-// an iframe candidate each — the shape the pipeline emits for the scheduler.
-func benchSchedTaskSet(patterns int) *pipeline.TaskSet {
-	ts := pipeline.NewTaskSet()
-	for i := 0; i < patterns; i++ {
-		d := fmt.Sprintf("site%03d.bench.org", i)
-		ts.Add(pipeline.Candidate{PatternKey: "domain:" + d, Type: core.TaskImage,
-			TargetURL: "http://" + d + "/favicon.ico", Strict: true})
-		ts.Add(pipeline.Candidate{PatternKey: "domain:" + d, Type: core.TaskScript,
-			TargetURL: "http://" + d + "/app.js", Strict: true})
-		ts.Add(pipeline.Candidate{PatternKey: "domain:" + d, Type: core.TaskIFrame,
-			TargetURL: "http://" + d + "/page.html", CachedImageURL: "http://" + d + "/logo.png", Strict: true})
-	}
-	return ts
-}
-
-// benchSchedRegions are the E20 region-count axis: 1 (every client contends
-// on one coverage shard), 8, and 64 (region-sharded steady state).
-var benchSchedRegions = []int{1, 8, 64}
-
-// assignBencher abstracts the two scheduler implementations under test.
-type assignBencher interface {
-	Assign(client scheduler.ClientInfo, now time.Time) []core.Task
-}
-
-// benchmarkParallelAssign drives 8+ concurrent goroutines of single-task page
-// views (dwell below SecondsPerTask) spread over `regions` client regions.
-func benchmarkParallelAssign(b *testing.B, s assignBencher, regions int) {
-	families := core.BrowserFamilies()
-	codes := make([]geo.CountryCode, regions)
-	for i := range codes {
-		codes[i] = geo.CountryCode(fmt.Sprintf("R%02d", i))
-	}
-	if p := (8 + runtime.GOMAXPROCS(0) - 1) / runtime.GOMAXPROCS(0); p > 1 {
-		b.SetParallelism(p)
-	}
-	now := time.Unix(1_000_000, 0)
-	var total atomic.Int64
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		w := benchWorkerSeq.Add(1)
-		client := scheduler.ClientInfo{
-			Region:               codes[int(w)%regions],
-			Browser:              families[int(w)%len(families)],
-			ExpectedDwellSeconds: 5,
-		}
-		n := 0
-		for pb.Next() {
-			tasks := s.Assign(client, now)
-			if len(tasks) == 0 {
-				b.Error("no task assigned")
-				return
-			}
-			n += len(tasks)
-		}
-		total.Add(int64(n))
-	})
-	b.StopTimer()
-	b.ReportMetric(float64(total.Load())/b.Elapsed().Seconds(), "assignments/s")
-}
-
-// BenchmarkParallelAssignMutexBaseline measures concurrent task assignment
-// against the seed's single-mutex scheduler.
-func BenchmarkParallelAssignMutexBaseline(b *testing.B) {
-	for _, regions := range benchSchedRegions {
-		b.Run(fmt.Sprintf("regions=%d", regions), func(b *testing.B) {
-			benchmarkParallelAssign(b, newMutexScheduler(benchSchedTaskSet(200), scheduler.DefaultConfig()), regions)
-		})
-	}
-}
-
-// BenchmarkParallelAssignSharded measures the same workload against the
-// sharded assignment tier.
-func BenchmarkParallelAssignSharded(b *testing.B) {
-	for _, regions := range benchSchedRegions {
-		b.Run(fmt.Sprintf("regions=%d", regions), func(b *testing.B) {
-			benchmarkParallelAssign(b, scheduler.New(benchSchedTaskSet(200), scheduler.DefaultConfig()), regions)
-		})
-	}
-}
-
-// BenchmarkSchedulerPickSteadyState measures the bare candidate-pick path —
-// focus lookup, compiled-pool indexing, coverage record — via the scheduler's
-// pick probe. The acceptance bar is 0 allocs/op: the steady-state pick must
-// not touch the heap.
-func BenchmarkSchedulerPickSteadyState(b *testing.B) {
-	s := scheduler.New(benchSchedTaskSet(200), scheduler.DefaultConfig())
-	client := scheduler.ClientInfo{Region: "PK", Browser: core.BrowserFirefox, ExpectedDwellSeconds: 5}
-	now := time.Unix(1_000_000, 0)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := s.PickCandidate(client, now); !ok {
-			b.Fatal("pick failed")
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "picks/s")
-}
-
-// BenchmarkAblationSchedulingQuorum varies the scheduler's quorum window and
-// reports how concentrated measurements of a single pattern become within a
-// 60-second analysis window — the property §5.3 argues enables cross-region
-// comparison.
-func BenchmarkAblationSchedulingQuorum(b *testing.B) {
-	report := feasibility()
-	windows := []time.Duration{time.Second, 15 * time.Second, 60 * time.Second, 5 * time.Minute}
-	type row struct {
-		window        time.Duration
-		concentration float64
-	}
-	var rows []row
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows = rows[:0]
-		for _, w := range windows {
-			cfg := scheduler.DefaultConfig()
-			cfg.QuorumWindow = w
-			cfg.Seed = uint64(i) + 1
-			sched := scheduler.New(report.Tasks, cfg)
-			// Simulate 200 clients arriving over one minute and measure the
-			// share of assignments that hit the most-assigned pattern.
-			counts := map[string]int{}
-			total := 0
-			start := time.Unix(1_000_000, 0)
-			for c := 0; c < 200; c++ {
-				at := start.Add(time.Duration(c*300) * time.Millisecond)
-				tasks := sched.Assign(scheduler.ClientInfo{Region: "PK", Browser: core.BrowserFirefox, ExpectedDwellSeconds: 5}, at)
-				for _, t := range tasks {
-					counts[t.PatternKey]++
-					total++
-				}
-			}
-			max := 0
-			for _, n := range counts {
-				if n > max {
-					max = n
-				}
-			}
-			conc := 0.0
-			if total > 0 {
-				conc = float64(max) / float64(total)
-			}
-			rows = append(rows, row{window: w, concentration: conc})
-		}
-	}
-	b.StopTimer()
-	b.Logf("quorum-window ablation (fraction of one minute's assignments on the single most-measured pattern):")
-	for _, r := range rows {
-		b.Logf("  window=%-8v concentration=%.2f", r.window, r.concentration)
-	}
-	if len(rows) >= 3 {
-		b.ReportMetric(rows[2].concentration, "concentration-60s-window")
-	}
-}
-
-// ---------------------------------------------------------------------------
-// E21: API transport benchmarks — the beacon-era v1 surface (one GET per
-// submission) versus the v2 batch surface (one JSON POST carrying many),
-// both over real loopback HTTP through the client SDK, plus the federation
-// forwarder path an edge collector uses to stream commits upstream. The v2
-// batch path must clear 2x the beacon's submissions/s at batch size >= 64;
-// scripts/bench.sh records every line in BENCH_aggregate.json.
-// ---------------------------------------------------------------------------
-
-// benchAPIPool is the measurement-ID pool size the transport benchmarks
-// cycle through; repeated terminal submissions of the same state upgrade in
-// place, which keeps the pool bounded without tripping the conflict guard.
-const benchAPIPool = 4096
-
-// benchAPICollector serves a collection server (open-throttle guard, pool of
-// registered tasks) over a loopback listener.
-func benchAPICollector(b *testing.B) (*collectserver.Server, *httptest.Server) {
-	b.Helper()
-	srv, _, index := benchCollector()
-	for i := 0; i < benchAPIPool; i++ {
-		index.Register(core.Task{
-			MeasurementID: "api-" + strconv.Itoa(i), Type: core.TaskImage,
-			TargetURL: "http://bench.com/favicon.ico", PatternKey: "domain:bench.com",
-		})
-	}
-	ts := httptest.NewServer(srv)
-	b.Cleanup(ts.Close)
-	return srv, ts
-}
-
-// BenchmarkAPISubmitBeaconGET measures the v1 path end to end: one
-// image-beacon GET per submission through the SDK over a reused connection.
-func BenchmarkAPISubmitBeaconGET(b *testing.B) {
-	_, ts := benchAPICollector(b)
-	c := apiclient.New(ts.URL)
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		id := "api-" + strconv.Itoa(i%benchAPIPool)
-		if err := c.SubmitBeacon(ctx, id, "success", 100, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "submissions/s")
-}
-
-// BenchmarkAPISubmitBatchPOST measures the v2 path end to end at several
-// batch sizes: one JSON POST per b.N/size submissions, each decoded,
-// attributed, guard-checked, and committed server-side exactly like a
-// beacon. The reported submissions/s counts individual submissions, so the
-// numbers compare directly against BenchmarkAPISubmitBeaconGET.
-func BenchmarkAPISubmitBatchPOST(b *testing.B) {
-	benchmarkAPISubmitBatch(b, apiclient.Config{})
-}
-
-// BenchmarkAPISubmitBatchBinaryPOST is the same v2 batch path with the SDK's
-// binary encoding (E23): each submission travels as one CRC-framed
-// application/x-encore-records frame instead of a JSON array element, and the
-// server decodes the stream frame by frame straight into the commit path. The
-// submissions/s and allocs/op compare directly against
-// BenchmarkAPISubmitBatchPOST at the same batch size.
-func BenchmarkAPISubmitBatchBinaryPOST(b *testing.B) {
-	benchmarkAPISubmitBatch(b, apiclient.Config{BinaryEncoding: true})
-}
-
-func benchmarkAPISubmitBatch(b *testing.B, cfg apiclient.Config) {
-	for _, size := range []int{16, 64, 256} {
-		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
-			_, ts := benchAPICollector(b)
-			c := apiclient.NewWithConfig(ts.URL, cfg)
-			ctx := context.Background()
-			batch := make([]api.SubmitRequest, size)
-			// IDs are built outside the timed loop so the driver's string
-			// concatenation doesn't count against either transport.
-			ids := make([]string, benchAPIPool)
-			for i := range ids {
-				ids[i] = "api-" + strconv.Itoa(i)
-			}
-			b.ResetTimer()
-			sent := 0
-			for i := 0; i < b.N; i++ {
-				for j := range batch {
-					batch[j] = api.SubmitRequest{
-						MeasurementID: ids[(sent+j)%benchAPIPool],
-						Result:        "success",
-						ElapsedMillis: 100,
-					}
-				}
-				resp, err := c.SubmitBatch(ctx, batch, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(resp.Rejected) != 0 {
-					b.Fatalf("batch rejected %d members: %+v", len(resp.Rejected), resp.Rejected[0])
-				}
-				sent += size
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(sent)/b.Elapsed().Seconds(), "submissions/s")
-		})
-	}
-}
-
-// benchFedUnit is the fixed per-iteration unit of the federation forwarding
-// benchmarks: each b.N iteration commits this many records to the edge store
-// and flushes them through to upstream acknowledgement. A fixed unit keeps
-// per-op cost constant so the runner can scale b.N (the previous shape put
-// forwarder construction and the full drain inside one op, which pinned every
-// run at iterations:1 and made the numbers unstable single samples).
-const benchFedUnit = 256
-
-// benchmarkFederationForward drives the shared shape of the forwarding
-// benchmarks: per iteration, commit benchFedUnit edge records and Flush —
-// commit through upstream acknowledgement, batching included — with forwarder
-// construction and Close untimed. Any pre observers (a WAL) are attached
-// ahead of the forwarder, so a commit is durable before the forwarder can
-// ship it.
-func benchmarkFederationForward(b *testing.B, upStore *results.Store, f *federation.Forwarder, pre ...results.CommitObserver) {
-	b.Helper()
-	edge := results.NewStore()
-	for _, obs := range pre {
-		edge.AddObserver(obs)
-	}
-	edge.AddObserver(f)
-	ctx := context.Background()
-	sent := 0
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < benchFedUnit; j++ {
-			if err := edge.Add(benchFedMeasurement(sent)); err != nil {
-				b.Fatal(err)
-			}
-			sent++
-		}
-		if err := f.Flush(ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(sent)/b.Elapsed().Seconds(), "submissions/s")
-	if err := f.Close(); err != nil {
-		b.Fatal(err)
-	}
-	if upStore.Len() != sent {
-		b.Fatalf("upstream has %d of %d forwarded records", upStore.Len(), sent)
-	}
-	if st := f.Stats(); st.Dropped != 0 {
-		b.Fatalf("forwarder dropped %d records", st.Dropped)
-	}
-}
-
-// BenchmarkAPIFederationForward measures the distributed-collectors path: an
-// edge store's commits stream through the federation forwarder into an
-// upstream aggregation-tier instance (AllowAttributed) over batched v2
-// POSTs; each iteration covers benchFedUnit commits through upstream
-// acknowledgement.
-func BenchmarkAPIFederationForward(b *testing.B) {
-	upStore := results.NewStore()
-	upAgg := results.NewAggregator(results.AggregatorConfig{})
-	upStore.AddObserver(upAgg)
-	up := collectserver.New(upStore, results.NewTaskIndex(), geo.NewRegistry(17))
-	up.Guard = nil
-	up.AllowAttributed = true
-	ts := httptest.NewServer(up)
-	defer ts.Close()
-
-	f, err := federation.NewForwarder(federation.ForwarderConfig{
-		Upstream: ts.URL, MaxBatch: 256, FlushInterval: 5 * time.Millisecond,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchmarkFederationForward(b, upStore, f)
-}
-
-// ---------------------------------------------------------------------------
-// E22: lossless-federation benchmarks — the WAL-resumable forwarder against
-// the in-memory baseline above (BenchmarkAPIFederationForward), and the
-// recovery-resume path: how fast a restarted forwarder replays a WAL backlog
-// from its persisted cursor into the upstream. scripts/bench.sh folds both
-// into BENCH_aggregate.json via the APIFederation pattern (make bench-fed).
-// ---------------------------------------------------------------------------
-
-// benchFedUpstream builds an aggregation-tier instance over loopback HTTP.
-func benchFedUpstream(b *testing.B) (*results.Store, *httptest.Server) {
-	b.Helper()
-	upStore := results.NewStore()
-	up := collectserver.New(upStore, results.NewTaskIndex(), geo.NewRegistry(17))
-	up.Guard = nil
-	up.AllowAttributed = true
-	ts := httptest.NewServer(up)
-	b.Cleanup(ts.Close)
-	return upStore, ts
-}
-
-// benchFedMeasurement is one synthetic edge commit.
-func benchFedMeasurement(i int) results.Measurement {
-	return results.Measurement{
-		MeasurementID: "fed-" + strconv.Itoa(i),
-		PatternKey:    "domain:bench.com",
-		State:         core.StateSuccess,
-		Region:        "US",
-		ClientIP:      "11.0.3." + strconv.Itoa(i%200),
-		Received:      time.Date(2014, 5, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(i) * time.Millisecond),
-	}
-}
-
-// benchmarkFederationWALForward is BenchmarkAPIFederationForward with the
-// durable pipeline attached: every commit is WAL-logged (interval fsync) and
-// position-tracked, the forwarder persists its acked cursor per batch, and
-// each iteration still covers benchFedUnit commits through upstream
-// acknowledgement — the price of lossless forwarding over the in-memory
-// baseline. binary selects the SDK's frame encoding on the upstream hop.
-func benchmarkFederationWALForward(b *testing.B, binary bool) {
-	upStore, ts := benchFedUpstream(b)
-	wal, err := results.OpenWAL(results.WALConfig{Dir: b.TempDir(), Policy: results.SyncInterval})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer wal.Close()
-	f, err := federation.NewForwarder(federation.ForwarderConfig{
-		Client:   apiclient.NewWithConfig(ts.URL, apiclient.Config{BinaryEncoding: binary}),
-		Upstream: ts.URL, MaxBatch: 256, FlushInterval: 5 * time.Millisecond, WAL: wal,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchmarkFederationForward(b, upStore, f, wal)
-}
-
-// BenchmarkAPIFederationWALForward forwards WAL-durable commits as v2 JSON
-// batches (the E22 lossless baseline).
-func BenchmarkAPIFederationWALForward(b *testing.B) {
-	benchmarkFederationWALForward(b, false)
-}
-
-// BenchmarkAPIFederationWALForwardBinary is the same durable pipeline over
-// the application/x-encore-records lane (E23): live batches ship as encoded
-// frames, and any catch-up tail pass ships the WAL's bytes verbatim.
-func BenchmarkAPIFederationWALForwardBinary(b *testing.B) {
-	benchmarkFederationWALForward(b, true)
-}
-
-// BenchmarkAPIFederationWALResume measures the recovery-resume rate: a
-// restarted edge's forwarder finds a WAL backlog its crashed predecessor
-// never shipped (cursor at zero) and replays it into the upstream. The
-// timing covers forwarder construction through the catch-up drain — the
-// window after a restart during which the upstream is stale.
-func BenchmarkAPIFederationWALResume(b *testing.B) {
-	// The backlog is built once, untimed; each iteration resumes into a
-	// fresh upstream from a fresh cursor (the file is deleted between runs).
-	const backlog = 4096
-	dir := b.TempDir()
-	wal, err := results.OpenWAL(results.WALConfig{Dir: dir, Policy: results.SyncInterval})
-	if err != nil {
-		b.Fatal(err)
-	}
-	edge := results.NewStore()
-	edge.AddObserver(wal)
-	for i := 0; i < backlog; i++ {
-		if err := edge.Add(benchFedMeasurement(i)); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := wal.Close(); err != nil {
-		b.Fatal(err)
-	}
-	wal, err = results.OpenWAL(results.WALConfig{Dir: dir, Policy: results.SyncInterval})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer wal.Close()
-
-	cursorPath := filepath.Join(dir, "forward-cursor.json")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		upStore, ts := benchFedUpstream(b)
-		os.Remove(cursorPath)
-		b.StartTimer()
-		f, err := federation.NewForwarder(federation.ForwarderConfig{
-			Upstream: ts.URL, MaxBatch: 256, FlushInterval: 5 * time.Millisecond,
-			WAL: wal, CursorPath: cursorPath,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Flush(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-		b.StopTimer()
-		f.Stop()
-		if upStore.Len() != backlog {
-			b.Fatalf("resume replayed %d of %d backlog records", upStore.Len(), backlog)
-		}
-		ts.Close()
-		b.StartTimer()
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)*backlog/b.Elapsed().Seconds(), "resumed-records/s")
-}
-
-// ---------------------------------------------------------------------------
-// E24 — the replicated control plane: what federation costs. One gossip
-// round's end-to-end price over loopback HTTP (delta-carrying and
-// steady-state digest-only), and assignment throughput on a coordinator
-// while a K=1/3/5 federation gossips underneath it — the Assign path never
-// takes a federation lock, so throughput should be flat in K.
-// ---------------------------------------------------------------------------
-
-// benchGossipNode is one coordinator in a benchmark federation.
-type benchGossipNode struct {
-	sched *scheduler.Scheduler
-	fed   *coordfed.Federation
-	srv   *httptest.Server
-}
-
-func benchGossipTaskSet() *pipeline.TaskSet {
-	ts := pipeline.NewTaskSet()
-	ts.Add(pipeline.Candidate{PatternKey: "domain:aaa-script-only.org", Type: core.TaskScript,
-		TargetURL: "http://aaa-script-only.org/app.js", Strict: true})
-	for i := 1; i < 6; i++ {
-		d := fmt.Sprintf("balance%02d.example.org", i)
-		ts.Add(pipeline.Candidate{PatternKey: "domain:" + d, Type: core.TaskImage,
-			TargetURL: "http://" + d + "/favicon.ico", Strict: true})
-	}
-	return ts
-}
-
-// benchGossipCluster builds k fully-meshed coordinators. start launches the
-// real jittered probe loops; otherwise the benchmark steps RunRound itself.
-func benchGossipCluster(b *testing.B, k int, interval time.Duration, start bool) []*benchGossipNode {
-	b.Helper()
-	nodes := make([]*benchGossipNode, k)
-	for i := range nodes {
-		cfg := scheduler.DefaultConfig()
-		cfg.QuorumWindow = 1000 * time.Hour
-		cfg.Seed = uint64(i + 1)
-		nodes[i] = &benchGossipNode{sched: scheduler.New(benchGossipTaskSet(), cfg)}
-		n := nodes[i]
-		n.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			n.fed.Handler()(w, r)
-		}))
-	}
-	for i, n := range nodes {
-		var peers []string
-		for j, p := range nodes {
-			if j != i {
-				peers = append(peers, p.srv.URL)
-			}
-		}
-		fed, err := coordfed.New(coordfed.Config{
-			Origin:    fmt.Sprintf("bench-c%d", i),
-			Scheduler: n.sched,
-			Peers:     peers,
-			Interval:  interval,
-			Seed:      uint64(100 + i),
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		n.fed = fed
-		if start {
-			fed.Start()
-		}
-	}
-	b.Cleanup(func() {
-		for _, n := range nodes {
-			n.fed.Close()
-			n.srv.Close()
-		}
-	})
-	return nodes
-}
-
-var benchGossipClient = scheduler.ClientInfo{
-	Region: "US", Browser: core.BrowserFirefox, ExpectedDwellSeconds: 5,
-}
-
-// BenchmarkGossipRound measures one delta-carrying push-pull exchange: an
-// assignment lands on the local coordinator, then a full round ships the
-// delta to the peer and merges the response, over real loopback HTTP with
-// binary framing.
-func BenchmarkGossipRound(b *testing.B) {
-	nodes := benchGossipCluster(b, 2, time.Second, false)
-	at := time.Unix(6_000_000, 0)
-	ctx := context.Background()
-	nodes[0].sched.Assign(benchGossipClient, at)
-	nodes[0].fed.RunRound(ctx)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nodes[0].sched.Assign(benchGossipClient, at)
-		nodes[0].fed.RunRound(ctx)
-	}
-	b.StopTimer()
-	st := nodes[0].fed.Stats()
-	if st.Failures > 0 {
-		b.Fatalf("%d of %d exchanges failed", st.Failures, st.Rounds)
-	}
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rounds/s")
-}
-
-// BenchmarkGossipRoundSteadyState measures the idle anti-entropy heartbeat:
-// both sides are already converged, so each exchange carries digests only
-// and merges nothing. This is the per-interval price every peer pays
-// forever.
-func BenchmarkGossipRoundSteadyState(b *testing.B) {
-	nodes := benchGossipCluster(b, 2, time.Second, false)
-	at := time.Unix(6_000_000, 0)
-	ctx := context.Background()
-	for i := 0; i < 50; i++ {
-		nodes[0].sched.Assign(benchGossipClient, at)
-	}
-	nodes[0].fed.RunRound(ctx)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nodes[0].fed.RunRound(ctx)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "rounds/s")
-}
-
-// BenchmarkGossipAssignmentThroughput drives parallel assignments on one
-// coordinator while a K-node federation gossips underneath at a short
-// interval. K=1 is the unfederated baseline; the replicated control plane
-// earns its keep only if K=3 and K=5 hold the same assignment rate.
-func BenchmarkGossipAssignmentThroughput(b *testing.B) {
-	at := time.Unix(6_000_000, 0)
-	for _, k := range []int{1, 3, 5} {
-		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
-			nodes := benchGossipCluster(b, k, 2*time.Millisecond, true)
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					nodes[0].sched.Assign(benchGossipClient, at)
-				}
-			})
-			b.StopTimer()
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "assignments/s")
-		})
 	}
 }

@@ -30,6 +30,8 @@ import (
 	"encore/internal/api/federation"
 	"encore/internal/collectserver"
 	"encore/internal/core"
+	"encore/internal/durable"
+	"encore/internal/faultinject"
 	"encore/internal/geo"
 	"encore/internal/results"
 )
@@ -251,29 +253,11 @@ func (a acceptAny) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	a.server.ServeHTTP(w, r)
 }
 
-// writeStore checkpoints the store to path through a temporary file that is
-// fsynced and renamed into place, so a crash mid-write leaves the previous
-// good checkpoint intact.
+// writeStore checkpoints the store to path atomically, so a crash mid-write
+// leaves the previous good checkpoint intact.
 func writeStore(store *results.Store, path string) {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		log.Printf("checkpoint: %v", err)
-		return
-	}
-	err = store.WriteJSONL(f)
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
+	if err := durable.ReplaceFile(faultinject.OS(), path, store.WriteJSONL); err != nil {
 		log.Printf("checkpoint write: %v", err)
-		_ = os.Remove(tmp) // best effort: the next checkpoint recreates it
 		return
 	}
 	log.Printf("checkpointed %d measurements to %s", store.Len(), path)

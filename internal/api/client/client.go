@@ -22,6 +22,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"encore/internal/api"
@@ -236,6 +237,10 @@ func checkStatus(resp *http.Response) error {
 	return decodeError(resp)
 }
 
+// gzipWriters recycles compressors: a fresh gzip.Writer carries ~800 KB of
+// deflate state, more than a body just over the threshold saves.
+var gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+
 // postJSON POSTs v as JSON (gzip-compressed past the threshold) and decodes
 // the 2xx response into out.
 func (c *Client) postJSON(ctx context.Context, path string, v, out any, meta *ClientMeta) error {
@@ -246,11 +251,14 @@ func (c *Client) postJSON(ctx context.Context, path string, v, out any, meta *Cl
 	gzipped := c.cfg.GzipThreshold >= 0 && len(payload) > c.cfg.GzipThreshold
 	if gzipped {
 		var buf bytes.Buffer
-		gz := gzip.NewWriter(&buf)
-		if _, err := gz.Write(payload); err != nil {
-			return err
+		gz := gzipWriters.Get().(*gzip.Writer)
+		gz.Reset(&buf)
+		_, err := gz.Write(payload)
+		if err == nil {
+			err = gz.Close()
 		}
-		if err := gz.Close(); err != nil {
+		gzipWriters.Put(gz)
+		if err != nil {
 			return err
 		}
 		payload = buf.Bytes()

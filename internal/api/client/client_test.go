@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -176,6 +177,26 @@ func TestClientGzipsLargeBatches(t *testing.T) {
 	}
 	if store.Len() != 512 {
 		t.Fatalf("store has %d", store.Len())
+	}
+
+	// Compressor and decompressor state is recycled, not rebuilt per body: a
+	// fresh gzip.Writer alone allocates ~800 KB. (Under the race detector
+	// sync.Pool drops a quarter of its Puts on purpose, so the bound only
+	// holds without it.)
+	if raceEnabled {
+		return
+	}
+	const posts = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < posts; i++ {
+		if _, err := c.SubmitBatch(context.Background(), subs[:64], nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perPost := (after.TotalAlloc - before.TotalAlloc) / posts; perPost >= 300<<10 {
+		t.Fatalf("a gzipped 64-submission POST allocates %d KB, want < 300 KB", perPost>>10)
 	}
 }
 

@@ -9,7 +9,11 @@ package federation
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
+
+	"encore/internal/durable"
+	"encore/internal/faultinject"
 )
 
 // cursorFileVersion is the on-disk cursor format version.
@@ -40,32 +44,14 @@ func loadCursor(path string) (uint64, error) {
 	return c.Acked, nil
 }
 
-// saveCursor persists the cursor with the standard tmp + fsync + rename
-// dance, so a crash mid-save leaves either the old cursor or the new one,
-// never a torn file. A stale (old) cursor is always safe: resuming from it
-// re-forwards records the upstream already merged idempotently.
+// saveCursor persists the cursor atomically, so a crash mid-save leaves
+// either the old cursor or the new one, never a torn file. A stale (old)
+// cursor is always safe: resuming from it re-forwards records the upstream
+// already merged idempotently.
 func saveCursor(path string, acked uint64) error {
-	data, err := json.Marshal(cursorFile{Version: cursorFileVersion, Acked: acked})
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return durable.ReplaceFile(faultinject.OS(), path, func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(cursorFile{Version: cursorFileVersion, Acked: acked})
+	})
 }
 
 // ackTracker maintains the contiguous acknowledged prefix of the commit

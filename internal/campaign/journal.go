@@ -26,6 +26,8 @@ import (
 	"sync"
 	"time"
 
+	"encore/internal/durable"
+	"encore/internal/faultinject"
 	"encore/internal/wire"
 )
 
@@ -210,29 +212,10 @@ func loadCursor(dir string) (cursorState, bool, error) {
 	return c, true, nil
 }
 
-// saveCursor persists the cursor with tmp + fsync + rename, so a kill
-// mid-save leaves either the old cursor or the new one, never a torn file.
+// saveCursor persists the cursor atomically, so a kill mid-save leaves
+// either the old cursor or the new one, never a torn file.
 func saveCursor(dir string, c cursorState) error {
-	data, err := json.Marshal(c)
-	if err != nil {
-		return err
-	}
-	path := filepath.Join(dir, cursorFileName)
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(append(data, '\n')); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
+	return durable.ReplaceFile(faultinject.OS(), filepath.Join(dir, cursorFileName), func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(c)
+	})
 }

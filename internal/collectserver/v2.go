@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"encore/internal/api"
 	"encore/internal/results"
@@ -103,6 +104,9 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	api.WriteJSON(w, http.StatusOK, resp)
 }
 
+// gzipReaders recycles inflate state across compressed batch bodies.
+var gzipReaders = sync.Pool{New: func() any { return new(gzip.Reader) }}
+
 // ingestBatch runs one batch request through the pipeline: pick the decoder
 // the Content-Type names, feed the sink, commit the tail.
 func (s *Server) ingestBatch(r *http.Request) (api.BatchSubmitResponse, *api.Error) {
@@ -111,11 +115,11 @@ func (s *Server) ingestBatch(r *http.Request) (api.BatchSubmitResponse, *api.Err
 
 	body := io.Reader(r.Body)
 	if r.Header.Get("Content-Encoding") == "gzip" {
-		gz, err := gzip.NewReader(r.Body)
-		if err != nil {
+		gz := gzipReaders.Get().(*gzip.Reader)
+		defer gzipReaders.Put(gz)
+		if err := gz.Reset(r.Body); err != nil {
 			return api.BatchSubmitResponse{}, api.Errorf(api.CodeBadRequest, "bad gzip body")
 		}
-		defer gz.Close()
 		body = gz
 	}
 	chunk := chunkPool.Get().(*[commitChunk]results.Measurement)

@@ -42,7 +42,7 @@ const (
 	// TransportV2Binary is TransportV2 with the SDK's binary encoding: the
 	// same v2 batch endpoint, but each submission ships as a CRC-framed
 	// application/x-encore-records frame instead of a JSON body — the
-	// wire-speed lane E23 measures against the JSON baseline.
+	// wire-speed lane, measured against the JSON one by bench/.
 	TransportV2Binary Transport = "v2bin"
 )
 
@@ -124,7 +124,7 @@ type Result struct {
 	// WALAttached reports whether the stack persisted the run through a
 	// write-ahead log; WAL then holds the log's counters after the final
 	// sync, so a run with the WAL on can be compared against one with it off
-	// (the E19 durability-overhead question). WALErr is the log's sticky
+	// (the durability-overhead question). WALErr is the log's sticky
 	// error, if any — non-nil means the counters describe a log that stopped
 	// recording mid-run and the throughput comparison is invalid.
 	WALAttached bool

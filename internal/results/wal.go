@@ -25,6 +25,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"encore/internal/durable"
 	"encore/internal/faultinject"
 	"encore/internal/wire"
 )
@@ -139,8 +140,9 @@ type walShard struct {
 
 // WAL is a segmented append-only write-ahead log recording every effective
 // store commit. Attach it with Store.AddObserver (it implements
-// CommitSeqObserver, so the store hands it the insertion sequence number each
-// record needs for order-preserving replay); recover with OpenStoreFromWAL.
+// CommitStreamObserver, so the store hands it the insertion sequence number
+// each record needs for order-preserving replay and the commit-stream position
+// the forward cursor counts in); recover with OpenStoreFromWAL.
 // All methods are safe for concurrent use. Append errors are sticky: the
 // first I/O failure stops further appends and is reported by Err, so a
 // collector can surface a broken disk instead of silently logging nothing.
@@ -279,32 +281,11 @@ func pinShardCount(fs faultinject.FS, dir string, requested int) (int, error) {
 	} else if !os.IsNotExist(err) {
 		return 0, err
 	}
-	data, err := json.Marshal(walMeta{Version: walVersion, Shards: requested})
-	if err != nil {
-		return 0, err
-	}
-	// Fsync before the rename: a crash must leave either no meta or a whole
-	// one, never a renamed-but-empty file that refuses every later boot.
-	tmp := metaPath + ".tmp"
-	f, err := fs.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return 0, err
-	}
-	_, err = f.Write(append(data, '\n'))
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return 0, err
-	}
-	if err := fs.Rename(tmp, metaPath); err != nil {
-		return 0, err
-	}
-	syncDir(fs, dir)
-	return requested, nil
+	// A crash must leave either no meta or a whole one, never a
+	// renamed-but-empty file that refuses every later boot.
+	return requested, durable.ReplaceFile(fs, metaPath, func(w io.Writer) error {
+		return json.NewEncoder(w).Encode(walMeta{Version: walVersion, Shards: requested})
+	})
 }
 
 // walSegFile is one discovered segment file.
@@ -744,25 +725,16 @@ func (w *WAL) compactShard(shard int) error {
 	// Make the rename durable before unlinking the older segments: if the
 	// removes reached disk first and the machine died, the directory would
 	// hold neither the old records nor the compacted file that replaces
-	// them.
-	syncDir(w.fs, w.cfg.Dir)
+	// them. Best effort: some platforms disallow fsync on a directory.
+	_ = durable.SyncDir(w.fs, w.cfg.Dir)
 	for _, f := range files[:len(files)-1] {
 		if err := w.fs.Remove(f.path); err != nil {
 			return err
 		}
 	}
-	syncDir(w.fs, w.cfg.Dir)
+	_ = durable.SyncDir(w.fs, w.cfg.Dir)
 	sh.next = last.index + 1
 	return nil
-}
-
-// syncDir fsyncs a directory so renames and removals are durable;
-// best-effort (some platforms disallow it).
-func syncDir(fs faultinject.FS, dir string) {
-	if d, err := fs.Open(dir); err == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
 }
 
 // WALRecoveryStats reports what OpenStoreFromWAL found.

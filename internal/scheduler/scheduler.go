@@ -382,9 +382,9 @@ func seenContains(seen []targetKey, c pipeline.Candidate) bool {
 // PickCandidate runs one steady-state pick exactly as Assign would — focus
 // first, then the region's least-covered pattern — and records the assignment
 // in the region's coverage state, but mints no task and allocates nothing. It
-// exists so monitoring probes and the E20 benchmarks can exercise (and
-// verify) the allocation-free pick path; picks made here count toward
-// TotalAssignments and coverage like real assignments.
+// exists so monitoring probes and the bench/ ledger (scheduler.pick_ns) can
+// exercise (and verify) the allocation-free pick path; picks made here count
+// toward TotalAssignments and coverage like real assignments.
 func (s *Scheduler) PickCandidate(client ClientInfo, now time.Time) (pipeline.Candidate, bool) {
 	rng := stats.RNGFrom(splitmix64(s.nextID.Add(1) ^ (s.cfg.Seed << 17)))
 	fi := s.focusIndex(now)

@@ -4,7 +4,8 @@
 # every package, README-referenced commands build), the full test suite
 # (including the concurrent ingest soak, the WAL kill-and-restart tests, and
 # the federation soak — concurrent edge commits against a flapping upstream
-# with a WAL-backed forwarder) under the race detector, the separate bench/
+# with a WAL-backed forwarder) under the race detector, one iteration of every
+# root-package benchmark (the paper's evaluation, E1-E16), the separate bench/
 # module's vet and tests, the deterministic chaos suite at fixed seeds
 # (scripts/chaos.sh), and the campaign-tier smoke
 # (scripts/campaign_smoke.sh: grid/dispatcher property tests under -race plus
@@ -32,6 +33,11 @@ echo "== docs check =="
 
 echo "== go test -race =="
 go test -race ./...
+
+# The paper's reproduction is benchmarks, which go test alone never executes:
+# run each once so a b.Fatal in any experiment fails CI.
+echo "== paper evaluation (1x) =="
+go test -run '^$' -bench . -benchtime 1x .
 
 # bench/ is its own module (replace encore => ../), so ./... above never
 # compiles it: a product change that removes exported API would break the
