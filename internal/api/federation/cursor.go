@@ -21,7 +21,11 @@ const cursorFileVersion = 1
 
 // cursorFile is the JSON persisted beside the WAL. It is deliberately tiny:
 // one acknowledged commit-stream position, rewritten (atomically, fsynced)
-// each time the contiguous acknowledged prefix advances.
+// at most once per FlushInterval while the acknowledged prefix advances, and
+// when a catch-up, a Flush or Close ends — never by Stop. The file may trail
+// the in-memory cursor by one interval's acknowledgements, which a restart
+// re-sends; the WAL's retention floor reads the file, so compaction never
+// folds a position a restart resumes from.
 type cursorFile struct {
 	Version int    `json:"version"`
 	Acked   uint64 `json:"acked_commit_seq"`
@@ -44,12 +48,12 @@ func loadCursor(path string) (uint64, error) {
 	return c.Acked, nil
 }
 
-// saveCursor persists the cursor atomically, so a crash mid-save leaves
-// either the old cursor or the new one, never a torn file. A stale (old)
-// cursor is always safe: resuming from it re-forwards records the upstream
-// already merged idempotently.
-func saveCursor(path string, acked uint64) error {
-	return durable.ReplaceFile(faultinject.OS(), path, func(w io.Writer) error {
+// saveCursor persists the cursor atomically through fs (the WAL's, so disk
+// faults reach it), so a crash mid-save leaves either the old cursor or the
+// new one, never a torn file. A stale (old) cursor is always safe: resuming
+// from it re-forwards records the upstream already merged idempotently.
+func saveCursor(fs faultinject.FS, path string, acked uint64) error {
+	return durable.ReplaceFile(fs, path, func(w io.Writer) error {
 		return json.NewEncoder(w).Encode(cursorFile{Version: cursorFileVersion, Acked: acked})
 	})
 }
@@ -59,11 +63,11 @@ func saveCursor(path string, acked uint64) error {
 // counter), but acknowledgments arrive slightly out of order: positions are
 // assigned under per-shard store locks, so a commit on one shard can be
 // buffered, shipped, and acked before a numerically earlier commit on
-// another shard even reaches the buffer — and a catch-up pass reads WAL
-// shards sequentially, scattering positions further. The tracker therefore
-// advances a low-water mark only through positions actually acknowledged,
-// holding the out-of-order remainder in a set; the cursor never jumps over a
-// position that might still be unsent.
+// another shard even reaches the buffer (a catch-up pass merges the WAL
+// shards by position, so it adds little). The tracker therefore advances a
+// low-water mark only through positions actually acknowledged, holding the
+// out-of-order remainder in a set; the cursor never jumps over a position
+// that might still be unsent.
 type ackTracker struct {
 	lwm   uint64 // every position <= lwm is acknowledged
 	above map[uint64]struct{}
@@ -79,8 +83,12 @@ func (t *ackTracker) ack(cseq uint64) bool {
 	if cseq <= t.lwm {
 		return false
 	}
-	t.above[cseq] = struct{}{}
-	advanced := false
+	advanced := cseq == t.lwm+1
+	if advanced {
+		t.lwm++ // the in-order case, which a merged tail makes the common one
+	} else {
+		t.above[cseq] = struct{}{}
+	}
 	for {
 		if _, ok := t.above[t.lwm+1]; !ok {
 			break

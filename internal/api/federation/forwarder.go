@@ -11,15 +11,19 @@
 //
 // The forwarder attaches to the edge store exactly like the Aggregator and
 // WAL tiers do (results.Store.AddObserver), so every lane of the
-// collectserver write path feeds it automatically. With a WAL attached (ForwarderConfig.WAL) forwarding is
-// lossless and resumable: the forwarder persists the highest contiguously
-// acknowledged commit-stream position in a tiny fsynced cursor file beside
-// the WAL, falls back to tailing the WAL whenever its in-memory buffer
-// cannot hold an outage, and on restart resumes from the cursor — an edge
-// crash or an arbitrarily long upstream outage loses nothing. It also
-// honors the upstream's explicit backpressure (api.LoadSignal and
-// Retry-After), widening its flush window when the upstream is loaded
-// instead of hammering it in lockstep with every other edge.
+// collectserver write path feeds it automatically. With a WAL attached
+// (ForwarderConfig.WAL) forwarding is lossless and resumable: the forwarder
+// persists the highest contiguously acknowledged commit-stream position in a
+// tiny fsynced cursor file beside the WAL (at most once per FlushInterval, so
+// a restart re-sends at most that interval's acknowledgements plus a batch),
+// falls back to tailing the WAL whenever its in-memory buffer cannot hold an
+// outage, and on restart resumes from the cursor — an edge crash or an
+// arbitrarily long upstream outage loses nothing. The tail is positioned and
+// shard-merged (results.WALTail): a pass costs what is new, and only
+// compaction makes it re-read a shard. The forwarder also honors the
+// upstream's explicit backpressure (api.LoadSignal and Retry-After), widening
+// its flush window when the upstream is loaded instead of hammering it in
+// lockstep with every other edge.
 package federation
 
 import (
@@ -140,6 +144,57 @@ type entry struct {
 	m    results.Measurement
 }
 
+// ring is the commit buffer: a circular FIFO, so a batch leaves the head — and
+// a failed one returns to it — in O(batch) and nothing moves what stays. It
+// grows by doubling and never shrinks; a spill drops it.
+type ring struct {
+	buf  []entry // len is zero or a power of two
+	head int     // index of the oldest entry
+	n    int
+}
+
+// at returns the slot of the i-th oldest entry.
+func (r *ring) at(i int) *entry { return &r.buf[(r.head+i)&(len(r.buf)-1)] }
+
+func (r *ring) grow() {
+	buf := make([]entry, max(2*len(r.buf), 64))
+	n := copy(buf, r.buf[r.head:]) // slot order is kept, so empty slots may come along
+	copy(buf[n:], r.buf[:r.head])
+	r.buf, r.head = buf, 0
+}
+
+// push appends an entry and returns its slot for the caller to fill.
+func (r *ring) push() *entry {
+	if r.n == len(r.buf) {
+		r.grow()
+	}
+	r.n++
+	return r.at(r.n - 1)
+}
+
+// shift removes the k oldest entries, into out unless it is nil, and clears
+// their slots so the ring pins none of their strings.
+func (r *ring) shift(k int, out []entry) {
+	for i := 0; i < k; i++ {
+		if out != nil {
+			out[i] = *r.at(i)
+		}
+		*r.at(i) = entry{}
+	}
+	r.head, r.n = (r.head+k)&(len(r.buf)-1), r.n-k
+}
+
+// unshift puts a batch back at the head, oldest first.
+func (r *ring) unshift(batch []entry) {
+	for r.n+len(batch) > len(r.buf) {
+		r.grow()
+	}
+	r.head, r.n = (r.head-len(batch))&(len(r.buf)-1), r.n+len(batch)
+	for i := range batch {
+		*r.at(i) = batch[i]
+	}
+}
+
 // Forwarder streams an edge collector's committed measurements to an
 // upstream aggregation tier. It implements results.CommitStreamObserver
 // (and the plain CommitObserver for WAL-less use).
@@ -149,7 +204,7 @@ type Forwarder struct {
 	cursorPath string
 
 	mu      sync.Mutex
-	pending []entry
+	pending ring
 	// catchingUp: the buffer overflowed (or the forwarder just started with
 	// a WAL behind its cursor) and the WAL tail, not the buffer, is the
 	// source of records to ship. While set, positioned commits are not
@@ -167,6 +222,14 @@ type Forwarder struct {
 	// by it: all acknowledgment happens on the send side.
 	sendMu sync.Mutex
 	acks   *ackTracker
+	// tail is the positioned WAL reader catch-up ships from and tb the batch a
+	// pass is filling; one whose send failed stays in tb (the tail has moved
+	// past its frames) and goes first on the next pass. lastSave and saveFails
+	// pace and report cursor saves. All guarded by sendMu.
+	tail      *results.WALTail
+	tb        tailBatch
+	lastSave  time.Time
+	saveFails int
 
 	kick chan struct{}
 	done chan struct{}
@@ -175,12 +238,15 @@ type Forwarder struct {
 	// observed/dropped/spilled are bumped from the commit path, which runs
 	// under the store shard lock on the ingest hot path — atomics, so a
 	// commit never takes a second mutex there. ackedCursor mirrors
-	// acks.cursor() for lock-free reads (Stats, the WAL retention floor).
-	// interval is the current flush window in nanoseconds.
+	// acks.cursor() for lock-free reads (Stats); savedCursor is what the
+	// cursor file holds — at most one FlushInterval of acknowledgements
+	// behind — and what the WAL retention floor reads. interval is the
+	// current flush window in nanoseconds.
 	observed    atomic.Uint64
 	dropped     atomic.Uint64
 	spilled     atomic.Uint64
 	ackedCursor atomic.Uint64
+	savedCursor atomic.Uint64
 	interval    atomic.Int64
 
 	statsMu        sync.Mutex
@@ -238,6 +304,7 @@ func NewForwarder(cfg ForwarderConfig) (*Forwarder, error) {
 		if err != nil {
 			return nil, err
 		}
+		f.tail = cfg.WAL.Tail()
 		// Catch up from the cursor before going live: a previous run may
 		// have committed records it never shipped. An empty WAL makes this a
 		// no-op pass.
@@ -246,10 +313,12 @@ func NewForwarder(cfg ForwarderConfig) (*Forwarder, error) {
 	}
 	f.acks = newAckTracker(cursor)
 	f.ackedCursor.Store(cursor)
+	f.savedCursor.Store(cursor)
 	if cfg.WAL != nil {
-		// Compaction must not fold away records the upstream has not
-		// acknowledged; the floor follows the cursor.
-		cfg.WAL.SetRetention(f.ackedCursor.Load)
+		// Compaction must not fold away a record a restart would resume
+		// from, and a restart resumes from the file: the floor follows the
+		// persisted cursor, not the in-memory one ahead of it.
+		cfg.WAL.SetRetention(f.savedCursor.Load)
 	}
 	f.wg.Add(1)
 	go f.run()
@@ -291,15 +360,16 @@ func (f *Forwarder) enqueue(cseq uint64, cur results.Measurement) {
 		return
 	}
 	var dropped, spilled int
-	if len(f.pending) >= f.cfg.MaxBuffer {
+	if f.pending.n >= f.cfg.MaxBuffer {
 		if f.cfg.WAL != nil && cseq != 0 {
 			// Spill to the WAL tail: every positioned record in the buffer
 			// (and this one) is already durable past the cursor, so hand the
-			// whole backlog to catch-up mode instead of dropping anything.
-			kept := f.pending[:0]
-			for _, e := range f.pending {
-				if e.cseq == 0 {
-					kept = append(kept, e) // not WAL-backed; must stay
+			// whole backlog — and the buffer's memory; catch-up may last long
+			// — to catch-up mode instead of dropping anything.
+			var kept ring
+			for i := 0; i < f.pending.n; i++ {
+				if e := f.pending.at(i); e.cseq == 0 {
+					*kept.push() = *e // not WAL-backed; must stay
 				} else {
 					spilled++
 				}
@@ -316,22 +386,12 @@ func (f *Forwarder) enqueue(cseq uint64, cur results.Measurement) {
 			return
 		}
 		// No WAL to fall back on: evict the oldest records rather than
-		// stall the ingest path. Eviction is chunked — one compaction sheds
-		// many records — so its cost amortizes to O(1) per commit instead of
-		// an O(MaxBuffer) memmove under the shard lock on every commit of a
-		// long outage.
-		dropped = f.cfg.MaxBuffer / 8
-		if dropped < 1 {
-			dropped = 1
-		}
-		if dropped > len(f.pending) {
-			dropped = len(f.pending)
-		}
-		n := copy(f.pending, f.pending[dropped:])
-		f.pending = f.pending[:n]
+		// stall the ingest path, a chunk at a time.
+		dropped = min(max(f.cfg.MaxBuffer/8, 1), f.pending.n)
+		f.pending.shift(dropped, nil)
 	}
-	f.pending = append(f.pending, entry{cseq: cseq, m: cur})
-	full := len(f.pending) >= f.cfg.MaxBatch
+	*f.pending.push() = entry{cseq: cseq, m: cur}
+	full := f.pending.n >= f.cfg.MaxBatch
 	f.mu.Unlock()
 
 	f.observed.Add(1)
@@ -422,25 +482,31 @@ func (f *Forwarder) step(ctx context.Context) error {
 	return err
 }
 
-// sendBatch ships one batch upstream and, on success, acknowledges every
-// record in it — including per-index rejections, which are dead-lettered
-// (counted, logged once per batch, kept in a bounded ring) rather than
-// re-queued, so one poison record cannot wedge the ordered stream. Callers
-// hold sendMu.
+// sendBatch ships one batch of decoded entries upstream. Callers hold sendMu.
 func (f *Forwarder) sendBatch(ctx context.Context, batch []entry) error {
 	ms := make([]results.Measurement, len(batch))
 	for i, e := range batch {
 		ms[i] = e.m
 	}
 	resp, err := f.client.ForwardMeasurements(ctx, ms)
+	return f.settle(resp, err, len(batch),
+		func(i int) results.Measurement { return batch[i].m }, func(i int) uint64 { return batch[i].cseq })
+}
+
+// settle folds in the outcome of one POST of n records. A failure is recorded
+// and returned. A success acknowledges every record — including per-index
+// rejections, which are dead-lettered (counted, logged once per batch, kept in
+// a bounded ring) rather than re-queued, so one poison record cannot wedge
+// the ordered stream.
+func (f *Forwarder) settle(resp *api.BatchSubmitResponse, err error, n int, mAt func(int) results.Measurement, cseqAt func(int) uint64) error {
 	if err != nil {
 		f.statsMu.Lock()
 		f.lastErr = err
 		f.statsMu.Unlock()
 		return err
 	}
-	f.recordBatchOutcome(resp, len(batch), func(i int) results.Measurement { return batch[i].m })
-	f.ackBatch(len(batch), func(i int) uint64 { return batch[i].cseq })
+	f.recordBatchOutcome(resp, n, mAt)
+	f.ackBatch(n, cseqAt)
 	f.noteLoad(resp.Load)
 	return nil
 }
@@ -481,8 +547,8 @@ func (f *Forwarder) recordBatchOutcome(resp *api.BatchSubmitResponse, batchLen i
 }
 
 // ackBatch acknowledges a whole sent batch (rejected records included: they
-// are terminally disposed of) and persists the cursor when the contiguous
-// prefix advanced.
+// are terminally disposed of) and, when the contiguous prefix advanced, lets
+// the cursor file follow if it is due.
 func (f *Forwarder) ackBatch(n int, cseqAt func(int) uint64) {
 	advanced := false
 	for i := 0; i < n; i++ {
@@ -491,45 +557,37 @@ func (f *Forwarder) ackBatch(n int, cseqAt func(int) uint64) {
 		}
 	}
 	if advanced {
-		cur := f.acks.cursor()
-		f.ackedCursor.Store(cur)
-		if f.cursorPath != "" {
-			if err := saveCursor(f.cursorPath, cur); err != nil {
-				// Not fatal: a stale cursor only means re-forwarding work
-				// the upstream merges idempotently. But say so — a cursor
-				// that never persists degrades every restart to a full
-				// replay.
-				f.logf("federation: persisting forward cursor: %v", err)
-			}
-		}
+		f.ackedCursor.Store(f.acks.cursor())
+		f.persistCursor(false)
 	}
 }
 
-// sendFrames is sendBatch for verbatim WAL frames: the batch is one
-// concatenated frame stream (offsets[i] marking frame i's start, cseqs[i]
-// its commit position), POSTed exactly as the segment file holds it. Dead
-// letters decode their frame lazily. Callers hold sendMu.
-func (f *Forwarder) sendFrames(ctx context.Context, frames []byte, offsets []int, cseqs []uint64) error {
-	resp, err := f.client.ForwardRecordFrames(ctx, frames)
-	if err != nil {
-		f.statsMu.Lock()
-		f.lastErr = err
-		f.statsMu.Unlock()
-		return err
+// persistCursor writes the acknowledged cursor to its file when the file is
+// behind it — at most once per FlushInterval unless force is set, as the ends
+// of a catch-up, a Flush and Close set it. A failed save is not fatal (a stale
+// cursor only means re-forwarding work the upstream merges idempotently), but
+// a cursor that never persists degrades every restart to a full replay, so a
+// streak's first failure and its end are logged — not every attempt, which on
+// a full disk was a line per batch. Callers hold sendMu.
+func (f *Forwarder) persistCursor(force bool) {
+	cur := f.acks.cursor()
+	if f.cursorPath == "" || cur == f.savedCursor.Load() || (!force && time.Since(f.lastSave) < f.cfg.FlushInterval) {
+		return
 	}
-	f.recordBatchOutcome(resp, len(cseqs), func(i int) results.Measurement {
-		end := len(frames)
-		if i+1 < len(offsets) {
-			end = offsets[i+1]
+	f.lastSave = time.Now()
+	// Through the WAL's filesystem, so the cursor shares its fault seam.
+	if err := saveCursor(f.cfg.WAL.Config().FS, f.cursorPath, cur); err != nil {
+		if f.saveFails == 0 {
+			f.logf("federation: persisting forward cursor: %v (forwarding continues; a restart resumes from position %d)", err, f.savedCursor.Load())
 		}
-		if _, _, rec, err := wire.DecodeRecord(frames[offsets[i]+wire.FrameHeaderLen : end]); err == nil {
-			return results.Measurement(rec)
-		}
-		return results.Measurement{}
-	})
-	f.ackBatch(len(cseqs), func(i int) uint64 { return cseqs[i] })
-	f.noteLoad(resp.Load)
-	return nil
+		f.saveFails++
+		return
+	}
+	if f.saveFails > 0 {
+		f.logf("federation: forward cursor persisted again after %d failed attempts", f.saveFails)
+		f.saveFails = 0
+	}
+	f.savedCursor.Store(cur)
 }
 
 // flushOnce ships up to MaxBatch buffered records. On failure (after the
@@ -539,109 +597,99 @@ func (f *Forwarder) sendFrames(ctx context.Context, frames []byte, offsets []int
 func (f *Forwarder) flushOnce(ctx context.Context) error {
 	f.sendMu.Lock()
 	defer f.sendMu.Unlock()
+	f.persistCursor(false) // every cycle, an idle or a failing one too, lets the file catch up
 	f.mu.Lock()
-	if len(f.pending) == 0 {
+	if f.pending.n == 0 {
 		f.mu.Unlock()
 		return nil
 	}
-	n := len(f.pending)
-	if n > f.cfg.MaxBatch {
-		n = f.cfg.MaxBatch
-	}
-	batch := make([]entry, n)
-	copy(batch, f.pending[:n])
-	f.pending = f.pending[:copy(f.pending, f.pending[n:])]
+	batch := make([]entry, min(f.pending.n, f.cfg.MaxBatch))
+	f.pending.shift(len(batch), batch)
 	f.mu.Unlock()
 
 	if err := f.sendBatch(ctx, batch); err != nil {
 		// Put the batch back at the head so commit order per measurement
 		// survives the outage.
 		f.mu.Lock()
-		f.pending = append(batch, f.pending...)
+		f.pending.unshift(batch)
 		f.mu.Unlock()
 		return err
 	}
 	return nil
 }
 
-// tailPass runs one point-in-time pass over the WAL tail, shipping every
-// record past the cursor that is not yet acknowledged, in MaxBatch batches.
-// It returns how many records it shipped. Caller holds sendMu. With a binary
-// upstream client it ships the tail as verbatim frames instead of decoding.
-func (f *Forwarder) tailPass(ctx context.Context) (int, error) {
-	if f.client.BinaryEncoding() {
-		return f.tailPassFrames(ctx)
-	}
-	batch := make([]entry, 0, f.cfg.MaxBatch)
-	shipped := 0
-	flush := func() error {
-		if len(batch) == 0 {
-			return nil
-		}
-		if err := f.sendBatch(ctx, batch); err != nil {
-			return err
-		}
-		shipped += len(batch)
-		batch = batch[:0]
-		return nil
-	}
-	err := f.cfg.WAL.ReadRecords(f.acks.cursor(), func(cseq uint64, m results.Measurement) error {
-		if f.acks.acked(cseq) {
-			return nil // acked out of order above the cursor on an earlier pass
-		}
-		batch = append(batch, entry{cseq: cseq, m: m})
-		if len(batch) >= f.cfg.MaxBatch {
-			return flush()
-		}
-		return nil
-	})
-	if err != nil {
-		return shipped, err
-	}
-	return shipped, flush()
+// tailBatch is the batch a tail pass is filling: verbatim WAL frames in one
+// stream, offsets[i] marking frame i's start and cseqs[i] its commit position.
+type tailBatch struct {
+	frames  []byte
+	offsets []int
+	cseqs   []uint64
 }
 
-// tailPassFrames is tailPass on the zero-re-encode path: the WAL tail ships
-// as the exact CRC-framed bytes the segment files hold — no decode, no
-// re-serialization, the frames the edge already paid to write are the frames
-// the upstream receives. Caller holds sendMu.
-func (f *Forwarder) tailPassFrames(ctx context.Context) (int, error) {
-	bufp := wire.GetBuffer()
-	frames := *bufp
-	defer func() {
-		*bufp = frames
-		wire.PutBuffer(bufp)
-	}()
-	offsets := make([]int, 0, f.cfg.MaxBatch)
-	cseqs := make([]uint64, 0, f.cfg.MaxBatch)
-	shipped := 0
-	flush := func() error {
-		if len(cseqs) == 0 {
+// measurementAt decodes frame i; one that does not decode reads as zero, which
+// the upstream rejects and the forwarder dead-letters.
+func (b *tailBatch) measurementAt(i int) results.Measurement {
+	end := len(b.frames)
+	if i+1 < len(b.offsets) {
+		end = b.offsets[i+1]
+	}
+	_, _, rec, _ := wire.DecodeRecord(b.frames[b.offsets[i]+wire.FrameHeaderLen : end])
+	return results.Measurement(rec)
+}
+
+// shipTail sends the gathered tail batch — to a binary upstream as the exact
+// CRC-framed bytes the segment files hold, decoded for the JSON lane — and
+// empties it on success, returning how many records went. Caller holds sendMu.
+func (f *Forwarder) shipTail(ctx context.Context) (int, error) {
+	b := &f.tb
+	n := len(b.cseqs)
+	if n == 0 {
+		return 0, nil
+	}
+	var err error
+	if f.client.BinaryEncoding() {
+		resp, perr := f.client.ForwardRecordFrames(ctx, b.frames)
+		err = f.settle(resp, perr, n, b.measurementAt, func(i int) uint64 { return b.cseqs[i] })
+	} else {
+		batch := make([]entry, n)
+		for i := range batch {
+			batch[i] = entry{cseq: b.cseqs[i], m: b.measurementAt(i)}
+		}
+		err = f.sendBatch(ctx, batch)
+	}
+	if err != nil {
+		return 0, err
+	}
+	b.frames, b.offsets, b.cseqs = b.frames[:0], b.offsets[:0], b.cseqs[:0]
+	return n, nil
+}
+
+// tailPass runs one pass over the WAL tail, shipping every record appended
+// since the previous pass that is not yet acknowledged, in MaxBatch batches
+// and near-commit order, so the acknowledged prefix advances batch by batch.
+// It returns how many records it shipped. Caller holds sendMu.
+func (f *Forwarder) tailPass(ctx context.Context) (int, error) {
+	shipped, err := f.shipTail(ctx) // what a failed pass left goes first
+	if err != nil {
+		return 0, err
+	}
+	b := &f.tb
+	err = f.tail.Read(f.acks.acked, func(cseq uint64, frame []byte) error {
+		b.offsets = append(b.offsets, len(b.frames))
+		b.frames = append(b.frames, frame...)
+		b.cseqs = append(b.cseqs, cseq)
+		if len(b.cseqs) < f.cfg.MaxBatch {
 			return nil
 		}
-		if err := f.sendFrames(ctx, frames, offsets, cseqs); err != nil {
-			return err
-		}
-		shipped += len(cseqs)
-		frames, offsets, cseqs = frames[:0], offsets[:0], cseqs[:0]
-		return nil
-	}
-	err := f.cfg.WAL.ReadRecordFrames(f.acks.cursor(), func(cseq uint64, frame []byte) error {
-		if f.acks.acked(cseq) {
-			return nil // acked out of order above the cursor on an earlier pass
-		}
-		offsets = append(offsets, len(frames))
-		frames = append(frames, frame...)
-		cseqs = append(cseqs, cseq)
-		if len(cseqs) >= f.cfg.MaxBatch {
-			return flush()
-		}
-		return nil
+		n, err := f.shipTail(ctx)
+		shipped += n
+		return err
 	})
 	if err != nil {
 		return shipped, err
 	}
-	return shipped, flush()
+	n, err := f.shipTail(ctx)
+	return shipped + n, err
 }
 
 // catchUp drains the WAL tail until a pass finds nothing new, then flips
@@ -654,6 +702,7 @@ func (f *Forwarder) tailPassFrames(ctx context.Context) (int, error) {
 func (f *Forwarder) catchUp(ctx context.Context) error {
 	f.sendMu.Lock()
 	defer f.sendMu.Unlock()
+	f.persistCursor(false)
 	for {
 		n, err := f.tailPass(ctx)
 		if err != nil {
@@ -672,19 +721,25 @@ func (f *Forwarder) catchUp(ctx context.Context) error {
 		f.mu.Unlock()
 		return err
 	}
+	f.persistCursor(true)
 	return nil
 }
 
 // drained reports whether the buffer is empty with no batch in flight: it
 // waits for any ongoing send (sendMu) before reading the buffer, and a
 // failed send re-queues its batch before releasing sendMu, so a true result
-// means every observed commit was acknowledged upstream.
+// means every observed commit was acknowledged upstream — which is where a
+// Flush ends, so the cursor file is brought current before it returns.
 func (f *Forwarder) drained() (empty, closed bool) {
 	f.sendMu.Lock()
 	defer f.sendMu.Unlock()
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.pending) == 0 && !f.catchingUp, f.closed
+	empty, closed = f.pending.n == 0 && !f.catchingUp, f.closed
+	f.mu.Unlock()
+	if empty {
+		f.persistCursor(true)
+	}
+	return empty, closed
 }
 
 // Flush synchronously ships everything outstanding — completing any WAL
@@ -735,29 +790,14 @@ func (f *Forwarder) Close() error {
 	close(f.done)
 	f.wg.Wait()
 
-	// Final drain, then refuse further commits.
-	var err error
-	for {
-		f.mu.Lock()
-		cu := f.catchingUp
-		f.mu.Unlock()
-		if cu {
-			if err = f.catchUp(context.Background()); err != nil {
-				break
-			}
-			continue
-		}
-		empty, _ := f.drained()
-		if empty {
-			break
-		}
-		if err = f.flushOnce(context.Background()); err != nil {
-			break
-		}
-	}
+	// Final drain (closed is not set yet), then refuse further commits.
+	err := f.Flush(context.Background())
+	f.sendMu.Lock()
+	f.persistCursor(true) // whatever was acknowledged, drained or not
+	f.sendMu.Unlock()
 	f.mu.Lock()
 	f.closed = true
-	remaining := len(f.pending)
+	remaining := f.pending.n
 	cu := f.catchingUp
 	f.mu.Unlock()
 	if err != nil {
@@ -776,9 +816,10 @@ func (f *Forwarder) Close() error {
 
 // Stop halts the forwarder immediately, without the final drain Close
 // performs: nothing further is sent or acknowledged, and the cursor file
-// stays wherever the last acknowledged batch put it. It is the crash
-// simulation hook for kill-and-restart tests — everything past the cursor
-// must survive in the WAL for the next run to resume from.
+// stays wherever its last save put it — up to one FlushInterval of
+// acknowledgements behind Stats().AckedCursor. It is the crash simulation
+// hook for kill-and-restart tests — everything past the cursor must survive
+// in the WAL for the next run to resume from.
 func (f *Forwarder) Stop() {
 	f.mu.Lock()
 	if f.closing {
@@ -848,7 +889,7 @@ func (f *Forwarder) Stats() ForwarderStats {
 	}
 	f.statsMu.Unlock()
 	f.mu.Lock()
-	st.Pending = len(f.pending)
+	st.Pending = f.pending.n
 	st.CatchingUp = f.catchingUp
 	f.mu.Unlock()
 	st.Observed = f.observed.Load()

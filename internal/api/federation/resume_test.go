@@ -21,6 +21,7 @@ import (
 	"encore/internal/api"
 	apiclient "encore/internal/api/client"
 	"encore/internal/core"
+	"encore/internal/faultinject"
 	"encore/internal/results"
 )
 
@@ -65,14 +66,14 @@ func TestCursorFileRoundTrip(t *testing.T) {
 	if err != nil || got != 0 {
 		t.Fatalf("loadCursor(missing) = %d, %v; want 0, nil", got, err)
 	}
-	if err := saveCursor(path, 42); err != nil {
+	if err := saveCursor(faultinject.OS(), path, 42); err != nil {
 		t.Fatal(err)
 	}
 	if got, err = loadCursor(path); err != nil || got != 42 {
 		t.Fatalf("loadCursor = %d, %v; want 42, nil", got, err)
 	}
 	// Overwrite is atomic (tmp+rename): no tmp file left behind.
-	if err := saveCursor(path, 99); err != nil {
+	if err := saveCursor(faultinject.OS(), path, 99); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {

@@ -19,7 +19,7 @@ import (
 // The parent directory is fsynced only when the rename created the name: an
 // overwrite already resolves to the old file or the new one after a crash,
 // whereas a name that never existed can vanish with its directory entry. That
-// keeps a hot caller (the forwarder's per-batch cursor save) at one fsync.
+// keeps a frequent caller (the forwarder's cursor save) at one fsync.
 func ReplaceFile(fs faultinject.FS, path string, write func(io.Writer) error) error {
 	old, err := fs.Open(path)
 	created := os.IsNotExist(err)

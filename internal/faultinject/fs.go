@@ -32,11 +32,12 @@ var (
 	ErrCrashed = errors.New("faultinject: filesystem crashed (injected)")
 )
 
-// File is the per-file surface the WAL needs: sequential reads and writes,
-// fsync, and close.
+// File is the per-file surface the WAL needs: sequential reads and writes, a
+// seek for the tail reader that resumes where it stopped, fsync, and close.
 type File interface {
 	io.Reader
 	io.Writer
+	io.Seeker
 	io.Closer
 	// Sync flushes the file to stable storage.
 	Sync() error
@@ -325,6 +326,8 @@ func (f *faultFile) Read(p []byte) (int, error) {
 	}
 	return f.f.Read(p)
 }
+
+func (f *faultFile) Seek(offset int64, whence int) (int64, error) { return f.f.Seek(offset, whence) }
 
 func (f *faultFile) Write(p []byte) (int, error) {
 	fs := f.fs

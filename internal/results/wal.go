@@ -136,6 +136,11 @@ type walShard struct {
 	next  uint64 // index the next opened segment receives
 	dirty bool   // bytes flushed to the file but not yet fsynced
 	buf   []byte // scratch encode buffer, reused under mu
+	// segs lists the shard's segment indices on disk, oldest first, and gen
+	// counts its compactions: what a WALTail needs to find the next file, or
+	// learn that its files were replaced, without listing the directory.
+	segs []uint64
+	gen  atomic.Uint64
 }
 
 // WAL is a segmented append-only write-ahead log recording every effective
@@ -229,7 +234,11 @@ func OpenWAL(cfg WALConfig) (*WAL, error) {
 	}
 	for shard, files := range segs {
 		if int(shard) < len(w.shards) && len(files) > 0 {
-			w.shards[shard].next = files[len(files)-1].index + 1
+			sh := &w.shards[shard]
+			sh.next = files[len(files)-1].index + 1
+			for _, f := range files {
+				sh.segs = append(sh.segs, f.index)
+			}
 		}
 	}
 	if cfg.Policy == SyncAlways {
@@ -417,6 +426,7 @@ func (w *WAL) openSegmentLocked(sh *walShard) error {
 	}
 	sh.size = 0
 	sh.dirty = false
+	sh.segs = append(sh.segs, sh.next)
 	sh.next++
 	return nil
 }
@@ -508,10 +518,9 @@ func (w *WAL) Sync() error {
 }
 
 // Flush pushes every shard's buffered appends to its segment file without
-// forcing them to stable storage. ReadRecords calls it so a tail read
-// observes every commit the store has acknowledged, not just the flushed
-// prefix; it is much cheaper than Sync on the SyncInterval/SyncNone
-// policies.
+// forcing them to stable storage, so a reader of the files observes every
+// commit the store has acknowledged (a WALTail pass does the same per shard);
+// it is much cheaper than Sync on the SyncInterval/SyncNone policies.
 func (w *WAL) Flush() error {
 	w.flushAll(false)
 	return w.Err()
@@ -719,9 +728,11 @@ func (w *WAL) compactShard(shard int) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
+	sh.gen.Add(1) // first: a tail opening last.path after the rename must see it
 	if err := w.fs.Rename(tmpPath, last.path); err != nil {
 		return err
 	}
+	sh.segs = append(sh.segs[:0], last.index)
 	// Make the rename durable before unlinking the older segments: if the
 	// removes reached disk first and the machine died, the directory would
 	// hold neither the old records nor the compacted file that replaces
@@ -852,90 +863,26 @@ func OpenStoreFromWALFS(dir string, fs faultinject.FS) (*Store, WALRecoveryStats
 	return store, stats, nil
 }
 
-// ReadRecords streams every WAL record with a commit-stream position
-// strictly greater than after, shard by shard, to fn. It is the federation
-// forwarder's catch-up reader: the acked forward cursor goes in as after and
-// every not-yet-acknowledged commit comes back out. Buffered appends are
-// flushed first so the read observes everything the store acknowledged.
-// Within one shard records arrive in commit order; across shards positions
-// interleave arbitrarily, so callers tracking a contiguous cursor must
-// tolerate out-of-order positions. The pass is a point-in-time scan:
-// commits appended after it starts (and a live segment's torn tail, which
-// under buffered writing may end mid-frame) are simply not seen — callers
-// re-run the pass until it returns nothing new. A segment removed by
-// concurrent compaction mid-pass is skipped; its surviving records are in
-// the compacted file a re-run will read. fn returning an error aborts the
-// pass and returns that error.
+// ReadRecords is ReadRecordFrames with each record decoded; a frame that
+// passes its CRC but does not decode is a format error and aborts the pass.
 func (w *WAL) ReadRecords(after uint64, fn func(commitSeq uint64, m Measurement) error) error {
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	segs, err := walSegments(w.fs, w.cfg.Dir)
-	if err != nil {
-		return err
-	}
-	shardIDs := make([]int, 0, len(segs))
-	for shard := range segs {
-		shardIDs = append(shardIDs, shard)
-	}
-	sort.Ints(shardIDs)
-	for _, shard := range shardIDs {
-		for _, f := range segs[shard] {
-			_, _, err := readWALSegment(w.fs, f.path, func(cseq, seq uint64, m Measurement) error {
-				if cseq <= after {
-					return nil
-				}
-				return fn(cseq, m)
-			})
-			if os.IsNotExist(err) {
-				continue // compacted away mid-pass; the re-run covers it
-			}
-			if err != nil {
-				return err
-			}
+	return w.ReadRecordFrames(after, func(cseq uint64, frame []byte) error {
+		_, _, r, err := wire.DecodeRecord(frame[wire.FrameHeaderLen:])
+		if err != nil {
+			return fmt.Errorf("results: WAL record at position %d: %w", cseq, err)
 		}
-	}
-	return nil
+		return fn(cseq, Measurement(r))
+	})
 }
 
-// ReadRecordFrames is ReadRecords at the frame level: it streams each raw
-// validated frame (header + payload, byte-for-byte as the WAL stores it) with
-// a commit-stream position strictly greater than after to fn, without
-// decoding the records. A binary-mode federation forwarder catches up through
-// it, shipping the exact bytes the log already holds — the disk encoding IS
-// the wire encoding, so the forward path re-encodes nothing. The frame slice
-// passed to fn is only valid during the call; the same point-in-time-scan and
-// out-of-order-position caveats as ReadRecords apply.
+// ReadRecordFrames streams every raw validated frame (header + payload,
+// byte-for-byte as the WAL stores it — the disk encoding IS the wire encoding)
+// with a commit-stream position strictly greater than after to fn, without
+// decoding: one pass of a fresh WALTail, which reads every segment from its
+// start. See WALTail.Read for what a pass observes, the order across shards
+// (near, not exactly, commit order) and the lifetime of the frame slice.
 func (w *WAL) ReadRecordFrames(after uint64, fn func(commitSeq uint64, frame []byte) error) error {
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	segs, err := walSegments(w.fs, w.cfg.Dir)
-	if err != nil {
-		return err
-	}
-	shardIDs := make([]int, 0, len(segs))
-	for shard := range segs {
-		shardIDs = append(shardIDs, shard)
-	}
-	sort.Ints(shardIDs)
-	for _, shard := range shardIDs {
-		for _, f := range segs[shard] {
-			_, err := readWALSegmentFrames(w.fs, f.path, func(cseq uint64, frame []byte) error {
-				if cseq <= after {
-					return nil
-				}
-				return fn(cseq, frame)
-			})
-			if os.IsNotExist(err) {
-				continue // compacted away mid-pass; the re-run covers it
-			}
-			if err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return w.Tail().Read(func(cseq uint64) bool { return cseq <= after }, fn)
 }
 
 // readWALSegment streams the framed records of one segment to fn in file
@@ -971,41 +918,6 @@ func readWALSegment(fs faultinject.FS, path string, fn func(commitSeq, seq uint6
 			return records, false, err
 		}
 		records++
-	}
-}
-
-// readWALSegmentFrames is readWALSegment at the frame level: it streams each
-// validated frame — header and payload, byte-for-byte as stored — to fn along
-// with the commit-stream position peeked from its payload, without decoding
-// the record. It is the zero-re-encode read the binary federation forwarder
-// ships from: the frames a WAL holds ARE the wire format. Torn-tail semantics
-// match readWALSegment.
-func readWALSegmentFrames(fs faultinject.FS, path string, fn func(commitSeq uint64, frame []byte) error) (torn bool, err error) {
-	f, err := fs.Open(path)
-	if err != nil {
-		return false, err
-	}
-	defer f.Close()
-	fr := wire.GetFrameReader(f)
-	defer wire.PutFrameReader(fr)
-	for {
-		frame, err := fr.NextFrame()
-		if errors.Is(err, io.EOF) {
-			return false, nil
-		}
-		if wire.Torn(err) {
-			return true, nil
-		}
-		if err != nil {
-			return false, err
-		}
-		cseq, ok := wire.PeekCommitSeq(frame[wire.FrameHeaderLen:])
-		if !ok {
-			return false, fmt.Errorf("results: %s: %w", filepath.Base(path), wire.ErrMalformed)
-		}
-		if err := fn(cseq, frame); err != nil {
-			return false, err
-		}
 	}
 }
 

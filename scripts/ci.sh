@@ -5,9 +5,10 @@
 # (including the concurrent ingest soak, the WAL kill-and-restart tests, and
 # the federation soak — concurrent edge commits against a flapping upstream
 # with a WAL-backed forwarder) under the race detector, one iteration of every
-# root-package benchmark (the paper's evaluation, E1-E16), the separate bench/
-# module's vet and tests, the deterministic chaos suite at fixed seeds
-# (scripts/chaos.sh), and the campaign-tier smoke
+# root-package benchmark (the paper's evaluation, E1-E16) and of the forwarder's
+# catch-up benchmark, the separate bench/ module's vet and tests, the
+# deterministic chaos suite at fixed seeds (scripts/chaos.sh), and the
+# campaign-tier smoke
 # (scripts/campaign_smoke.sh: grid/dispatcher property tests under -race plus
 # a fixed-seed kill-and-resume pass through the encore-campaign binary).
 set -eu
@@ -38,6 +39,8 @@ go test -race ./...
 # run each once so a b.Fatal in any experiment fails CI.
 echo "== paper evaluation (1x) =="
 go test -run '^$' -bench . -benchtime 1x .
+# Likewise the forwarder's catch-up benchmark (the 1M log is ~200 MB of segments).
+go test -run '^$' -bench BenchmarkForwarderCatchUp -benchtime 1x ./internal/api/federation
 
 # bench/ is its own module (replace encore => ../), so ./... above never
 # compiles it: a product change that removes exported API would break the
