@@ -50,10 +50,11 @@ type rateShard struct {
 }
 
 // terminalShard holds the first-terminal-state records for the measurement
-// IDs that hash to it.
+// IDs that hash to it. An entry must outlive the store record it vouches for,
+// so it is never pruned: it is one byte per ID, not a string.
 type terminalShard struct {
 	mu     sync.Mutex
-	states map[string]string // measurement ID -> first terminal state seen
+	states map[string]bool // measurement ID -> first terminal state seen was "success"
 }
 
 // AbuseGuard tracks per-client submission counts and per-measurement terminal
@@ -85,7 +86,7 @@ func NewAbuseGuard(cfg AbuseGuardConfig) *AbuseGuard {
 		g.rate[i].buckets = make(map[string]*rateBucket)
 	}
 	for i := range g.terminal {
-		g.terminal[i].states = make(map[string]string)
+		g.terminal[i].states = make(map[string]bool)
 	}
 	return g
 }
@@ -119,12 +120,15 @@ func (g *AbuseGuard) Check(clientIP, measurementID, state string, now time.Time)
 	if state == "success" || state == "failure" {
 		sh := &g.terminal[guardShardIndex(measurementID)]
 		sh.mu.Lock()
+		success := state == "success"
 		prev, ok := sh.states[measurementID]
-		if ok && prev != state {
+		if ok && prev != success {
 			sh.mu.Unlock()
 			return ErrConflictingData
 		}
-		sh.states[measurementID] = state
+		if !ok {
+			sh.states[measurementID] = success
+		}
 		sh.mu.Unlock()
 	}
 	return nil

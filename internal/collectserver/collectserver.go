@@ -258,7 +258,7 @@ func (s *Server) Accept(sub core.Submission) error {
 	}
 	m, err := s.admit(
 		api.SubmitRequest{MeasurementID: sub.MeasurementID, Result: string(sub.State), ElapsedMillis: sub.DurationMillis},
-		transport{ip: sub.ClientIP, userAgent: sub.UserAgent, referer: sub.OriginSite, arrival: arrival})
+		s.newTransport(sub.ClientIP, sub.UserAgent, sub.OriginSite, arrival))
 	if err != nil {
 		return err
 	}

@@ -30,9 +30,15 @@ const commitChunk = 256
 var chunkPool = sync.Pool{New: func() any { return new([commitChunk]results.Measurement) }}
 
 // transport is the identity a request's transport supplies once for every
-// submission it carries, exactly as it would for a run of beacons.
+// submission it carries, exactly as it would for a run of beacons — and what
+// follows from it alone, resolved once where the transport is built
+// (newTransport), not once per record.
 type transport struct {
-	ip, userAgent string
+	ip string
+	// region is the geolocated country of ip ("" when unknown); browser the
+	// family parsed from the User-Agent.
+	region  geo.CountryCode
+	browser core.BrowserFamily
 	// referer is the already-normalized origin site the transport implies
 	// (the Referer header's host); a body-supplied origin overrides it.
 	referer string
@@ -43,10 +49,23 @@ type transport struct {
 	arrival time.Time
 }
 
+// newTransport resolves a request's transport identity.
+func (s *Server) newTransport(ip, userAgent, referer string, arrival time.Time) transport {
+	from := transport{ip: ip, browser: ParseBrowserFamily(userAgent), referer: referer, arrival: arrival}
+	if s.Geo != nil && ip != "" {
+		if code, err := s.Geo.LookupString(ip); err == nil {
+			from.region = code
+		}
+	}
+	return from
+}
+
 // admit is the pipeline's one admission stage: it validates a raw submission,
 // attributes it to its registered task, applies the abuse guard at arrival
-// time, and normalizes, timestamps and geolocates the Measurement to commit.
-// Every lane calls it, so the encodings cannot drift semantically.
+// time, and normalizes and timestamps the Measurement to commit. Every lane
+// calls it, so the encodings cannot drift semantically. The Measurement's ID
+// is the task index's own string, so the copy decoded from the request is
+// garbage once the request returns.
 //
 // A body-supplied origin is normalized exactly like the Referer header, so
 // per-origin analysis over a mixed v1/v2 store keys one site one way: URLs
@@ -65,7 +84,7 @@ func (s *Server) admit(sub api.SubmitRequest, from transport) (results.Measureme
 		return results.Measurement{}, fmt.Errorf("%w %q", ErrUnknownMeasurement, sub.MeasurementID)
 	}
 	if s.Guard != nil {
-		if err := s.Guard.Check(from.ip, sub.MeasurementID, sub.Result, from.arrival); err != nil {
+		if err := s.Guard.Check(from.ip, task.MeasurementID, sub.Result, from.arrival); err != nil {
 			return results.Measurement{}, err
 		}
 	}
@@ -81,22 +100,16 @@ func (s *Server) admit(sub api.SubmitRequest, from transport) (results.Measureme
 			received = t
 		}
 	}
-	region := geo.CountryCode("")
-	if s.Geo != nil && from.ip != "" {
-		if code, err := s.Geo.LookupString(from.ip); err == nil {
-			region = code
-		}
-	}
 	return results.Measurement{
-		MeasurementID:  sub.MeasurementID,
+		MeasurementID:  task.MeasurementID,
 		PatternKey:     task.PatternKey,
 		TargetURL:      task.TargetURL,
 		TaskType:       task.Type,
 		State:          state,
 		DurationMillis: sub.ElapsedMillis,
 		ClientIP:       from.ip,
-		Region:         region,
-		Browser:        ParseBrowserFamily(from.userAgent),
+		Region:         from.region,
+		Browser:        from.browser,
 		OriginSite:     origin,
 		Control:        task.Control,
 		Received:       received,

@@ -123,10 +123,8 @@ func (s *Server) ingestBatch(r *http.Request) (api.BatchSubmitResponse, *api.Err
 		body = gz
 	}
 	chunk := chunkPool.Get().(*[commitChunk]results.Measurement)
-	k := batchSink{s: s, r: r, pending: chunk[:0], from: transport{
-		ip: clientIP(r), userAgent: r.UserAgent(),
-		referer: urlpattern.DomainOf(r.Referer()), arrival: s.Now(),
-	}}
+	k := batchSink{s: s, r: r, pending: chunk[:0],
+		from: s.newTransport(clientIP(r), r.UserAgent(), urlpattern.DomainOf(r.Referer()), s.Now())}
 	defer func() {
 		clear(k.pending) // an aborted request's uncommitted tail
 		chunkPool.Put(chunk)

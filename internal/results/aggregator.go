@@ -391,10 +391,11 @@ func (a *Aggregator) Backfill(store *Store) int {
 			sh := &store.shards[i]
 			sh.mu.RLock()
 			defer sh.mu.RUnlock()
-			for _, e := range sh.entries {
-				a.Commit(nil, e.m)
+			sh.each(func(m Measurement) bool {
+				a.Commit(nil, m)
 				counts[i]++
-			}
+				return true
+			})
 		}(i)
 	}
 	wg.Wait()

@@ -8,10 +8,15 @@
 // record; Aggregator is the online analysis tier, fed every effective insert
 // and in-place upgrade through the CommitObserver hook; and WAL is the
 // durability tier, an append-only segmented log fed through the same hook
-// (with insertion sequence numbers, via CommitSeqObserver) whose replay —
+// (with insertion sequence numbers, via CommitStreamObserver) whose replay —
 // OpenStoreFromWAL — rebuilds a bit-for-bit identical store after a crash.
 // The observer contract the two downstream tiers rely on is documented on
 // CommitObserver and in docs/ARCHITECTURE.md.
+//
+// Measurement is the public value type on every API; what the Store keeps per
+// measurement ID is a 72-byte entry in a chunk that is never re-allocated,
+// with handles into per-shard tables holding one copy of each distinct task
+// body and client context (intern.go). TaskIndex is built the same way.
 package results
 
 import (

@@ -2,15 +2,18 @@ package results
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"encore/internal/core"
 	"encore/internal/geo"
+	"encore/internal/wire"
 )
 
 // defaultShardCount is the number of lock shards a Store uses. Submissions
@@ -19,24 +22,82 @@ import (
 // way the original single-RWMutex store did.
 const defaultShardCount = 32
 
-// storeEntry is one stored measurement together with its global insertion
-// sequence number, which lets snapshot operations reconstruct insertion order
-// across shards.
+// storeEntry is one stored measurement: what is its own inline — the insertion
+// sequence number is what lets snapshots reconstruct insertion order across
+// shards — and handles into its shard's tables for what it shares with others.
+// At 72 bytes and two pointers against a Measurement's 192 and nine, it is
+// what the store costs to hold and the collector's GC to mark.
 type storeEntry struct {
-	seq uint64
-	m   Measurement
+	id       string
+	seq      uint64
+	duration float64
+	received time.Time
+	task     uint32 // handle into storeShard.tasks
+	client   uint32 // handle into storeShard.clients
+	state    uint8  // index into stateOf
 }
 
-// storeShard holds the measurements whose IDs hash to it.
+// stateOf decodes storeEntry.state; stateCode is its inverse, 0 for a state
+// that is not valid.
+var stateOf = [...]core.State{1: core.StateInit, 2: core.StateSuccess, 3: core.StateFailure}
+
+func stateCode(s core.State) uint8 { return uint8(slices.Index(stateOf[1:], s) + 1) }
+
+// completed mirrors Measurement.Completed.
+func (e *storeEntry) completed() bool { return e.state >= 2 }
+
+// measurement rebuilds the Measurement an entry stands for; it allocates nothing.
+func (e *storeEntry) measurement(tasks *chunked[taskBody], clients *chunked[clientCtx]) Measurement {
+	t, c := tasks.at(int(e.task)), clients.at(int(e.client))
+	return Measurement{
+		MeasurementID:  e.id,
+		PatternKey:     t.pattern,
+		TargetURL:      t.url,
+		TaskType:       t.typ,
+		State:          stateOf[e.state],
+		DurationMillis: e.duration,
+		ClientIP:       c.ip,
+		Region:         geo.CountryCode(c.region),
+		Browser:        c.browser,
+		OriginSite:     c.origin,
+		Control:        t.control,
+		Received:       e.received,
+	}
+}
+
+// storeShard holds the measurements whose IDs hash to it and the two tables
+// their entries point into. Tables are per shard so the lock a commit already
+// holds is all the synchronization they need; a value used in several shards
+// is stored once in each.
 type storeShard struct {
 	mu      sync.RWMutex
 	byID    map[string]int // measurement ID -> index into entries
-	entries []storeEntry
+	entries chunked[storeEntry]
+	tasks   valueTable[taskBody]
+	clients valueTable[clientCtx]
+	prev    Measurement // the replaced record an upgrade shows its observers
+}
+
+// at returns the measurement stored at index i; sh.mu must be held.
+func (sh *storeShard) at(i int) Measurement {
+	return sh.entries.at(i).measurement(&sh.tasks.vals, &sh.clients.vals)
+}
+
+// each calls fn for the shard's measurements in insertion order until fn
+// returns false, reporting whether it ran to the end; sh.mu must be held.
+func (sh *storeShard) each(fn func(Measurement) bool) bool {
+	for i := 0; i < sh.entries.n; i++ {
+		if !fn(sh.at(i)) {
+			return false
+		}
+	}
+	return true
 }
 
 // CommitObserver receives every effective store mutation. Commit is called
 // with prev == nil for a first insert and with the replaced record for an
 // in-place upgrade; ignored downgrades (terminal → init) produce no call.
+// prev points at memory the store reuses: it is valid until Commit returns.
 // The store invokes Commit synchronously under the shard lock that serialized
 // the mutation, so for any one measurement ID the observer sees transitions
 // in exactly the order the store applied them — the property both the
@@ -139,18 +200,17 @@ func NewStoreWithShards(n int) *Store {
 // ShardHash returns the FNV-1a hash of key used to pick lock shards. It is
 // exported so the other sharded ingest components (collectserver's
 // AbuseGuard) share one shard-distribution implementation.
-func ShardHash(key string) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
+func ShardHash(key string) uint32 { return fnv1a(fnvOffset, key) }
+
+// fnv1a folds key — a string or its undecoded bytes — into the FNV-1a hash h.
+func fnv1a[S text](h uint32, key S) uint32 {
 	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
+		h = (h ^ uint32(key[i])) * 16777619
 	}
 	return h
 }
+
+const fnvOffset = 2166136261
 
 // shardFor hashes a measurement ID to its shard.
 func (s *Store) shardFor(id string) *storeShard {
@@ -168,7 +228,7 @@ func (s *Store) Add(m Measurement) error {
 	sh := s.shardFor(m.MeasurementID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	s.addLocked(sh, m)
+	s.addLocked(sh, &m)
 	return nil
 }
 
@@ -222,29 +282,36 @@ func (s *Store) notify(commitSeq, seq uint64, prev *Measurement, cur Measurement
 // commit-stream position is assigned here, inside the critical section and
 // immediately before notification, so within one shard positions increase in
 // exactly the order observers see the commits.
-func (s *Store) addLocked(sh *storeShard, m Measurement) {
-	if idx, ok := sh.byID[m.MeasurementID]; ok {
-		if sh.entries[idx].m.Completed() && m.State == core.StateInit {
+func (s *Store) addLocked(sh *storeShard, m *Measurement) {
+	e := storeEntry{id: m.MeasurementID, duration: m.DurationMillis, received: m.Received, state: stateCode(m.State)}
+	idx, exists := sh.byID[m.MeasurementID]
+	var old *storeEntry
+	if exists {
+		old = sh.entries.at(idx)
+		if old.completed() && !e.completed() {
 			return // never downgrade a terminal state
 		}
-		// Materialize the pre-upgrade copy only when someone will see it:
-		// the pointer escapes through the observer interface, so an
-		// unconditional copy would heap-allocate one Measurement per upgrade
-		// even on stores with no observers attached.
+	}
+	e.task = intern(&sh.tasks, taskBody{pattern: m.PatternKey, url: m.TargetURL, typ: m.TaskType, control: m.Control})
+	e.client = intern(&sh.clients, clientCtx{ip: m.ClientIP, region: string(m.Region), origin: m.OriginSite, browser: m.Browser})
+	if exists {
+		// Materialize the pre-upgrade record only when someone will see it,
+		// into the shard's scratch slot: the pointer escapes through the
+		// observer interface, so a local would be heap-allocated per upgrade.
 		var prevp *Measurement
 		if len(s.observers) > 0 {
-			prev := sh.entries[idx].m
-			prevp = &prev
+			sh.prev = sh.at(idx)
+			prevp = &sh.prev
 		}
-		sh.entries[idx].m = m
-		s.notify(s.commits.Add(1), sh.entries[idx].seq, prevp, m)
+		e.id, e.seq = old.id, old.seq
+		*old = e
+		s.notify(s.commits.Add(1), e.seq, prevp, *m)
 		return
 	}
-	seq := s.seq.Add(1)
-	sh.byID[m.MeasurementID] = len(sh.entries)
-	sh.entries = append(sh.entries, storeEntry{seq: seq, m: m})
+	e.seq = s.seq.Add(1)
+	sh.byID[e.id] = sh.entries.push(e)
 	s.count.Add(1)
-	s.notify(s.commits.Add(1), seq, nil, m)
+	s.notify(s.commits.Add(1), e.seq, nil, *m)
 }
 
 // replay applies one recovered WAL record, preserving its original insertion
@@ -252,22 +319,33 @@ func (s *Store) addLocked(sh *storeShard, m Measurement) {
 // that wrote the log. It is the recovery path's insert primitive: observers
 // are not notified (recovery attaches them afterwards, and the analysis tier
 // cold-starts via Aggregator.Backfill), validation is skipped (the records
-// were validated before they were committed and logged), and the caller is
-// responsible for advancing the store's sequence counter past every replayed
-// seq (see OpenStoreFromWAL). Safe for concurrent use by the per-WAL-shard
-// replay goroutines: records of one measurement ID must be (and are) replayed
-// in log order by a single goroutine.
-func (s *Store) replay(seq uint64, m Measurement) {
-	sh := s.shardFor(m.MeasurementID)
+// were validated before they were committed and logged; only a state no live
+// store can hold is refused), and the caller is responsible for advancing the
+// store's sequence counter past every replayed seq (see OpenStoreFromWAL).
+// The record is read in place: only its ID, and what the shard's tables had
+// not seen, is copied out of the decode buffer. Safe for concurrent use by
+// the per-WAL-shard replay goroutines: records of one measurement ID must be
+// (and are) replayed in log order by a single goroutine.
+func (s *Store) replay(seq uint64, v *wire.RecordView) error {
+	e := storeEntry{seq: seq, duration: v.DurationMillis, received: v.Received, state: stateCode(v.State)}
+	if e.state == 0 {
+		return fmt.Errorf("results: replaying %q: invalid state %q", v.MeasurementID, v.State)
+	}
+	sh := &s.shards[fnv1a(fnvOffset, v.MeasurementID)&s.mask]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if idx, ok := sh.byID[m.MeasurementID]; ok {
-		sh.entries[idx].m = m // upgrades keep the insert's sequence number
-		return
+	e.task = intern(&sh.tasks, taskKey[[]byte]{pattern: v.PatternKey, url: v.TargetURL, typ: v.TaskType, control: v.Control})
+	e.client = intern(&sh.clients, clientKey[[]byte]{ip: v.ClientIP, region: v.Region, origin: v.OriginSite, browser: v.Browser})
+	if idx, ok := sh.byID[string(v.MeasurementID)]; ok {
+		old := sh.entries.at(idx)
+		e.id, e.seq = old.id, old.seq // upgrades keep the insert's sequence number
+		*old = e
+		return nil
 	}
-	sh.byID[m.MeasurementID] = len(sh.entries)
-	sh.entries = append(sh.entries, storeEntry{seq: seq, m: m})
+	e.id = string(v.MeasurementID)
+	sh.byID[e.id] = sh.entries.push(e)
 	s.count.Add(1)
+	return nil
 }
 
 // AddBatch stores a batch of measurements, taking each shard lock at most
@@ -318,7 +396,7 @@ func (s *Store) addBatchValidated(ms []Measurement) {
 				sh.mu.Lock()
 				locked = true
 			}
-			s.addLocked(sh, ms[i])
+			s.addLocked(sh, &ms[i])
 		}
 		if locked {
 			sh.mu.Unlock()
@@ -330,31 +408,61 @@ func (s *Store) addBatchValidated(ms []Measurement) {
 // and never blocks behind writers.
 func (s *Store) Len() int { return int(s.count.Load()) }
 
-// snapshot collects every entry across shards and sorts by insertion
-// sequence. Each shard is read-locked independently; the result is a
-// consistent snapshot per shard (entries added concurrently with the
-// snapshot may or may not appear).
-func (s *Store) snapshot() []storeEntry {
-	out := make([]storeEntry, 0, s.Len())
+// shardRun is one shard's part of a snapshot: a copy of its entries and views
+// of the tables they point into.
+type shardRun struct {
+	entries []storeEntry
+	tasks   chunked[taskBody]
+	clients chunked[clientCtx]
+}
+
+// ordered calls fn with every stored measurement and its insertion sequence
+// number, in insertion order, until fn fails. Each shard is read-locked only
+// while its entries are copied: the result is a consistent snapshot per shard
+// (entries added concurrently may or may not appear) and fn may block. Shard
+// runs are sorted, so global order is a merge: the lowest head comes next.
+func (s *Store) ordered(fn func(seq uint64, m Measurement) error) error {
+	runs := make([]shardRun, len(s.shards))
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		out = append(out, sh.entries...)
+		run := shardRun{slices.Concat(sh.entries.chunks...), sh.tasks.vals.view(), sh.clients.vals.view()}
 		sh.mu.RUnlock()
+		// A live shard is in sequence order (the sequence is taken under its
+		// lock); one replayed from several WAL shards' goroutines need not be.
+		bySeq := func(a, b storeEntry) int { return cmp.Compare(a.seq, b.seq) }
+		if !slices.IsSortedFunc(run.entries, bySeq) {
+			slices.SortFunc(run.entries, bySeq)
+		}
+		runs[i] = run
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].seq < out[j].seq })
-	return out
+	for {
+		var best *shardRun
+		for i := range runs {
+			if r := &runs[i]; len(r.entries) > 0 && (best == nil || r.entries[0].seq < best.entries[0].seq) {
+				best = r
+			}
+		}
+		if best == nil {
+			return nil
+		}
+		e := &best.entries[0]
+		if err := fn(e.seq, e.measurement(&best.tasks, &best.clients)); err != nil {
+			return err
+		}
+		best.entries = best.entries[1:]
+	}
 }
 
 // All returns a copy of every measurement in insertion order. The returned
 // slice is owned by the caller and safe to mutate concurrently with further
 // store writes: Measurement holds no shared references.
 func (s *Store) All() []Measurement {
-	entries := s.snapshot()
-	out := make([]Measurement, len(entries))
-	for i, e := range entries {
-		out[i] = e.m
-	}
+	out := make([]Measurement, 0, s.Len())
+	_ = s.ordered(func(_ uint64, m Measurement) error {
+		out = append(out, m)
+		return nil
+	})
 	return out
 }
 
@@ -367,18 +475,19 @@ func (s *Store) Get(id string) (Measurement, bool) {
 	if !ok {
 		return Measurement{}, false
 	}
-	return sh.entries[idx].m, true
+	return sh.at(idx), true
 }
 
 // Filter returns measurements matching pred, preserving insertion order. Like
 // All, the result is a defensive copy safe for concurrent mutation.
 func (s *Store) Filter(pred func(Measurement) bool) []Measurement {
 	var out []Measurement
-	for _, e := range s.snapshot() {
-		if pred(e.m) {
-			out = append(out, e.m)
+	_ = s.ordered(func(_ uint64, m Measurement) error {
+		if pred(m) {
+			out = append(out, m)
 		}
-	}
+		return nil
+	})
 	return out
 }
 
@@ -395,75 +504,28 @@ func (s *Store) Range(pred func(Measurement) bool, fn func(Measurement) bool) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for _, e := range sh.entries {
-			if pred != nil && !pred(e.m) {
-				continue
-			}
-			if !fn(e.m) {
-				sh.mu.RUnlock()
-				return
-			}
-		}
+		more := sh.each(func(m Measurement) bool { return (pred != nil && !pred(m)) || fn(m) })
 		sh.mu.RUnlock()
+		if !more {
+			return
+		}
 	}
 }
 
 // DistinctClients returns the number of distinct client IPs.
-func (s *Store) DistinctClients() int {
-	seen := make(map[string]bool)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, e := range sh.entries {
-			if e.m.ClientIP != "" {
-				seen[e.m.ClientIP] = true
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return len(seen)
-}
+func (s *Store) DistinctClients() int { return s.Stats().DistinctClients }
 
 // DistinctRegions returns the number of distinct regions reporting at least
 // one measurement.
-func (s *Store) DistinctRegions() int {
-	seen := make(map[geo.CountryCode]bool)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, e := range sh.entries {
-			if e.m.Region != "" {
-				seen[e.m.Region] = true
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	return len(seen)
-}
+func (s *Store) DistinctRegions() int { return s.Stats().Countries }
 
 // CountByRegion returns the number of measurements per region.
-func (s *Store) CountByRegion() map[geo.CountryCode]int {
-	out := make(map[geo.CountryCode]int)
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, e := range sh.entries {
-			out[e.m.Region]++
-		}
-		sh.mu.RUnlock()
-	}
-	return out
-}
+func (s *Store) CountByRegion() map[geo.CountryCode]int { return s.Stats().ByCountry }
 
 // WriteJSONL serializes the store as JSON lines in insertion order.
 func (s *Store) WriteJSONL(w io.Writer) error {
 	enc := json.NewEncoder(w)
-	for _, e := range s.snapshot() {
-		if err := enc.Encode(e.m); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.ordered(func(_ uint64, m Measurement) error { return enc.Encode(m) })
 }
 
 // ReadJSONL loads measurements from JSON lines, appending to the store.
@@ -494,21 +556,17 @@ func (s *Store) Stats() CampaignStats {
 	regions := make(map[geo.CountryCode]bool)
 	byCountry := make(map[geo.CountryCode]int)
 	total := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for _, e := range sh.entries {
-			total++
-			if e.m.ClientIP != "" {
-				clients[e.m.ClientIP] = true
-			}
-			if e.m.Region != "" {
-				regions[e.m.Region] = true
-			}
-			byCountry[e.m.Region]++
+	s.Range(nil, func(m Measurement) bool {
+		total++
+		if m.ClientIP != "" {
+			clients[m.ClientIP] = true
 		}
-		sh.mu.RUnlock()
-	}
+		if m.Region != "" {
+			regions[m.Region] = true
+		}
+		byCountry[m.Region]++
+		return true
+	})
 	return CampaignStats{
 		Measurements:    total,
 		DistinctClients: len(clients),

@@ -3,6 +3,7 @@ package results
 import (
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"encore/internal/core"
 )
@@ -14,8 +15,11 @@ import (
 // measured. It sits on the per-submission attribution hot path, so like the
 // Store it is sharded by measurement-ID hash: registrations and lookups for
 // different measurements take different locks and never contend, and Len
-// reads an atomic counter without blocking behind writers. It is safe for
-// concurrent use.
+// reads an atomic counter without blocking behind writers. A deployment hands
+// out a few hundred distinct tasks under millions of IDs, so an ID keeps a
+// handle into its shard's table of distinct task bodies, the creation instant,
+// and the ID string Lookup returns — which a collector storing the measurement
+// shares instead of the copy it decoded. It is safe for concurrent use.
 type TaskIndex struct {
 	shards []taskIndexShard
 	mask   uint32
@@ -24,15 +28,24 @@ type TaskIndex struct {
 
 // taskIndexShard holds the tasks whose measurement IDs hash to it.
 type taskIndexShard struct {
-	mu    sync.RWMutex
-	tasks map[string]core.Task
+	mu     sync.RWMutex
+	tasks  map[string]taskRef
+	bodies valueTable[indexedTask]
+}
+
+// taskRef is what the index keeps per measurement ID.
+type taskRef struct {
+	id          string // the map key's own string
+	createdSec  int64  // Task.Created as time.Unix arguments: exact over time.Time's
+	createdNsec uint32 // whole range, the zero value included
+	body        uint32 // handle into taskIndexShard.bodies
 }
 
 // NewTaskIndex returns an empty index with the default shard count.
 func NewTaskIndex() *TaskIndex {
 	ti := &TaskIndex{shards: make([]taskIndexShard, defaultShardCount), mask: defaultShardCount - 1}
 	for i := range ti.shards {
-		ti.shards[i].tasks = make(map[string]core.Task)
+		ti.shards[i].tasks = make(map[string]taskRef)
 	}
 	return ti
 }
@@ -50,20 +63,32 @@ func (ti *TaskIndex) Register(t core.Task) {
 	}
 	sh := ti.shardFor(t.MeasurementID)
 	sh.mu.Lock()
-	if _, exists := sh.tasks[t.MeasurementID]; !exists {
+	ref, exists := sh.tasks[t.MeasurementID]
+	if !exists {
 		ti.count.Add(1)
+		ref.id = t.MeasurementID
 	}
-	sh.tasks[t.MeasurementID] = t
+	ref.createdSec, ref.createdNsec = t.Created.Unix(), uint32(t.Created.Nanosecond())
+	t.MeasurementID, t.Created = "", time.Time{}
+	ref.body = intern(&sh.bodies, indexedTask(t))
+	sh.tasks[ref.id] = ref
 	sh.mu.Unlock()
 }
 
-// Lookup returns the task registered under the measurement ID.
+// Lookup returns the task registered under the measurement ID: equal to the
+// task Register was given (Created by time.Time.Equal, in UTC), with the
+// index's own ID string.
 func (ti *TaskIndex) Lookup(measurementID string) (core.Task, bool) {
 	sh := ti.shardFor(measurementID)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	t, ok := sh.tasks[measurementID]
-	return t, ok
+	ref, ok := sh.tasks[measurementID]
+	if !ok {
+		return core.Task{}, false
+	}
+	t := core.Task(*sh.bodies.vals.at(int(ref.body)))
+	t.MeasurementID, t.Created = ref.id, time.Unix(ref.createdSec, int64(ref.createdNsec)).UTC()
+	return t, true
 }
 
 // Len returns the number of registered tasks without taking any shard lock.

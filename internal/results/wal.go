@@ -674,7 +674,8 @@ func (w *WAL) compactShard(shard int) error {
 	live := make(map[string]liveRec)
 	var unacked []liveRec
 	for _, f := range files {
-		_, _, err := readWALSegment(w.fs, f.path, func(cseq, seq uint64, m Measurement) error {
+		_, _, err := readWALSegment(w.fs, f.path, func(cseq, seq uint64, v *wire.RecordView) error {
+			m := Measurement(v.Record())
 			if cseq > retain {
 				unacked = append(unacked, liveRec{cseq: cseq, seq: seq, m: m})
 				return nil
@@ -815,8 +816,10 @@ func OpenStoreFromWALFS(dir string, fs faultinject.FS) (*Store, WALRecoveryStats
 			defer wg.Done()
 			res := &results[i]
 			for _, f := range segs[shard] {
-				n, torn, err := readWALSegment(fs, f.path, func(cseq, seq uint64, m Measurement) error {
-					store.replay(seq, m)
+				n, torn, err := readWALSegment(fs, f.path, func(cseq, seq uint64, v *wire.RecordView) error {
+					if err := store.replay(seq, v); err != nil {
+						return err
+					}
 					if seq > res.maxSeq {
 						res.maxSeq = seq
 					}
@@ -886,12 +889,13 @@ func (w *WAL) ReadRecordFrames(after uint64, fn func(commitSeq uint64, frame []b
 }
 
 // readWALSegment streams the framed records of one segment to fn in file
-// order. A truncated or CRC-corrupted frame is treated as a torn tail (the
-// crash artifact fsync policies other than SyncAlways permit): reading stops
+// order, each as a view valid only during the call. A truncated or
+// CRC-corrupted frame is treated as a torn tail (the crash artifact fsync
+// policies other than SyncAlways permit): reading stops
 // there and torn is reported true. A record that passes its CRC but fails to
 // decode is a real format error and is returned as err, as is any error fn
 // returns (which also aborts the walk).
-func readWALSegment(fs faultinject.FS, path string, fn func(commitSeq, seq uint64, m Measurement) error) (records int, torn bool, err error) {
+func readWALSegment(fs faultinject.FS, path string, fn func(commitSeq, seq uint64, v *wire.RecordView) error) (records int, torn bool, err error) {
 	f, err := fs.Open(path)
 	if err != nil {
 		return 0, false, err
@@ -899,6 +903,7 @@ func readWALSegment(fs faultinject.FS, path string, fn func(commitSeq, seq uint6
 	defer f.Close()
 	fr := wire.GetFrameReader(f)
 	defer wire.PutFrameReader(fr)
+	var v wire.RecordView // one for the segment: fn's argument escapes
 	for {
 		payload, err := fr.Next()
 		if errors.Is(err, io.EOF) {
@@ -910,11 +915,11 @@ func readWALSegment(fs faultinject.FS, path string, fn func(commitSeq, seq uint6
 		if err != nil {
 			return records, false, err
 		}
-		cseq, seq, r, err := wire.DecodeRecord(payload)
-		if err != nil {
+		var cseq, seq uint64
+		if cseq, seq, v, err = wire.DecodeRecordView(payload); err != nil {
 			return records, false, fmt.Errorf("results: %s: %w", filepath.Base(path), err)
 		}
-		if err := fn(cseq, seq, Measurement(r)); err != nil {
+		if err := fn(cseq, seq, &v); err != nil {
 			return records, false, err
 		}
 		records++

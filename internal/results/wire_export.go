@@ -18,15 +18,17 @@ func (s *Store) WriteWire(w io.Writer) error {
 	bufp := wire.GetBuffer()
 	defer wire.PutBuffer(bufp)
 	buf := *bufp
-	for _, e := range s.snapshot() {
-		frame, err := wire.AppendRecordFrame(buf[:0], e.seq, e.seq, (*wire.Record)(&e.m))
+	err := s.ordered(func(seq uint64, m Measurement) error {
+		frame, err := wire.AppendRecordFrame(buf[:0], seq, seq, (*wire.Record)(&m))
 		if err != nil {
 			return err
 		}
 		buf = frame
-		if _, err := bw.Write(frame); err != nil {
-			return err
-		}
+		_, err = bw.Write(frame)
+		return err
+	})
+	if err != nil {
+		return err
 	}
 	*bufp = buf
 	return bw.Flush()

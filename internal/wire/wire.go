@@ -248,11 +248,58 @@ func appendString(buf []byte, s string) []byte {
 // Payload decoding.
 // ---------------------------------------------------------------------------
 
+// RecordView is a decoded Record whose text fields still alias the payload:
+// decoding one allocates nothing, and a consumer keeping one copy of each
+// distinct value (WAL recovery into results.Store) copies out only what is
+// new. It is valid until the payload's buffer is reused.
+type RecordView struct {
+	MeasurementID  []byte
+	PatternKey     []byte
+	TargetURL      []byte
+	TaskType       core.TaskType
+	State          core.State
+	DurationMillis float64
+	ClientIP       []byte
+	Region         []byte
+	Browser        core.BrowserFamily
+	OriginSite     []byte
+	Control        bool
+	Received       time.Time
+}
+
+// Record copies the view into a Record that owns its strings.
+func (v *RecordView) Record() Record {
+	return Record{
+		MeasurementID:  string(v.MeasurementID),
+		PatternKey:     string(v.PatternKey),
+		TargetURL:      string(v.TargetURL),
+		TaskType:       v.TaskType,
+		State:          v.State,
+		DurationMillis: v.DurationMillis,
+		ClientIP:       string(v.ClientIP),
+		Region:         geo.CountryCode(v.Region),
+		Browser:        v.Browser,
+		OriginSite:     string(v.OriginSite),
+		Control:        v.Control,
+		Received:       v.Received,
+	}
+}
+
 // DecodeRecord decodes one measurement-record payload (KindRecord or the
 // legacy KindRecordV1, whose missing commit-stream position is stood in for
 // by the insertion sequence — the best available lower bound, and exact for a
-// store that never upgraded in place).
+// store that never upgraded in place) into a Record that owns its strings.
 func DecodeRecord(p []byte) (commitSeq, seq uint64, r Record, err error) {
+	commitSeq, seq, v, err := DecodeRecordView(p)
+	if err != nil {
+		return 0, 0, r, err
+	}
+	return commitSeq, seq, v.Record(), nil
+}
+
+// DecodeRecordView is DecodeRecord without the string copies: the one parser
+// of the record payload.
+func DecodeRecordView(p []byte) (commitSeq, seq uint64, r RecordView, err error) {
 	if len(p) == 0 || (p[0] != KindRecord && p[0] != KindRecordV1) {
 		return 0, 0, r, fmt.Errorf("%w: unsupported record kind", ErrMalformed)
 	}
@@ -268,39 +315,24 @@ func DecodeRecord(p []byte) (commitSeq, seq uint64, r Record, err error) {
 	if kind == KindRecordV1 {
 		commitSeq = seq
 	}
-	var s string
-	if s, p, ok = takeString(p, ok); ok {
-		r.MeasurementID = s
-	}
-	if s, p, ok = takeString(p, ok); ok {
-		r.PatternKey = s
-	}
-	if s, p, ok = takeString(p, ok); ok {
-		r.TargetURL = s
-	}
+	r.MeasurementID, p, ok = takeBytes(p, ok)
+	r.PatternKey, p, ok = takeBytes(p, ok)
+	r.TargetURL, p, ok = takeBytes(p, ok)
 	var v int64
 	if v, p, ok = takeVarint(p, ok); ok {
 		r.TaskType = core.TaskType(v)
 	}
+	var s string
 	if s, p, ok = takeString(p, ok); ok {
 		r.State = core.State(s)
 	}
-	var f float64
-	if f, p, ok = takeFloat(p, ok); ok {
-		r.DurationMillis = f
-	}
-	if s, p, ok = takeString(p, ok); ok {
-		r.ClientIP = s
-	}
-	if s, p, ok = takeString(p, ok); ok {
-		r.Region = geo.CountryCode(s)
-	}
+	r.DurationMillis, p, ok = takeFloat(p, ok)
+	r.ClientIP, p, ok = takeBytes(p, ok)
+	r.Region, p, ok = takeBytes(p, ok)
 	if v, p, ok = takeVarint(p, ok); ok {
 		r.Browser = core.BrowserFamily(v)
 	}
-	if s, p, ok = takeString(p, ok); ok {
-		r.OriginSite = s
-	}
+	r.OriginSite, p, ok = takeBytes(p, ok)
 	if ok && len(p) >= 1 {
 		r.Control = p[0] == 1
 		p = p[1:]
@@ -403,19 +435,28 @@ func takeFloat(p []byte, ok bool) (float64, []byte, bool) {
 	return f, p[8:], true
 }
 
-// takeString consumes a length-prefixed string from p; ok threads the running
-// decode state so a malformed payload short-circuits. Well-known values (the
-// three task states) are interned: on the batch-decode hot path the state
-// string is the difference between one and two allocations per record.
-func takeString(p []byte, ok bool) (string, []byte, bool) {
+// takeBytes consumes a length-prefixed string from p without copying it; ok
+// threads the running decode state so a malformed payload short-circuits.
+func takeBytes(p []byte, ok bool) ([]byte, []byte, bool) {
 	if !ok {
-		return "", p, false
+		return nil, p, false
 	}
 	n, rest, ok := takeUvarint(p)
 	if !ok || uint64(len(rest)) < n {
+		return nil, p, false
+	}
+	return rest[:n], rest[n:], true
+}
+
+// takeString is takeBytes returning an owned string. Well-known values (the
+// three task states) are interned: on the batch-decode hot path the state
+// string is the difference between one and two allocations per record.
+func takeString(p []byte, ok bool) (string, []byte, bool) {
+	b, rest, ok := takeBytes(p, ok)
+	if !ok {
 		return "", p, false
 	}
-	return internString(rest[:n]), rest[n:], true
+	return internString(b), rest, true
 }
 
 // internString returns the canonical constant for well-known small strings

@@ -5,8 +5,9 @@
 # (including the concurrent ingest soak, the WAL kill-and-restart tests, and
 # the federation soak — concurrent edge commits against a flapping upstream
 # with a WAL-backed forwarder) under the race detector, one iteration of every
-# root-package benchmark (the paper's evaluation, E1-E16) and of the forwarder's
-# catch-up benchmark, the separate bench/ module's vet and tests, the
+# root-package benchmark (the paper's evaluation, E1-E16), of the forwarder's
+# catch-up benchmark and of the store-commit and admit benchmarks, the separate
+# bench/ module's vet and tests, the
 # deterministic chaos suite at fixed seeds (scripts/chaos.sh), and the
 # campaign-tier smoke
 # (scripts/campaign_smoke.sh: grid/dispatcher property tests under -race plus
@@ -41,6 +42,10 @@ echo "== paper evaluation (1x) =="
 go test -run '^$' -bench . -benchtime 1x .
 # Likewise the forwarder's catch-up benchmark (the 1M log is ~200 MB of segments).
 go test -run '^$' -bench BenchmarkForwarderCatchUp -benchtime 1x ./internal/api/federation
+# And the store-commit benchmark (its 4M-record store peaks near 1 GB) and the
+# per-record admit benchmark.
+go test -run '^$' -bench BenchmarkStoreAddBatch -benchtime 1x ./internal/results
+go test -run '^$' -bench BenchmarkAdmit -benchtime 1x ./internal/collectserver
 
 # bench/ is its own module (replace encore => ../), so ./... above never
 # compiles it: a product change that removes exported API would break the
