@@ -22,7 +22,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strconv"
 	"syscall"
 	"time"
 
@@ -44,12 +43,11 @@ func main() {
 		seed       = flag.Uint64("seed", 1, "seed for the synthetic GeoIP registry")
 		openTasks  = flag.Bool("accept-any", false, "register unknown measurement IDs on the fly instead of rejecting them (useful for manual testing with curl)")
 
-		forwardTo     = flag.String("forward-to", "", "base URL of an upstream aggregation-tier collector; this instance becomes a federation edge and streams every committed measurement there in batched POST /v2/submissions calls")
+		forwardTo     = flag.String("forward-to", "", "base URL of an upstream aggregation-tier collector; this instance becomes a federation edge and ships its WAL there in batched POST /v2/submissions calls (requires -wal-dir)")
 		forwardBatch  = flag.Int("forward-batch", 128, "measurements per federation batch")
-		forwardFlush  = flag.Duration("forward-flush", 200*time.Millisecond, "how often buffered commits are forwarded upstream (the floor of a dynamic window the upstream's load signal can widen)")
+		forwardFlush  = flag.Duration("forward-flush", 200*time.Millisecond, "how often commits short of a batch are forwarded upstream (the floor of a dynamic window the upstream's load signal can widen)")
 		forwardToken  = flag.String("forward-token", "", "bearer token presented to the upstream's attributed lane (set when the upstream runs with -attributed-token)")
-		forwardCursor = flag.String("forward-cursor", "", "path of the forwarder's durable acked-cursor file (default: forward-cursor.json inside -wal-dir), rewritten at most once per -forward-flush and at shutdown, so a crash re-sends at most one interval's acknowledgements; requires -wal-dir for resumable, lossless forwarding")
-		forwardBinary = flag.Bool("forward-binary", false, "forward over the binary application/x-encore-records encoding instead of JSON; with -wal-dir the WAL tail ships as the exact frames the log holds (zero re-encode)")
+		forwardCursor = flag.String("forward-cursor", "", "path of the forwarder's durable acked-cursor file (default: forward-cursor.json inside -wal-dir), rewritten at most once per -forward-flush and at shutdown, so a crash re-sends at most one interval's acknowledgements")
 		allowAttr     = flag.Bool("allow-attributed", false, "accept pre-attributed measurement batches on /v2/submissions (run this on the aggregation-tier instance edge collectors forward to; it bypasses task attribution and the abuse guard, so never expose it to untrusted clients)")
 		attrToken     = flag.String("attributed-token", "", "shared-secret bearer token the attributed lane requires; batches without it are rejected with the typed 403 (requires -allow-attributed)")
 
@@ -60,6 +58,9 @@ func main() {
 		walCompact = flag.Duration("wal-compact-interval", 10*time.Minute, "how often to compact the WAL (drops records superseded by in-place upgrades; appends to a shard stall while it compacts, so keep this much coarser than -checkpoint); 0 disables")
 	)
 	flag.Parse()
+	if *forwardTo != "" && *walDir == "" {
+		log.Fatal("-forward-to requires -wal-dir: the forwarder ships from the write-ahead log")
+	}
 
 	// With a WAL configured, boot by replaying it: a restarted collector
 	// resumes with the exact store the crashed one had committed.
@@ -108,44 +109,27 @@ func main() {
 		server.AttachWAL(wal)
 	}
 
-	// Federation edge: stream every committed measurement (including WAL-
-	// recovered traffic committed from here on) to the upstream aggregation
-	// tier over the v2 batch API. With a WAL the forwarder is lossless and
-	// resumable: it persists its acked cursor beside the WAL and replays the
-	// log from the cursor on startup, covering everything a previous run
-	// committed but never shipped.
+	// Federation edge: ship the WAL (including what a previous run committed
+	// but never got acknowledged) to the upstream aggregation tier over the v2
+	// batch API. The forwarder persists its acked cursor beside the WAL and
+	// resumes from it on startup.
 	var forwarder *federation.Forwarder
 	if *forwardTo != "" {
-		fcfg := federation.ForwarderConfig{
-			Upstream:      *forwardTo,
+		var err error
+		forwarder, err = federation.NewForwarder(federation.ForwarderConfig{
+			Client:        apiclient.NewWithConfig(*forwardTo, apiclient.Config{AuthToken: *forwardToken}),
 			MaxBatch:      *forwardBatch,
 			FlushInterval: *forwardFlush,
 			WAL:           wal,
 			CursorPath:    *forwardCursor,
-		}
-		if *forwardToken != "" || *forwardBinary {
-			fcfg.Client = apiclient.NewWithConfig(*forwardTo, apiclient.Config{
-				AuthToken:      *forwardToken,
-				BinaryEncoding: *forwardBinary,
-			})
-		}
-		var err error
-		forwarder, err = federation.NewForwarder(fcfg)
+		})
 		if err != nil {
 			log.Fatalf("starting federation forwarder: %v", err)
 		}
 		store.AddObserver(forwarder)
 		server.Forwarder = forwarder
-		mode := "in-memory buffer"
-		if wal != nil {
-			mode = "WAL-resumable (cursor at " + "position " + strconv.FormatUint(forwarder.Stats().AckedCursor, 10) + ")"
-		}
-		encoding := "JSON"
-		if *forwardBinary {
-			encoding = "binary"
-		}
-		log.Printf("federation edge: forwarding commits to %s (batch %d, flush %v, %s encoding, %s)",
-			*forwardTo, *forwardBatch, *forwardFlush, encoding, mode)
+		log.Printf("federation edge: forwarding the WAL to %s (batch %d, flush %v, cursor at position %d)",
+			*forwardTo, *forwardBatch, *forwardFlush, forwarder.Stats().AckedCursor)
 	}
 
 	var handler http.Handler = server
@@ -186,14 +170,8 @@ func main() {
 				server.Guard.Prune(time.Now())
 			}
 		case <-compactC:
-			if forwarder != nil && forwarder.Stats().CatchingUp {
-				// The forwarder is tailing the WAL to catch up after an
-				// outage; compacting now would only churn segments it is
-				// mid-read on (retention keeps the unacked records safe
-				// either way). Skip this round.
-				log.Printf("WAL: skipping compaction while the forwarder catches up")
-				continue
-			}
+			// Retention keeps every record the forwarder has yet to ship,
+			// and its tail re-positions after a compaction.
 			if err := wal.Compact(); err != nil {
 				log.Printf("WAL compaction: %v", err)
 			} else {
@@ -217,8 +195,8 @@ func main() {
 			}
 			if forwarder != nil {
 				st := forwarder.Stats()
-				log.Printf("federation: forwarded %d measurements in %d batches (%d rejected, %d dropped, cursor %d)",
-					st.Forwarded, st.Batches, st.Rejected, st.Dropped, st.AckedCursor)
+				log.Printf("federation: forwarded %d measurements in %d batches (%d rejected, cursor %d, %d left in the WAL)",
+					st.Forwarded, st.Batches, st.Rejected, st.AckedCursor, st.Lag)
 			}
 			writeStore(store, *outPath)
 			if wal != nil {

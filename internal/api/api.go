@@ -277,7 +277,7 @@ type HealthResponse struct {
 	// WAL records a sticky error (acknowledged writes are no longer being
 	// persisted; the durable v2 submission lane is closed with
 	// CodeDegraded while the best-effort v1 lane and all reads keep
-	// serving) or when its forwarder has dropped records.
+	// serving).
 	Status string `json:"status"`
 	// WALError is the collector WAL's sticky error, when degraded for that
 	// reason.
@@ -287,15 +287,12 @@ type HealthResponse struct {
 	// TasksServed / TasksAssigned are coordination-side counters.
 	TasksServed   uint64 `json:"tasks_served,omitempty"`
 	TasksAssigned uint64 `json:"tasks_assigned,omitempty"`
-	// Forwarder counters (collector only, when federation is wired).
-	// Spilled counts buffer overflows absorbed by tailing the WAL (the
-	// design working as intended, surfaced for observability); DeadLetters
-	// is the current dead-letter ring size (upstream-rejected records);
-	// Dropped counts records lost outright (> 0 only without a WAL, and
-	// itself grounds for degraded status).
-	ForwarderSpilled     uint64 `json:"forwarder_spilled,omitempty"`
+	// Forwarder readings (collector only, when federation is wired). Lag
+	// is the records committed but not yet acknowledged upstream (they wait
+	// in the WAL; a load indicator, not a loss); DeadLetters is the current
+	// dead-letter ring size (upstream-rejected records).
+	ForwarderLag         uint64 `json:"forwarder_lag,omitempty"`
 	ForwarderDeadLetters int    `json:"forwarder_dead_letters,omitempty"`
-	ForwarderDropped     uint64 `json:"forwarder_dropped,omitempty"`
 	// Origin is this coordinator's federation identity (federated
 	// coordinators only). A federated coordinator reports StatusDegraded
 	// while a quorum of the coordinator set is unreachable; it keeps

@@ -8,7 +8,6 @@ package federation
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -20,7 +19,6 @@ import (
 	apiclient "encore/internal/api/client"
 	"encore/internal/core"
 	"encore/internal/faultinject"
-	"encore/internal/results"
 )
 
 // permute returns a seeded Fisher-Yates shuffle of 1..n.
@@ -124,18 +122,17 @@ func TestAckTrackerNeverSentPosition(t *testing.T) {
 
 // rejectingUpstream accepts every batch at the HTTP level but rejects every
 // record per-index with a typed code — the app-level flood that exercises
-// the dead-letter ring. The forwarder's client is configured with gzip
-// disabled, so bodies decode directly.
+// the dead-letter ring.
 func rejectingUpstream(t *testing.T, code string) (*httptest.Server, *atomic.Uint64) {
 	t.Helper()
 	var seen atomic.Uint64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req api.BatchSubmitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		ms, err := decodeFrames(r.Body)
+		if err != nil {
 			t.Errorf("decoding forwarded batch: %v", err)
 		}
 		resp := api.BatchSubmitResponse{}
-		for i, m := range req.Measurements {
+		for i, m := range ms {
 			seen.Add(1)
 			resp.Rejected = append(resp.Rejected, api.RejectedSubmission{
 				Index: i, MeasurementID: m.MeasurementID, Code: code, Message: "rejected by test upstream",
@@ -155,6 +152,7 @@ func TestDeadLetterRingOverflowAccounting(t *testing.T) {
 	const total, limit = 30, 8
 	upSrv, seen := rejectingUpstream(t, string(api.CodeInvalidSubmission))
 
+	edge, wal := walEdge(t)
 	f, err := NewForwarder(ForwarderConfig{
 		Client: apiclient.NewWithConfig(upSrv.URL, apiclient.Config{
 			Retries: 1, RetryBackoff: time.Millisecond, GzipThreshold: -1,
@@ -162,11 +160,11 @@ func TestDeadLetterRingOverflowAccounting(t *testing.T) {
 		MaxBatch:        7, // does not divide total: rings wrap mid-batch
 		FlushInterval:   time.Hour,
 		DeadLetterLimit: limit,
+		WAL:             wal,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	edge := results.NewStore()
 	edge.AddObserver(f)
 	for i := 0; i < total; i++ {
 		if err := edge.Add(edgeMeasurement(i, core.StateSuccess)); err != nil {
@@ -216,6 +214,7 @@ func TestForwarderRidesOut4xxBatchStorm(t *testing.T) {
 	upStore, _, upSrv := upstream(t)
 
 	rt := faultinject.NewRoundTripper(nil, faultinject.NetFaults{Seed: 7})
+	edge, wal := walEdge(t)
 	f, err := NewForwarder(ForwarderConfig{
 		Client: apiclient.NewWithConfig(upSrv.URL, apiclient.Config{
 			HTTPClient:   &http.Client{Transport: rt, Timeout: 30 * time.Second},
@@ -224,11 +223,11 @@ func TestForwarderRidesOut4xxBatchStorm(t *testing.T) {
 		}),
 		MaxBatch:      8,
 		FlushInterval: time.Hour,
+		WAL:           wal,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	edge := results.NewStore()
 	edge.AddObserver(f)
 
 	const n = 40

@@ -3,8 +3,7 @@ package federation
 // The forward cursor: the durable record of how far up the edge store's
 // commit stream the upstream has acknowledged. It is the piece that makes
 // forwarding resumable — after a crash the forwarder replays the WAL from
-// the cursor instead of starting from an empty in-memory buffer, so an edge
-// outage of any length loses nothing the WAL kept.
+// the cursor, so an edge outage of any length loses nothing the WAL kept.
 
 import (
 	"encoding/json"
@@ -22,7 +21,7 @@ const cursorFileVersion = 1
 // cursorFile is the JSON persisted beside the WAL. It is deliberately tiny:
 // one acknowledged commit-stream position, rewritten (atomically, fsynced)
 // at most once per FlushInterval while the acknowledged prefix advances, and
-// when a catch-up, a Flush or Close ends — never by Stop. The file may trail
+// when a Flush or Close ends — never by Stop. The file may trail
 // the in-memory cursor by one interval's acknowledgements, which a restart
 // re-sends; the WAL's retention floor reads the file, so compaction never
 // folds a position a restart resumes from.
@@ -60,17 +59,17 @@ func saveCursor(fs faultinject.FS, path string, acked uint64) error {
 
 // ackTracker maintains the contiguous acknowledged prefix of the commit
 // stream. Commit-stream positions are dense (the store assigns them from one
-// counter), but acknowledgments arrive slightly out of order: positions are
-// assigned under per-shard store locks, so a commit on one shard can be
-// buffered, shipped, and acked before a numerically earlier commit on
-// another shard even reaches the buffer (a catch-up pass merges the WAL
-// shards by position, so it adds little). The tracker therefore advances a
-// low-water mark only through positions actually acknowledged, holding the
-// out-of-order remainder in a set; the cursor never jumps over a position
-// that might still be unsent.
+// counter), but acknowledgments arrive out of order: the two lanes' POSTs
+// complete independently, and positions are assigned under per-shard store
+// locks, so a commit can reach the WAL tail after a numerically later one
+// (the tail merges the WAL shards by position, so that adds little). The
+// tracker therefore advances a low-water mark only through positions actually
+// acknowledged, holding the out-of-order remainder in a set; the cursor never
+// jumps over a position that might still be unsent.
 type ackTracker struct {
 	lwm   uint64 // every position <= lwm is acknowledged
 	above map[uint64]struct{}
+	peak  int // the most positions above ever held at once
 }
 
 func newAckTracker(lwm uint64) *ackTracker {
@@ -88,6 +87,7 @@ func (t *ackTracker) ack(cseq uint64) bool {
 		t.lwm++ // the in-order case, which a merged tail makes the common one
 	} else {
 		t.above[cseq] = struct{}{}
+		t.peak = max(t.peak, len(t.above))
 	}
 	for {
 		if _, ok := t.above[t.lwm+1]; !ok {

@@ -2,7 +2,9 @@ package federation
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -15,11 +17,12 @@ import (
 	"encore/internal/core"
 	"encore/internal/geo"
 	"encore/internal/results"
+	"encore/internal/wire"
 )
 
 // upstream builds an aggregation-tier collection server (AllowAttributed)
 // with an incremental aggregator attached.
-func upstream(t *testing.T) (*results.Store, *results.Aggregator, *httptest.Server) {
+func upstream(t testing.TB) (*results.Store, *results.Aggregator, *httptest.Server) {
 	t.Helper()
 	store := results.NewStore()
 	agg := results.NewAggregator(results.AggregatorConfig{})
@@ -30,6 +33,41 @@ func upstream(t *testing.T) (*results.Store, *results.Aggregator, *httptest.Serv
 	srv := httptest.NewServer(s)
 	t.Cleanup(srv.Close)
 	return store, agg, srv
+}
+
+// walEdge is an edge store with a WAL attached: the log a forwarder ships
+// from.
+func walEdge(t *testing.T) (*results.Store, *results.WAL) {
+	t.Helper()
+	wal, err := results.OpenWAL(results.WALConfig{Dir: t.TempDir(), Policy: results.SyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = wal.Close() })
+	edge := results.NewStore()
+	edge.AddObserver(wal)
+	return edge, wal
+}
+
+// decodeFrames decodes a record frame stream: a forwarded batch, or a
+// WriteWire export.
+func decodeFrames(r io.Reader) ([]results.Measurement, error) {
+	fr := wire.NewFrameReader(r)
+	var out []results.Measurement
+	for {
+		p, err := fr.Next()
+		if errors.Is(err, io.EOF) {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		_, _, rec, err := wire.DecodeRecord(p)
+		if err != nil {
+			return out, err
+		}
+		out = append(out, results.Measurement(rec))
+	}
 }
 
 func edgeMeasurement(i int, state core.State) results.Measurement {
@@ -51,12 +89,11 @@ func edgeMeasurement(i int, state core.State) results.Measurement {
 // upgrades) reaches the upstream store and its aggregation tier.
 func TestForwarderStreamsCommits(t *testing.T) {
 	upStore, upAgg, upSrv := upstream(t)
-	f, err := NewForwarder(ForwarderConfig{Upstream: upSrv.URL, MaxBatch: 8, FlushInterval: 5 * time.Millisecond})
+	edge, wal := walEdge(t)
+	f, err := NewForwarder(ForwarderConfig{Upstream: upSrv.URL, MaxBatch: 8, FlushInterval: 5 * time.Millisecond, WAL: wal})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	edge := results.NewStore()
 	edge.AddObserver(f)
 	const n = 50
 	for i := 0; i < n; i++ {
@@ -124,15 +161,16 @@ func TestForwarderRidesOutUpstreamOutage(t *testing.T) {
 	}))
 	defer gate.Close()
 
+	edge, wal := walEdge(t)
 	f, err := NewForwarder(ForwarderConfig{
 		Client:        apiclient.NewWithConfig(gate.URL, apiclient.Config{Retries: 2, RetryBackoff: time.Millisecond}),
 		MaxBatch:      4,
 		FlushInterval: 2 * time.Millisecond,
+		WAL:           wal,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	edge := results.NewStore()
 	edge.AddObserver(f)
 
 	for i := 0; i < 10; i++ {
@@ -174,46 +212,20 @@ func TestForwarderRidesOutUpstreamOutage(t *testing.T) {
 	}
 }
 
-// TestForwarderBoundedBufferDrops fills the buffer during an outage and
-// checks eviction is oldest-first, counted, and non-blocking.
-func TestForwarderBoundedBufferDrops(t *testing.T) {
-	dead := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "down", http.StatusServiceUnavailable)
-	}))
-	defer dead.Close()
-
-	f, err := NewForwarder(ForwarderConfig{
-		Client:        apiclient.NewWithConfig(dead.URL, apiclient.Config{Retries: 1, RetryBackoff: time.Millisecond}),
-		MaxBatch:      1000, // never size-kicked
-		FlushInterval: time.Hour,
-		MaxBuffer:     8,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		f.Commit(nil, edgeMeasurement(i, core.StateSuccess))
-	}
-	st := f.Stats()
-	if st.Pending != 8 || st.Dropped != 12 || st.Observed != 20 {
-		t.Fatalf("stats %+v", st)
-	}
-	// Closing against a dead upstream reports the stranded records.
-	if err := f.Close(); err == nil {
-		t.Fatal("Close succeeded with an unreachable upstream")
-	}
-}
-
 // TestForwarderConcurrentClose races several Close calls: the first drains,
 // the rest return without a double-close panic.
 func TestForwarderConcurrentClose(t *testing.T) {
 	upStore, _, upSrv := upstream(t)
-	f, err := NewForwarder(ForwarderConfig{Upstream: upSrv.URL, FlushInterval: time.Millisecond})
+	edge, wal := walEdge(t)
+	f, err := NewForwarder(ForwarderConfig{Upstream: upSrv.URL, FlushInterval: time.Millisecond, WAL: wal})
 	if err != nil {
 		t.Fatal(err)
 	}
+	edge.AddObserver(f)
 	for i := 0; i < 10; i++ {
-		f.Commit(nil, edgeMeasurement(i, core.StateSuccess))
+		if err := edge.Add(edgeMeasurement(i, core.StateSuccess)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -234,11 +246,11 @@ func TestForwarderConcurrentClose(t *testing.T) {
 // mutation); run under -race by scripts/ci.sh.
 func TestForwarderConcurrentCommits(t *testing.T) {
 	upStore, _, upSrv := upstream(t)
-	f, err := NewForwarder(ForwarderConfig{Upstream: upSrv.URL, MaxBatch: 32, FlushInterval: 2 * time.Millisecond})
+	edge, wal := walEdge(t)
+	f, err := NewForwarder(ForwarderConfig{Upstream: upSrv.URL, MaxBatch: 32, FlushInterval: 2 * time.Millisecond, WAL: wal})
 	if err != nil {
 		t.Fatal(err)
 	}
-	edge := results.NewStore()
 	edge.AddObserver(f)
 
 	var wg sync.WaitGroup

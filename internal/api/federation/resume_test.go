@@ -1,7 +1,7 @@
 package federation
 
 // Tests for the WAL-resumable half of the forwarder: the ack tracker and
-// cursor file underneath it, spill-to-WAL instead of dropping, resuming from
+// cursor file underneath it, an outage backlog waiting in the WAL, resuming from
 // the persisted cursor after a crash (Stop), dead-lettering of per-record
 // rejections, and the upstream load signal widening the flush window before
 // anything is dropped or dead-lettered.
@@ -256,15 +256,15 @@ func TestForwarderResumesFromCursorAfterCrash(t *testing.T) {
 func TestForwarderDeadLettersRejections(t *testing.T) {
 	// An upstream that rejects index 0 of every batch and accepts the rest.
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req api.BatchSubmitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		ms, err := decodeFrames(r.Body)
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		resp := api.BatchSubmitResponse{Accepted: len(req.Measurements) - 1}
+		resp := api.BatchSubmitResponse{Accepted: len(ms) - 1}
 		resp.Rejected = append(resp.Rejected, api.RejectedSubmission{
 			Index:         0,
-			MeasurementID: req.Measurements[0].MeasurementID,
+			MeasurementID: ms[0].MeasurementID,
 			Code:          api.CodeInvalidSubmission,
 			Message:       "synthetic rejection",
 		})
@@ -275,6 +275,14 @@ func TestForwarderDeadLettersRejections(t *testing.T) {
 
 	var logMu sync.Mutex
 	var logged int
+	// Committed before the forwarder starts, so its first pass ships all
+	// three in one batch.
+	edge, wal := walEdge(t)
+	for i := 0; i < 3; i++ {
+		if err := edge.Add(edgeMeasurement(i, core.StateSuccess)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	f, err := NewForwarder(ForwarderConfig{
 		Upstream:      srv.URL,
 		MaxBatch:      16,
@@ -284,13 +292,12 @@ func TestForwarderDeadLettersRejections(t *testing.T) {
 			logged++
 			logMu.Unlock()
 		},
+		WAL: wal,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
-		f.Commit(nil, edgeMeasurement(i, core.StateSuccess))
-	}
+	edge.AddObserver(f)
 	if err := f.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -330,13 +337,13 @@ func TestForwarderDeadLettersRejections(t *testing.T) {
 // widens the forwarder's window, with nothing evicted or dead-lettered.
 func TestForwarderHonorsLoadSignal(t *testing.T) {
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var req api.BatchSubmitRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		ms, err := decodeFrames(r.Body)
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 		resp := api.BatchSubmitResponse{
-			Accepted: len(req.Measurements),
+			Accepted: len(ms),
 			Load: &api.LoadSignal{
 				QueueDepth:           900,
 				QueueCapacity:        1000,
@@ -348,16 +355,21 @@ func TestForwarderHonorsLoadSignal(t *testing.T) {
 	}))
 	defer srv.Close()
 
+	edge, wal := walEdge(t)
 	f, err := NewForwarder(ForwarderConfig{
 		Upstream:         srv.URL,
 		FlushInterval:    5 * time.Millisecond,
 		MaxFlushInterval: 2 * time.Second,
+		WAL:              wal,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Stop()
-	f.Commit(nil, edgeMeasurement(0, core.StateSuccess))
+	edge.AddObserver(f)
+	if err := edge.Add(edgeMeasurement(0, core.StateSuccess)); err != nil {
+		t.Fatal(err)
+	}
 	if err := f.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -382,18 +394,23 @@ func TestForwarderWidensWindowOnFailure(t *testing.T) {
 	defer srv.Close()
 
 	floor := time.Millisecond
+	edge, wal := walEdge(t)
 	f, err := NewForwarder(ForwarderConfig{
 		Client: apiclient.NewWithConfig(srv.URL, apiclient.Config{
 			Retries: 1, RetryBackoff: time.Microsecond,
 		}),
 		FlushInterval:    floor,
 		MaxFlushInterval: 100 * time.Millisecond,
+		WAL:              wal,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Stop()
-	f.Commit(nil, edgeMeasurement(0, core.StateSuccess))
+	edge.AddObserver(f)
+	if err := edge.Add(edgeMeasurement(0, core.StateSuccess)); err != nil {
+		t.Fatal(err)
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		if st := f.Stats(); st.FlushInterval > floor && st.LastError != nil {

@@ -8,7 +8,6 @@ package federation
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -20,7 +19,6 @@ import (
 	"testing"
 	"time"
 
-	"encore/internal/api"
 	apiclient "encore/internal/api/client"
 	"encore/internal/core"
 	"encore/internal/faultinject"
@@ -61,14 +59,17 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// awaitLive waits for the forwarder's start-up catch-up — the background
-// sender's first step — to finish, so that afterwards only the test's own
-// calls and size kicks drive sends.
-func awaitLive(t *testing.T, f *Forwarder) {
+// runPass runs one pass the way the background sender does — after any pass
+// in progress, and without the save a Flush forces — so the start-up pass is
+// done once it returns and afterwards only the test's own calls and size kicks
+// drive sends.
+func runPass(t *testing.T, f *Forwarder) {
 	t.Helper()
-	waitFor(t, "the start-up catch-up", func() bool { return !f.Stats().CatchingUp })
-	f.sendMu.Lock() // the step that cleared the flag holds it until it is done
-	f.sendMu.Unlock()
+	f.sendMu.Lock()
+	defer f.sendMu.Unlock()
+	if _, err := f.pass(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // countingUpstream is gatedUpstream that also counts the records each
@@ -84,11 +85,11 @@ func countingUpstream(t *testing.T) (*results.Store, *atomic.Bool, *atomic.Int64
 			return
 		}
 		body, _ := io.ReadAll(r.Body)
-		var req api.BatchSubmitRequest
-		if err := json.Unmarshal(body, &req); err != nil {
+		ms, err := decodeFrames(bytes.NewReader(body))
+		if err != nil {
 			t.Errorf("decoding forwarded batch: %v", err)
 		}
-		records.Add(int64(len(req.Measurements)))
+		records.Add(int64(len(ms)))
 		r.Body = io.NopCloser(bytes.NewReader(body))
 		upSrv.Config.Handler.ServeHTTP(w, r)
 	}))
@@ -315,7 +316,7 @@ func TestCompactionBetweenCrashAndRestartLeavesNoGap(t *testing.T) {
 		t.Fatal(err)
 	}
 	edge.AddObserver(f)
-	awaitLive(t, f)
+	runPass(t, f)
 	// Every ID is inserted and then upgraded: two positions each, the first
 	// superseded, so compaction has something to fold.
 	for i := 0; i < ids; i++ {
@@ -328,12 +329,9 @@ func TestCompactionBetweenCrashAndRestartLeavesNoGap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for f.Stats().Pending > 0 {
-		if err := f.flushOnce(context.Background()); err != nil {
-			t.Fatal(err)
-		}
+	for f.Stats().AckedCursor < 2*ids {
+		runPass(t, f)
 	}
-	waitFor(t, "the last batch's acknowledgement", func() bool { return f.Stats().AckedCursor == 2*ids })
 	f.Stop()
 	fileCursor, err := loadCursor(filepath.Join(dir, "forward-cursor.json"))
 	if err != nil {
@@ -373,9 +371,9 @@ func TestCompactionBetweenCrashAndRestartLeavesNoGap(t *testing.T) {
 }
 
 // TestCursorInvariantsUnderLoad samples the two cursors while committers and
-// a flapping upstream keep the forwarder moving between live and catch-up
-// mode: file <= in-memory <= highest position committed, both monotone, the
-// file always readable, nothing dropped.
+// a flapping upstream keep an outage backlog building and draining: file <=
+// in-memory <= highest position committed, both monotone, the file always
+// readable, nothing dropped.
 func TestCursorInvariantsUnderLoad(t *testing.T) {
 	const commits = 3000
 	dir := t.TempDir()
@@ -386,25 +384,28 @@ func TestCursorInvariantsUnderLoad(t *testing.T) {
 	edge.AddObserver(wal)
 	f, err := NewForwarder(ForwarderConfig{
 		Client:   apiclient.NewWithConfig(gate.URL, apiclient.Config{Retries: 1, RetryBackoff: time.Millisecond}),
-		MaxBatch: 16, FlushInterval: 5 * time.Millisecond, MaxBuffer: 64, WAL: wal,
+		MaxBatch: 16, FlushInterval: 5 * time.Millisecond, WAL: wal,
 		Logf: func(string, ...any) {},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	edge.AddObserver(f)
-	if err := f.Flush(context.Background()); err != nil { // start live, so the first outage spills
+	if err := f.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 
 	stop, sampled := make(chan struct{}), make(chan struct{})
+	var peakLag uint64 // read after sampled is closed
 	go func() {
 		defer close(sampled)
 		var lastFile, lastMem uint64
 		for {
 			// The file first: it may only trail the in-memory cursor.
 			file, err := loadCursor(filepath.Join(dir, "forward-cursor.json"))
-			mem := f.Stats().AckedCursor
+			st := f.Stats()
+			mem := st.AckedCursor
+			peakLag = max(peakLag, st.Lag)
 			switch {
 			case err != nil:
 				t.Errorf("cursor file unreadable mid-run: %v", err)
@@ -423,7 +424,7 @@ func TestCursorInvariantsUnderLoad(t *testing.T) {
 	}()
 	for i := 0; i < commits; i++ {
 		if i%500 == 250 {
-			down.Store(true) // forces a spill into catch-up mode
+			down.Store(true) // an outage: the backlog waits in the WAL
 		} else if i%500 == 370 {
 			down.Store(false)
 		}
@@ -437,8 +438,8 @@ func TestCursorInvariantsUnderLoad(t *testing.T) {
 	f.Stop()
 	close(stop)
 	<-sampled
-	if st := f.Stats(); st.Dropped != 0 || st.Spilled == 0 {
-		t.Fatalf("want a run that spilled into catch-up mode and dropped nothing, got %+v", st)
+	if st := f.Stats(); st.Dropped != 0 || peakLag < 64 {
+		t.Fatalf("want a run whose outages left a backlog (peak lag %d) and dropped nothing, got %+v", peakLag, st)
 	}
 }
 
@@ -459,7 +460,7 @@ func TestCursorSaveCadence(t *testing.T) {
 		t.Fatal(err)
 	}
 	edge.AddObserver(f)
-	awaitLive(t, f)
+	runPass(t, f)
 	ctx, n := context.Background(), 0
 	add := func(k int) {
 		for ; k > 0; k-- {
@@ -470,12 +471,9 @@ func TestCursorSaveCadence(t *testing.T) {
 		}
 	}
 	cycle := func() {
-		for f.Stats().Pending > 0 {
-			if err := f.flushOnce(ctx); err != nil {
-				t.Fatal(err)
-			}
+		for f.Stats().AckedCursor < uint64(n) {
+			runPass(t, f)
 		}
-		waitFor(t, "the last batch's acknowledgement", func() bool { return f.Stats().AckedCursor == uint64(n) })
 	}
 	want := func(when string, file, mem uint64) {
 		t.Helper()
@@ -505,9 +503,7 @@ func TestCursorSaveCadence(t *testing.T) {
 	add(8)
 	cycle()
 	rewind()
-	if err := f.flushOnce(ctx); err != nil { // an idle cycle
-		t.Fatal(err)
-	}
+	runPass(t, f) // an idle cycle
 	want("an idle cycle after the interval", 56, 56)
 	add(8)
 	cycle()
@@ -520,8 +516,8 @@ func TestCursorSaveCadence(t *testing.T) {
 	}
 	edge.AddObserver(f2)
 	f = f2
-	awaitLive(t, f) // the catch-up re-sends 57..64
-	want("after the restart's catch-up", 64, 64)
+	runPass(t, f) // the start-up pass re-sends 57..64
+	want("after the restart's first pass", 64, 64)
 	add(8)
 	cycle()
 	want("a batch inside the interval again", 64, 72)
@@ -553,24 +549,15 @@ func TestCatchUpKeepsOutOfOrderSetSmall(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var fp atomic.Pointer[Forwarder]
-	peak := 0 // guarded by sendMu: onBatch runs on the sending goroutine
-	f, err := NewForwarder(ForwarderConfig{
-		Client: stubClient(func() {
-			if f := fp.Load(); f != nil && len(f.acks.above) > peak {
-				peak = len(f.acks.above)
-			}
-		}),
-		WAL: wal, Logf: func(string, ...any) {},
-	})
+	f, err := NewForwarder(ForwarderConfig{Client: stubClient(nil), WAL: wal, Logf: func(string, ...any) {}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp.Store(f)
 	if err := f.Flush(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	f.Stop()
+	peak := f.acks.peak
 	st := f.Stats()
 	if st.AckedCursor != total || st.Dropped != 0 {
 		t.Fatalf("catch-up ended at cursor %d of %d, dropped %d", st.AckedCursor, total, st.Dropped)
@@ -625,9 +612,6 @@ func BenchmarkForwarderCatchUp(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f.mu.Lock()
-				f.catchingUp = true // as a spill leaves it: the tail, not the buffer, is the source
-				f.mu.Unlock()
 				commit(fresh, f)
 				if err := f.Flush(ctx); err != nil {
 					b.Fatal(err)
@@ -639,58 +623,5 @@ func BenchmarkForwarderCatchUp(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*fresh), "ns/new-record")
 		})
-	}
-}
-
-// TestRingMatchesSlice holds the commit buffer's ring equal to a plain slice
-// under a seeded mix of pushes, batch removals, put-backs and evictions, and
-// checks a vacated slot keeps no entry (the ring must not pin shipped
-// records).
-func TestRingMatchesSlice(t *testing.T) {
-	for _, seed := range []uint64{1, 7, 424242} {
-		rng := faultinject.NewRNG(seed)
-		var r ring
-		var model []entry
-		next := uint64(0)
-		for step := 0; step < 5000; step++ {
-			switch op := rng.Uint64() % 8; {
-			case op < 4:
-				next++
-				e := entry{cseq: next}
-				*r.push() = e
-				model = append(model, e)
-			case op < 6 && len(model) > 0:
-				k := int(rng.Uint64()%uint64(len(model))) + 1
-				out := make([]entry, k)
-				r.shift(k, out)
-				for i := range out {
-					if out[i].cseq != model[i].cseq {
-						t.Fatalf("seed %d step %d: shifted %d at %d, want %d", seed, step, out[i].cseq, i, model[i].cseq)
-					}
-				}
-				if op == 5 { // a failed send: the batch goes back to the head
-					r.unshift(out)
-				} else {
-					model = model[k:]
-				}
-			case op == 6 && len(model) > 0:
-				k := int(rng.Uint64()%uint64(len(model))) + 1
-				r.shift(k, nil)
-				model = model[k:]
-			}
-			if r.n != len(model) {
-				t.Fatalf("seed %d step %d: ring holds %d, model %d", seed, step, r.n, len(model))
-			}
-		}
-		for i := range model {
-			if r.at(i).cseq != model[i].cseq {
-				t.Fatalf("seed %d: entry %d is %d, want %d", seed, i, r.at(i).cseq, model[i].cseq)
-			}
-		}
-		for i := r.n; i < len(r.buf); i++ {
-			if r.at(i).cseq != 0 {
-				t.Fatalf("seed %d: vacated slot %d still holds position %d", seed, i, r.at(i).cseq)
-			}
-		}
 	}
 }

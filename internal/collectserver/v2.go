@@ -172,8 +172,7 @@ func (k *batchSink) decodeJSON(body io.Reader) *api.Error {
 // attached Forwarder through. federation.Forwarder implements it; the
 // methods return builtins so this package needs no federation import.
 type ForwarderHealth interface {
-	SpilledCount() uint64
-	DroppedCount() uint64
+	Lag() uint64
 	DeadLetterCount() int
 }
 
@@ -186,10 +185,9 @@ func (s *Server) walError() error {
 }
 
 // handleHealthV2 answers GET /v2/healthz with structured health: "ok", or
-// "degraded" with the cause, once a sticky WAL error or forwarder record
-// loss means the collector is up but no longer keeping a durability
-// guarantee. The endpoint itself always serves — degraded health must be
-// observable, not a 5xx.
+// "degraded" with the cause, once a sticky WAL error means the collector is
+// up but no longer keeping a durability guarantee. The endpoint itself always
+// serves — degraded health must be observable, not a 5xx.
 func (s *Server) handleHealthV2(w http.ResponseWriter, _ *http.Request) {
 	resp := api.HealthResponse{
 		Status:       api.StatusOK,
@@ -200,12 +198,8 @@ func (s *Server) handleHealthV2(w http.ResponseWriter, _ *http.Request) {
 		resp.WALError = err.Error()
 	}
 	if fh, ok := s.Forwarder.(ForwarderHealth); ok {
-		resp.ForwarderSpilled = fh.SpilledCount()
+		resp.ForwarderLag = fh.Lag()
 		resp.ForwarderDeadLetters = fh.DeadLetterCount()
-		resp.ForwarderDropped = fh.DroppedCount()
-		if resp.ForwarderDropped > 0 {
-			resp.Status = api.StatusDegraded
-		}
 	}
 	api.WriteJSON(w, http.StatusOK, resp)
 }

@@ -29,6 +29,7 @@ type WALTail struct {
 	w      *WAL
 	shards []tailShard
 	next   []uint64 // each shard's head position (noFrame: none); the merge scans it
+	cur    int      // shard of the frame being handed to fn
 }
 
 const noFrame = ^uint64(0)
@@ -99,6 +100,7 @@ func (t *WALTail) Read(skip func(commitSeq uint64) bool, fn func(commitSeq uint6
 			return nil
 		}
 		ts := &t.shards[best]
+		t.cur = best
 		ts.off += int64(len(ts.head))
 		if !skip(cseq) {
 			if err := fn(cseq, ts.head); err != nil {
@@ -110,6 +112,11 @@ func (t *WALTail) Read(skip func(commitSeq uint64) bool, fn func(commitSeq uint6
 		}
 	}
 }
+
+// Shard returns the WAL shard of the frame Read is handing to fn. A shard is
+// picked by the measurement ID's hash, so every record of one ID has the same
+// shard.
+func (t *WALTail) Shard() int { return t.cur }
 
 // advance loads shard i's next frame into head (nil when the shard has nothing
 // more for this pass), moving on when a sealed segment is exhausted.

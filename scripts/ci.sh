@@ -6,7 +6,8 @@
 # the federation soak — concurrent edge commits against a flapping upstream
 # with a WAL-backed forwarder) under the race detector, one iteration of every
 # root-package benchmark (the paper's evaluation, E1-E16), of the forwarder's
-# catch-up benchmark and of the store-commit and admit benchmarks, the separate
+# catch-up and drain benchmarks and of the store-commit and admit benchmarks,
+# a -count=20 race run of the forwarder's in-flight and cursor tests, the separate
 # bench/ module's vet and tests, the
 # deterministic chaos suite at fixed seeds (scripts/chaos.sh), and the
 # campaign-tier smoke
@@ -35,13 +36,17 @@ echo "== docs check =="
 
 echo "== go test -race =="
 go test -race ./...
+# The forwarder's two POSTs in flight, its idle drain and its cursor, many
+# times over: interleavings the single run above may not hit.
+go test -race -count=20 -run 'InFlight|PerID|Idle|Cursor' ./internal/api/federation
 
 # The paper's reproduction is benchmarks, which go test alone never executes:
 # run each once so a b.Fatal in any experiment fails CI.
 echo "== paper evaluation (1x) =="
 go test -run '^$' -bench . -benchtime 1x .
-# Likewise the forwarder's catch-up benchmark (the 1M log is ~200 MB of segments).
-go test -run '^$' -bench BenchmarkForwarderCatchUp -benchtime 1x ./internal/api/federation
+# Likewise the forwarder's catch-up benchmark (the 1M log is ~200 MB of
+# segments) and its drain of a backlog to a real upstream.
+go test -run '^$' -bench 'BenchmarkForwarder(CatchUp|Drain)' -benchtime 1x ./internal/api/federation
 # And the store-commit benchmark (its 4M-record store peaks near 1 GB) and the
 # per-record admit benchmark.
 go test -run '^$' -bench BenchmarkStoreAddBatch -benchtime 1x ./internal/results
