@@ -1,6 +1,6 @@
 // Command encore-analyze runs the filtering detection algorithm (§7.2) over
 // measurements produced by encore-collector or encore-sim — a JSON-lines
-// checkpoint file (-in), a collector's write-ahead log directory (-wal),
+// export (-in), a collector's write-ahead log directory (-wal),
 // which it replays exactly as a restarted collector would, or a live
 // collector's measurement export (-url), streamed over the v2 API — and
 // prints the filtering report.

@@ -1,6 +1,7 @@
 package clientsim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -268,4 +269,43 @@ func TestDistinctMeasurementIDsAcrossCampaign(t *testing.T) {
 		seen[m.MeasurementID] = true
 	}
 	_ = results.Aggregate(all)
+}
+
+// TestBuildStackResumesItsWAL: a stack built on a WAL directory another stack
+// closed resumes that store, and its commits (the same seed re-submits the
+// same IDs) continue the log's positions instead of reissuing them.
+func TestBuildStackResumesItsWAL(t *testing.T) {
+	wal := &results.WALConfig{Dir: t.TempDir()}
+	closedWith := 0
+	for life := 0; life < 2; life++ {
+		s := BuildStack(StackConfig{Seed: 11, WAL: wal})
+		if s.Store.Len() != closedWith {
+			t.Fatalf("stack resumed %d records, the previous one closed with %d", s.Store.Len(), closedWith)
+		}
+		s.Population.RunCampaign(CampaignConfig{
+			Visits:  60,
+			Start:   time.Date(2014, 5, 1, 0, 0, 0, 0, time.UTC).Add(time.Duration(life) * time.Hour),
+			Regions: []geo.CountryCode{"US"},
+		})
+		closedWith = s.Store.Len()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	logged, err := results.OpenWAL(*wal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer logged.Close()
+	seen := make(map[uint64]bool)
+	err = logged.ReadRecordFrames(0, func(cseq uint64, _ []byte) error {
+		if seen[cseq] {
+			return fmt.Errorf("commit position %d appears twice in the log", cseq)
+		}
+		seen[cseq] = true
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 }

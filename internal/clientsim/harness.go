@@ -10,6 +10,7 @@ import (
 	"encore/internal/core"
 	"encore/internal/geo"
 	"encore/internal/netsim"
+	"encore/internal/node"
 	"encore/internal/pipeline"
 	"encore/internal/results"
 	"encore/internal/scheduler"
@@ -45,21 +46,13 @@ type Stack struct {
 	Collector   *collectserver.Server
 	Population  *Population
 	Infra       Infrastructure
+
+	node *node.Node
 }
 
-// Close releases the stack's durable resources: it closes the collector's
-// write path (flushing any forwarder, syncing the WAL) and then
-// closes the WAL itself. Stacks built without a WAL need not be closed, but
-// calling Close is always safe.
-func (s *Stack) Close() error {
-	err := s.Collector.Close()
-	if s.WAL != nil {
-		if cerr := s.WAL.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
+// Close closes the collector node (node.Node.Close). Stacks built without a
+// WAL need not be closed, but calling Close is always safe.
+func (s *Stack) Close() error { return s.node.Close() }
 
 // StackConfig parameterizes BuildStack.
 type StackConfig struct {
@@ -76,18 +69,13 @@ type StackConfig struct {
 	SchedulerConfig scheduler.Config
 	// PipelineStarted is the nominal time of the task-generation crawl.
 	PipelineStarted time.Time
-	// AggregatorWindow is the time-bucket size the incremental aggregation
-	// tier maintains for longitudinal views; zero means one week, matching
-	// the windowed analyses the examples and reports run. Negative disables
-	// windowed tracking.
-	AggregatorWindow time.Duration
 	// Infra overrides the deployment's infrastructure layout (coordinator
 	// mirrors, webmaster proxying); nil uses DefaultInfrastructure.
 	Infra *Infrastructure
-	// WAL, when non-nil, attaches a durable write-ahead log to the stack's
-	// store (results.OpenWAL with this configuration) so the simulated
-	// collector persists every committed measurement like a production one
-	// would. The caller should Stack.Close when done.
+	// WAL, when non-nil, makes the simulated collector durable like a
+	// production one (node.Config.WAL): its store is recovered from WAL.Dir
+	// and every commit is logged there. The caller should Stack.Close when
+	// done.
 	WAL *results.WALConfig
 }
 
@@ -134,19 +122,17 @@ func BuildStack(cfg StackConfig) *Stack {
 
 	sched := scheduler.New(report.Tasks, cfg.SchedulerConfig)
 	index := results.NewTaskIndex()
-	store := results.NewStore()
-
-	aggWindow := cfg.AggregatorWindow
-	if aggWindow == 0 {
-		aggWindow = 7 * 24 * time.Hour
-	}
-	if aggWindow < 0 {
-		aggWindow = 0
-	}
-	agg := results.NewAggregator(results.AggregatorConfig{
-		Window: aggWindow,
-		Epoch:  cfg.PipelineStarted,
+	// The aggregator keeps week buckets, the window the examples' and
+	// reports' longitudinal analyses run at.
+	collector, err := node.Open(node.Config{
+		Index:      index,
+		Geo:        g,
+		Aggregator: results.AggregatorConfig{Window: 7 * 24 * time.Hour, Epoch: cfg.PipelineStarted},
+		WAL:        cfg.WAL,
 	})
+	if err != nil {
+		panic("clientsim: opening the collector: " + err.Error())
+	}
 
 	infra := DefaultInfrastructure()
 	if cfg.Infra != nil {
@@ -157,18 +143,7 @@ func BuildStack(cfg StackConfig) *Stack {
 		CollectorURL:   "//" + infra.CollectorDomain,
 	}
 	coord := coordserver.New(sched, index, g, snippet)
-	collect := collectserver.New(store, index, g)
-	collect.AttachAggregator(agg)
-	var wal *results.WAL
-	if cfg.WAL != nil {
-		var err error
-		wal, err = results.OpenWAL(*cfg.WAL)
-		if err != nil {
-			panic("clientsim: opening WAL: " + err.Error())
-		}
-		collect.AttachWAL(wal)
-	}
-	pop := New(net, g, coord, collect, infra, cfg.Seed+5)
+	pop := New(net, g, coord, collector.Server, infra, cfg.Seed+5)
 
 	return &Stack{
 		Web:         web,
@@ -179,13 +154,14 @@ func BuildStack(cfg StackConfig) *Stack {
 		Report:      report,
 		Scheduler:   sched,
 		TaskIndex:   index,
-		Store:       store,
-		Aggregator:  agg,
-		WAL:         wal,
+		Store:       collector.Server.Store,
+		Aggregator:  collector.Aggregator,
+		WAL:         collector.WAL,
 		Coordinator: coord,
-		Collector:   collect,
+		Collector:   collector.Server,
 		Population:  pop,
 		Infra:       infra,
+		node:        collector,
 	}
 }
 

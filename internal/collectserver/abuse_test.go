@@ -52,7 +52,7 @@ func TestAbuseGuardConflictingTerminalStates(t *testing.T) {
 	}
 }
 
-// TestAbuseGuardPrune pins what encore-collector's checkpoint tick relies on:
+// TestAbuseGuardPrune pins what a serving node's maintenance tick relies on:
 // Prune forgets exactly the clients whose rate window has lapsed, so a
 // long-running collector tracks active addresses, not every address ever seen.
 func TestAbuseGuardPrune(t *testing.T) {

@@ -15,7 +15,8 @@
 // AttachAggregator keeps the incremental analysis tier current at the point
 // of arrival; AttachWAL makes every committed measurement durable. Close
 // shuts the path down in crash-consistent order (flush the forwarder, then
-// sync the log). An AbuseGuard applies the §8 anti-poisoning defences inline.
+// sync the log); internal/node wires a Server's tiers in order. An
+// AbuseGuard applies the §8 anti-poisoning defences inline.
 package collectserver
 
 import (
@@ -81,11 +82,8 @@ type Server struct {
 	// and the abuse guard, so an aggregation tier reachable beyond its own
 	// edges needs more than a config bit between it and §8 poisoning.
 	AttributedToken string
-	// Forwarder, when non-nil, is closed by Close before the WAL is synced:
-	// every acknowledged submission has already committed (and reached the
-	// forwarder's buffer), so the forwarder's final flush ships them
-	// upstream, and the WAL sync last puts the cursor's view of the log on
-	// stable storage.
+	// Forwarder, when non-nil, is closed by Close before the WAL is synced,
+	// so its final drain ships every acknowledged submission upstream.
 	Forwarder interface{ Close() error }
 	// LoadProbe overrides where the v2 batch endpoint reads its load
 	// depth/capacity from (default: batch requests in flight against
@@ -215,10 +213,9 @@ func (s *Server) AttachAggregator(agg *results.Aggregator) {
 // AttachWAL wires a write-ahead log into the server's store: every
 // measurement that commits is appended to the durable log at commit time,
 // alongside any attached aggregator. Call before the server starts handling
-// traffic, like the other configuration fields. The caller owns the WAL's
-// lifecycle (the server's Close syncs it but does not close it); recover a
-// crashed collector's store with results.OpenStoreFromWAL before attaching a
-// reopened WAL.
+// traffic, like the other configuration fields. The caller (node.Open, for
+// every shipped collector) owns the WAL's lifecycle: the server's Close syncs
+// it but does not close it.
 func (s *Server) AttachWAL(w *results.WAL) {
 	s.WAL = w
 	s.Store.AddObserver(w)

@@ -1,6 +1,6 @@
 // Package durable is the one way this repository replaces a file on disk: the
-// WAL's shard pin, the forwarder and campaign cursors, and the collector's
-// JSONL checkpoint all go through ReplaceFile.
+// WAL's shard pin and the forwarder and campaign cursors all go through
+// ReplaceFile.
 package durable
 
 import (

@@ -17,7 +17,7 @@ import (
 func incFixture(window time.Duration) (*results.Store, *results.Aggregator, func(i int) results.Measurement) {
 	store := results.NewStore()
 	agg := results.NewAggregator(results.AggregatorConfig{Window: window})
-	store.SetObserver(agg)
+	store.AddObserver(agg)
 	base := time.Date(2014, 5, 1, 0, 0, 0, 0, time.UTC)
 	gen := func(i int) results.Measurement {
 		id := i % 300
@@ -115,7 +115,7 @@ func TestDetectIncrementalSwitchesAggregators(t *testing.T) {
 	}
 	store2 := results.NewStore()
 	agg2 := results.NewAggregator(results.AggregatorConfig{})
-	store2.SetObserver(agg2)
+	store2.AddObserver(agg2)
 	_ = store2.Add(results.Measurement{MeasurementID: "only", PatternKey: "domain:other.com",
 		State: core.StateSuccess, Region: "US", Browser: core.BrowserChrome})
 
@@ -142,7 +142,7 @@ func TestDetectWindowsAggregatedMatchesBatchOnEpochGrid(t *testing.T) {
 	base := time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
 	store := results.NewStore()
 	agg := results.NewAggregator(results.AggregatorConfig{Window: window, Epoch: base})
-	store.SetObserver(agg)
+	store.AddObserver(agg)
 	id := 0
 	add := func(region string, success bool, day int) {
 		id++

@@ -36,6 +36,7 @@ import (
 	"encore/internal/faultinject"
 	"encore/internal/geo"
 	"encore/internal/inference"
+	"encore/internal/node"
 	"encore/internal/results"
 )
 
@@ -720,13 +721,13 @@ func scenarioNetTruncatedBody(ctx *chaosCtx) error {
 		cursors  []uint64
 	}
 	runArm := func(faulty bool) (*armOut, error) {
-		upStore := results.NewStore()
-		upAgg := results.NewAggregator(results.AggregatorConfig{})
-		upStore.AddObserver(upAgg)
-		up := collectserver.New(upStore, results.NewTaskIndex(), geo.NewRegistry(1))
-		up.Guard = nil
-		up.AllowAttributed = true
-		upSrv := httptest.NewServer(up)
+		up, err := node.Open(node.Config{Index: results.NewTaskIndex(), Geo: geo.NewRegistry(1)})
+		if err != nil {
+			return nil, err
+		}
+		up.Server.Guard = nil
+		up.Server.AllowAttributed = true
+		upSrv := httptest.NewServer(up.Server)
 		defer upSrv.Close()
 
 		dir, err := os.MkdirTemp("", "encore-chaos-fwd-*")
@@ -734,14 +735,6 @@ func scenarioNetTruncatedBody(ctx *chaosCtx) error {
 			return nil, err
 		}
 		defer os.RemoveAll(dir)
-		wal, err := results.OpenWAL(results.WALConfig{Dir: dir, Policy: results.SyncAlways})
-		if err != nil {
-			return nil, err
-		}
-		defer wal.Close()
-		edge := results.NewStore()
-		edge.AddObserver(wal) // WAL first: durable before the forwarder sees it
-
 		inner := &http.Transport{}
 		defer inner.CloseIdleConnections()
 		var transport http.RoundTripper = inner
@@ -750,20 +743,25 @@ func scenarioNetTruncatedBody(ctx *chaosCtx) error {
 			rt = faultinject.NewRoundTripper(inner, faultinject.NetFaults{Seed: ctx.seed, TruncateProb: 0.5})
 			transport = rt
 		}
-		fwd, err := federation.NewForwarder(federation.ForwarderConfig{
-			Client: apiclient.NewWithConfig(upSrv.URL, apiclient.Config{
-				HTTPClient:   &http.Client{Transport: transport, Timeout: 30 * time.Second},
-				Retries:      2,
-				RetryBackoff: time.Millisecond,
-			}),
-			MaxBatch:      chunk,
-			FlushInterval: 2 * time.Millisecond,
-			WAL:           wal,
+		edge, err := node.Open(node.Config{
+			Index: results.NewTaskIndex(),
+			Geo:   geo.NewRegistry(1),
+			WAL:   &results.WALConfig{Dir: dir, Policy: results.SyncAlways},
+			Forward: &federation.ForwarderConfig{
+				Client: apiclient.NewWithConfig(upSrv.URL, apiclient.Config{
+					HTTPClient:   &http.Client{Transport: transport, Timeout: 30 * time.Second},
+					Retries:      2,
+					RetryBackoff: time.Millisecond,
+				}),
+				MaxBatch:      chunk,
+				FlushInterval: 2 * time.Millisecond,
+			},
 		})
 		if err != nil {
 			return nil, err
 		}
-		edge.AddObserver(fwd)
+		defer edge.Close()
+		fwd := edge.Forwarder
 
 		// A truncated 2xx body is not retried inside the SDK (the server
 		// already committed), so Flush surfaces it; the consecutive-fault
@@ -780,7 +778,7 @@ func scenarioNetTruncatedBody(ctx *chaosCtx) error {
 
 		out := &armOut{}
 		for i := 0; i < records; i++ {
-			if err := edge.Add(chaosEdgeMeasurement(i)); err != nil {
+			if err := edge.Server.Store.Add(chaosEdgeMeasurement(i)); err != nil {
 				return nil, err
 			}
 			if (i+1)%chunk == 0 {
@@ -794,14 +792,14 @@ func scenarioNetTruncatedBody(ctx *chaosCtx) error {
 			return nil, err
 		}
 		out.fstats = fwd.Stats()
-		if err := fwd.Close(); err != nil {
+		if err := edge.Close(); err != nil {
 			return nil, err
 		}
 		if rt != nil {
 			out.nstats = rt.Stats()
 		}
-		out.verdicts = armVerdicts(upAgg)
-		out.upLen = upStore.Len()
+		out.verdicts = armVerdicts(up.Aggregator)
+		out.upLen = up.Server.Store.Len()
 		return out, nil
 	}
 

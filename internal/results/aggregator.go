@@ -13,7 +13,7 @@ import (
 // under a per-shard lock, and analysis passes read the finished counters
 // instead of rescanning (and defensively copying) every stored measurement.
 //
-// Wiring: attach it to a Store with Store.SetObserver before traffic starts.
+// Wiring: attach it to a Store with Store.AddObserver before traffic starts.
 // Both collectserver commit calls then feed it — Accept's one-record
 // Store.Add and the batch endpoint's Store.AddBatch — because the store
 // reports every effective insert and in-place upgrade,

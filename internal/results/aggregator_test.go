@@ -79,7 +79,7 @@ func TestQuickAggregatorMatchesBatchAggregate(t *testing.T) {
 		ms := genAggMeasurements(ids, states, regions)
 		store := NewStore()
 		agg := NewAggregator(AggregatorConfig{Window: window, Epoch: aggBase})
-		store.SetObserver(agg)
+		store.AddObserver(agg)
 		applyInterleaved(t, store, ms, splits)
 
 		all := store.All()
@@ -117,7 +117,7 @@ func TestAggregatorBackfillMatchesLive(t *testing.T) {
 
 	live := NewStore()
 	liveAgg := NewAggregator(AggregatorConfig{Window: window, Epoch: aggBase})
-	live.SetObserver(liveAgg)
+	live.AddObserver(liveAgg)
 	cold := NewStore()
 	for _, m := range ms {
 		if err := live.Add(m); err != nil {
@@ -150,7 +150,7 @@ func TestAggregatorBackfillMatchesLive(t *testing.T) {
 func TestAggregatorDirtyContract(t *testing.T) {
 	store := NewStore()
 	agg := NewAggregator(AggregatorConfig{})
-	store.SetObserver(agg)
+	store.AddObserver(agg)
 
 	m := Measurement{MeasurementID: "d1", PatternKey: "domain:a.com", State: core.StateInit,
 		Region: "TR", Browser: core.BrowserChrome}
@@ -200,7 +200,7 @@ func TestAggregatorConcurrentFanIn(t *testing.T) {
 	)
 	store := NewStore()
 	agg := NewAggregator(AggregatorConfig{Window: window, Epoch: aggBase})
-	store.SetObserver(agg)
+	store.AddObserver(agg)
 
 	var readersWg, writersWg sync.WaitGroup
 	stop := make(chan struct{})

@@ -1,7 +1,7 @@
 package results
 
 // The store has two persistence formats: the JSONL snapshot
-// (WriteJSONL/ReadJSONL, used by checkpoints and encore-analyze) and the WAL
+// (WriteJSONL/ReadJSONL, the export encore-analyze reads) and the WAL
 // (the durable commit log). These tests pin the two to each other on the edge
 // cases that historically make persistence formats drift — empty stores,
 // in-place upgrade retraction, and control-traffic records — by asserting
@@ -89,7 +89,7 @@ func TestWALAndJSONLRoundTripAgree(t *testing.T) {
 }
 
 // TestJSONLRoundTripEmptyLinesAndUpgrades covers the scanner-side edge cases
-// of the JSONL reader shared with checkpoint files: blank lines are skipped
+// of the JSONL reader that loads exports: blank lines are skipped
 // and replayed upgrades converge to the live store.
 func TestJSONLRoundTripEmptyLinesAndUpgrades(t *testing.T) {
 	s := NewStore()

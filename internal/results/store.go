@@ -109,15 +109,12 @@ type CommitObserver interface {
 	Commit(prev *Measurement, cur Measurement)
 }
 
-// CommitSeqObserver is an optional CommitObserver extension for observers
-// that also need the record's insertion sequence number — the global position
-// the measurement occupies in the store's snapshot order. An in-place upgrade
-// keeps the sequence number of the insert it replaces. The WAL persists the
-// sequence so OpenStoreFromWAL rebuilds a store whose All/WriteJSONL output
-// is bit-for-bit identical to the live store's. Observers implementing this
-// interface receive CommitWithSeq instead of Commit; the same contract
-// (called under the shard lock, must be fast, must not re-enter the store)
-// applies.
+// CommitSeqObserver was an observer extension receiving the insertion
+// sequence number alone.
+//
+// Deprecated: the store no longer dispatches CommitWithSeq; an observer that
+// needs positions implements CommitStreamObserver. Kept only because the
+// benchmark module's traced replay still names it.
 type CommitSeqObserver interface {
 	CommitObserver
 	CommitWithSeq(seq uint64, prev *Measurement, cur Measurement)
@@ -161,19 +158,15 @@ type Store struct {
 	seq     atomic.Uint64
 	commits atomic.Uint64
 	// observers are notified of every effective insert or upgrade. The slice
-	// is written only before the store sees concurrent traffic
-	// (SetObserver/AddObserver) and read on every commit without further
-	// synchronization.
+	// is written only before the store sees concurrent traffic (AddObserver)
+	// and read on every commit without further synchronization.
 	observers []storeObserver
 }
 
-// storeObserver is one attached observer with its resolved dispatch: seq is
-// non-nil when the observer wants the insertion sequence number alongside the
-// transition (CommitSeqObserver), stream when it wants the commit-stream
-// position too (CommitStreamObserver; the richest interface wins).
+// storeObserver is one attached observer with its resolved dispatch: stream
+// is non-nil when the observer wants the positions (CommitStreamObserver).
 type storeObserver struct {
 	plain  CommitObserver
-	seq    CommitSeqObserver
 	stream CommitStreamObserver
 }
 
@@ -232,47 +225,29 @@ func (s *Store) Add(m Measurement) error {
 	return nil
 }
 
-// SetObserver attaches a commit observer that will be notified of every
-// subsequent insert and in-place upgrade, replacing any observers attached
-// before it. It must be called before the store handles concurrent traffic
-// (like the collectserver configuration fields); attaching an observer to a
-// store that already holds measurements does not replay them — use
-// Aggregator.Backfill for that.
-func (s *Store) SetObserver(obs CommitObserver) {
-	s.observers = s.observers[:0]
-	s.AddObserver(obs)
-}
-
-// AddObserver attaches one more commit observer alongside any already
-// attached — the collection server runs the incremental Aggregator and the
-// durability WAL side by side this way. Observers are notified in attachment
-// order. Like SetObserver it must be called before the store handles
-// concurrent traffic. Observers implementing CommitSeqObserver receive
-// CommitWithSeq instead of Commit.
+// AddObserver attaches a commit observer alongside any already attached — the
+// collection server runs the incremental Aggregator, the durability WAL and
+// the forwarder side by side this way (node.Open fixes their order).
+// Observers are notified in attachment order. It must be called before the
+// store handles concurrent traffic; attaching an observer to a store that
+// already holds measurements does not replay them — use Aggregator.Backfill
+// for that. Observers implementing CommitStreamObserver receive CommitStream
+// instead of Commit.
 func (s *Store) AddObserver(obs CommitObserver) {
 	if obs == nil {
 		return
 	}
-	so := storeObserver{plain: obs}
-	if seq, ok := obs.(CommitSeqObserver); ok {
-		so.seq = seq
-	}
-	if stream, ok := obs.(CommitStreamObserver); ok {
-		so.stream = stream
-	}
-	s.observers = append(s.observers, so)
+	stream, _ := obs.(CommitStreamObserver)
+	s.observers = append(s.observers, storeObserver{plain: obs, stream: stream})
 }
 
 // notify dispatches one committed transition to every attached observer;
 // called under the shard lock that serialized the commit.
 func (s *Store) notify(commitSeq, seq uint64, prev *Measurement, cur Measurement) {
 	for i := range s.observers {
-		switch o := &s.observers[i]; {
-		case o.stream != nil:
+		if o := &s.observers[i]; o.stream != nil {
 			o.stream.CommitStream(commitSeq, seq, prev, cur)
-		case o.seq != nil:
-			o.seq.CommitWithSeq(seq, prev, cur)
-		default:
+		} else {
 			o.plain.Commit(prev, cur)
 		}
 	}

@@ -333,7 +333,7 @@ func walSegments(fs faultinject.FS, dir string) (map[int][]walSegFile, error) {
 // could not reconstruct snapshot order, so this panics rather than corrupt
 // the log silently.
 func (w *WAL) Commit(prev *Measurement, cur Measurement) {
-	panic("results: WAL must be attached via Store.AddObserver/SetObserver, which dispatch CommitStream")
+	panic("results: WAL must be attached via Store.AddObserver, which dispatches CommitStream")
 }
 
 // CommitStream implements CommitStreamObserver: it appends the committed
@@ -509,9 +509,9 @@ func (w *WAL) flushAll(sync bool) {
 	}
 }
 
-// Sync flushes and fsyncs every shard. Collectors call it at shutdown (after
-// draining the async ingest queue) and around checkpoints so everything the
-// store acknowledged is on stable storage regardless of policy.
+// Sync flushes and fsyncs every shard. A serving node calls it at shutdown
+// and on its maintenance tick so everything the store acknowledged is on
+// stable storage regardless of policy.
 func (w *WAL) Sync() error {
 	w.flushAll(true)
 	return w.Err()
@@ -776,9 +776,8 @@ type WALRecoveryStats struct {
 // with each record put every measurement back at its original snapshot
 // position, so All/Filter/WriteJSONL on the recovered store are bit-for-bit
 // identical to the store that wrote the log. A missing or empty directory
-// recovers an empty store. After recovery, cold-start the analysis tier with
-// Aggregator.Backfill and attach the aggregator and a reopened WAL as
-// observers before accepting traffic.
+// recovers an empty store. node.Open is a collector's whole start-up around
+// it: recovery, Aggregator.Backfill, then the observers.
 func OpenStoreFromWAL(dir string) (*Store, WALRecoveryStats, error) {
 	return OpenStoreFromWALFS(dir, faultinject.OS())
 }

@@ -68,7 +68,7 @@ func detectionStore(b *testing.B, n int) *detectionFixture {
 	}
 	store := results.NewStore()
 	agg := results.NewAggregator(results.AggregatorConfig{Window: 24 * time.Hour})
-	store.SetObserver(agg)
+	store.AddObserver(agg)
 	base := time.Date(2014, 5, 1, 0, 0, 0, 0, time.UTC)
 	const batchSize = 4096
 	batch := make([]results.Measurement, 0, batchSize)
