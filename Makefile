@@ -17,8 +17,8 @@
 #                      docs exist, every package carries a package comment,
 #                      and the commands the README names actually build
 #   make chaos       - the deterministic fault-injection suite at fixed seeds
-#                      under the race detector (part of make ci); failures
-#                      print the seed that replays them
+#                      (CHAOS_SEEDS: 1 7 424242) under the race detector (part
+#                      of make ci); failures print the seed that replays them
 #   make chaos-soak  - the same suite plus one randomized seed, logged before
 #                      the run so any failure is replayable
 #   make campaign-smoke - the campaign-tier gate (part of make ci): the grid
@@ -66,11 +66,20 @@ bench-paper:
 docs-check:
 	./scripts/docs_check.sh
 
-chaos:
-	./scripts/chaos.sh
+# A chaos failure replays with the seed its message prints:
+#   go test ./internal/loadgen -race -run TestChaos -chaos-seed <seed>
+CHAOS_SEEDS = 1 7 424242
 
-chaos-soak:
-	./scripts/chaos.sh -soak
+chaos:
+	@for seed in $(CHAOS_SEEDS); do \
+		echo "== chaos suite (seed $$seed, -race) =="; \
+		$(GO) test ./internal/loadgen -race -run TestChaos -chaos-seed $$seed || exit 1; \
+	done
+
+chaos-soak: chaos
+	@seed=$$(od -An -N4 -tu4 /dev/urandom | tr -d ' '); \
+	echo "== chaos soak (randomized seed $$seed, -race) =="; \
+	$(GO) test ./internal/loadgen -race -run TestChaos -chaos-seed $$seed
 
 campaign-smoke:
 	./scripts/campaign_smoke.sh

@@ -53,7 +53,7 @@ func (c *Client) postRecords(ctx context.Context, frames []byte, out any, meta *
 }
 
 // submitRecordFrames POSTs already-framed bytes and returns the batch
-// response; the Batcher's binary mode flushes through it.
+// response.
 func (c *Client) submitRecordFrames(ctx context.Context, frames []byte, meta *ClientMeta) (*api.BatchSubmitResponse, error) {
 	var out api.BatchSubmitResponse
 	if err := c.postRecords(ctx, frames, &out, meta); err != nil {
@@ -81,23 +81,6 @@ func (c *Client) submitBatchBinary(ctx context.Context, subs []api.SubmitRequest
 		*buf = wire.AppendSubmissionFrame(*buf, &sub)
 	}
 	return c.submitRecordFrames(ctx, *buf, meta)
-}
-
-// forwardMeasurementsBinary is ForwardMeasurements's binary-encoding path:
-// each record becomes one kind-2 frame (stream positions zero — commit
-// positions are the sending WAL's coordinate, and a caller holding decoded
-// measurements no longer has them).
-func (c *Client) forwardMeasurementsBinary(ctx context.Context, ms []results.Measurement) (*api.BatchSubmitResponse, error) {
-	buf := wire.GetBuffer()
-	defer wire.PutBuffer(buf)
-	for i := range ms {
-		b, err := wire.AppendRecordFrame(*buf, 0, 0, (*wire.Record)(&ms[i]))
-		if err != nil {
-			return nil, err
-		}
-		*buf = b
-	}
-	return c.submitRecordFrames(ctx, *buf, nil)
 }
 
 // decodeRecordStream drives fn over every record frame in r, the client side

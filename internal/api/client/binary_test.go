@@ -1,13 +1,11 @@
 package client
 
 // Tests for the SDK's opt-in binary transport: batch submission, the
-// batcher's frame-at-Add encoding, the raw-frame federation path, and the
-// negotiated binary measurement export — each asserted to behave exactly
-// like its JSON twin.
+// raw-frame federation path, and the negotiated binary measurement export —
+// each asserted to behave exactly like its JSON twin.
 
 import (
 	"context"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -44,8 +42,13 @@ func TestBinarySubmitBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Accepted != 2 || len(resp.Rejected) != 1 || resp.Rejected[0].Code != api.CodeUnknownMeasurement {
+	// The unregistered member is rejected by its index in the frame stream;
+	// the rest of the batch commits.
+	if resp.Accepted != 2 || len(resp.Rejected) != 1 {
 		t.Fatalf("binary batch response %+v", resp)
+	}
+	if rej := resp.Rejected[0]; rej.Index != 2 || rej.MeasurementID != "nope" || rej.Code != api.CodeUnknownMeasurement {
+		t.Fatalf("binary batch rejection %+v, want index 2 (nope) %s", rej, api.CodeUnknownMeasurement)
 	}
 	if resp.Load == nil {
 		t.Fatal("binary response lost the load signal")
@@ -61,30 +64,6 @@ func TestBinarySubmitBatch(t *testing.T) {
 	}
 	if m, _ := store.Get("m-1"); m.Browser != core.BrowserChrome {
 		t.Fatalf("binary submission not attributed from ClientMeta: %+v", m)
-	}
-}
-
-func TestBinaryBatcherFlushesFrames(t *testing.T) {
-	_, store, srv := testCollector(t, 256)
-	c := NewWithConfig(srv.URL, Config{BinaryEncoding: true})
-	b := c.NewBatcher(BatcherConfig{MaxBatch: 16, FlushInterval: -1})
-	const n = 16*3 + 5 // three full chunks plus a remainder
-	for i := 0; i < n; i++ {
-		if err := b.Add(api.SubmitRequest{MeasurementID: fmt.Sprintf("m-%d", i), Result: "success"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// One rejected member rides along to exercise the stats split.
-	if err := b.Add(api.SubmitRequest{MeasurementID: "unregistered", Result: "success"}); err != nil {
-		t.Fatal(err)
-	}
-	b.Close()
-	stats := b.Stats()
-	if stats.Sent != n || stats.Rejected != 1 || stats.Failed != 0 || stats.Pending != 0 {
-		t.Fatalf("batcher stats %+v, want %d sent / 1 rejected", stats, n)
-	}
-	if store.Len() != n {
-		t.Fatalf("store has %d, want %d", store.Len(), n)
 	}
 }
 
@@ -119,7 +98,16 @@ func TestBinaryForwardAndMeasurements(t *testing.T) {
 			Received:      time.Date(2014, 8, 1, 0, 1, 0, 0, time.UTC),
 		},
 	}
-	resp, err := c.ForwardMeasurements(ctx, ms)
+	// The federation lane ships pre-framed bytes verbatim, and the
+	// attributed records land unmutated.
+	var frames []byte
+	for i := range ms {
+		var err error
+		if frames, err = wire.AppendRecordFrame(frames, uint64(i+1), uint64(i+1), (*wire.Record)(&ms[i])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resp, err := c.ForwardRecordFrames(ctx, frames)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +120,7 @@ func TestBinaryForwardAndMeasurements(t *testing.T) {
 		}
 	}
 
-	// The raw-frame path ships pre-framed bytes verbatim.
+	// A re-sent frame is absorbed and a later upgrade frame applies.
 	frame, err := wire.AppendRecordFrame(nil, 42, 42, (*wire.Record)(&ms[0]))
 	if err != nil {
 		t.Fatal(err)

@@ -57,12 +57,11 @@ type Config struct {
 	// UserAgent is sent with every request unless a per-call ClientMeta
 	// overrides it.
 	UserAgent string
-	// BinaryEncoding switches the batch lanes — SubmitBatch,
-	// ForwardMeasurements, the Batcher, and the Measurements export — from
+	// BinaryEncoding switches SubmitBatch and the Measurements export from
 	// JSON to the application/x-encore-records frame stream, the same
-	// CRC-framed encoding the collector's WAL persists. Responses stay JSON;
-	// servers that predate the binary lane answer it with a 400, they do not
-	// misparse it. See binary.go.
+	// CRC-framed encoding the collector's WAL persists (ForwardRecordFrames
+	// always sends it). Responses stay JSON; servers that predate the binary
+	// lane answer it with a 400, they do not misparse it. See binary.go.
 	BinaryEncoding bool
 }
 
@@ -347,21 +346,6 @@ func (c *Client) SubmitBatch(ctx context.Context, subs []api.SubmitRequest, meta
 	}
 	var out api.BatchSubmitResponse
 	err := c.postJSON(ctx, api.V2SubmissionsPath, api.BatchSubmitRequest{Submissions: subs}, &out, meta)
-	if err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// ForwardMeasurements submits fully attributed measurement records on the
-// batch endpoint's federation lane. The upstream must have been configured
-// with AllowAttributed.
-func (c *Client) ForwardMeasurements(ctx context.Context, ms []results.Measurement) (*api.BatchSubmitResponse, error) {
-	if c.cfg.BinaryEncoding {
-		return c.forwardMeasurementsBinary(ctx, ms)
-	}
-	var out api.BatchSubmitResponse
-	err := c.postJSON(ctx, api.V2SubmissionsPath, api.BatchSubmitRequest{Measurements: ms}, &out, nil)
 	if err != nil {
 		return nil, err
 	}

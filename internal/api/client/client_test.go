@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -269,88 +268,5 @@ func TestMeasurementsStream(t *testing.T) {
 		if got != want {
 			t.Fatalf("record %d diverged:\n%+v\n%+v", i, got, want)
 		}
-	}
-}
-
-func TestBatcherSizeAndIntervalFlush(t *testing.T) {
-	_, store, srv := testCollector(t, 256)
-	c := New(srv.URL)
-
-	// Size-triggered flush: no timer, MaxBatch 32.
-	b := c.NewBatcher(BatcherConfig{MaxBatch: 32, FlushInterval: -1})
-	for i := 0; i < 32; i++ {
-		if err := b.Add(api.SubmitRequest{MeasurementID: fmt.Sprintf("m-%d", i), Result: "success"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for store.Len() < 32 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if store.Len() != 32 {
-		t.Fatalf("size-triggered flush stored %d, want 32", store.Len())
-	}
-
-	// Interval-triggered flush for a trickle below MaxBatch.
-	if err := b.Add(api.SubmitRequest{MeasurementID: "m-100", Result: "success"}); err != nil {
-		t.Fatal(err)
-	}
-	b.Close() // drains the trickle
-	if _, ok := store.Get("m-100"); !ok {
-		t.Fatal("Close did not drain the pending submission")
-	}
-	if err := b.Add(api.SubmitRequest{MeasurementID: "m-101", Result: "success"}); !errors.Is(err, ErrBatcherClosed) {
-		t.Fatalf("Add after Close = %v", err)
-	}
-	st := b.Stats()
-	if st.Sent != 33 || st.Pending != 0 || st.Failed != 0 {
-		t.Fatalf("stats %+v", st)
-	}
-
-	// Timer-driven batcher flushes without reaching MaxBatch.
-	b2 := c.NewBatcher(BatcherConfig{MaxBatch: 1000, FlushInterval: 5 * time.Millisecond})
-	defer b2.Close()
-	if err := b2.Add(api.SubmitRequest{MeasurementID: "m-102", Result: "success"}); err != nil {
-		t.Fatal(err)
-	}
-	deadline = time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, ok := store.Get("m-102"); ok {
-			break
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, ok := store.Get("m-102"); !ok {
-		t.Fatal("interval flush never happened")
-	}
-}
-
-func TestBatcherConcurrentAdds(t *testing.T) {
-	_, store, srv := testCollector(t, 1024)
-	c := New(srv.URL)
-	b := c.NewBatcher(BatcherConfig{MaxBatch: 64, FlushInterval: 10 * time.Millisecond})
-
-	var wg sync.WaitGroup
-	const workers, perWorker = 8, 128
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWorker; i++ {
-				_ = b.Add(api.SubmitRequest{
-					MeasurementID: fmt.Sprintf("m-%d", w*perWorker+i),
-					Result:        "success",
-				})
-			}
-		}(w)
-	}
-	wg.Wait()
-	b.Close()
-	if want := workers * perWorker; store.Len() != want {
-		t.Fatalf("store has %d after concurrent batched adds, want %d", store.Len(), want)
-	}
-	st := b.Stats()
-	if st.Sent != uint64(workers*perWorker) || st.Rejected != 0 || st.Failed != 0 {
-		t.Fatalf("stats %+v", st)
 	}
 }

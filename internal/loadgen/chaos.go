@@ -5,13 +5,14 @@ package loadgen
 // writes through, the http.RoundTripper the SDK and federation forwarder
 // dial through, schedule-driven adversarial censor/netsim grids, and the
 // replicated coordinator control plane (partitions, crash/restart, gossip
-// storms; see chaos_coord.go). Every
-// scenario runs two arms from the same seed: a fault-free baseline and a
-// faulted arm, then checks the standing invariants (DetectIncremental
-// verdicts equal, nothing dropped with a WAL attached, recovered snapshots
-// bit-identical, degraded health reported, forwarder cursor monotone, no
-// goroutine leaks). A failing scenario's error always carries the runner
-// seed, so any failure replays with RunChaos(thatSeed, ...).
+// storms; see chaos_coord.go). The registry is one ordered table. Most rows
+// are data for a shared runner (stickyDisk, httpFaults); every data-path
+// scenario runs two arms from the same seed through runArms — a fault-free
+// baseline and a faulted arm — then checks the standing invariants
+// (DetectIncremental verdicts equal, nothing dropped with a WAL attached,
+// recovered snapshots bit-identical, degraded health reported, forwarder
+// cursor monotone, no goroutine leaks). A failing scenario's error always
+// carries the runner seed, so any failure replays with RunChaos(thatSeed, ...).
 
 import (
 	"bytes"
@@ -61,7 +62,7 @@ type ChaosScenario struct {
 	// Name identifies the scenario in reports and replay instructions.
 	Name string
 	// Surface is the injection surface the scenario exercises: "disk",
-	// "network", or "censor".
+	// "network", "censor", or "coord".
 	Surface string
 
 	run func(ctx *chaosCtx) error
@@ -84,19 +85,46 @@ type chaosCtx struct {
 }
 
 // ChaosScenarios returns the full scenario registry in execution order.
+// RunChaos draws each scenario's sub-seed in this order, so a new row goes
+// at the end: reordering rows changes what every "replay with seed N" means.
 func ChaosScenarios() []ChaosScenario {
+	fsyncFail := (*faultinject.FaultFS).InjectFsyncFailures
+	fsyncClear := (*faultinject.FaultFS).ClearFsyncFailures
 	return []ChaosScenario{
-		{Name: "disk-fsync-fail", Surface: "disk", run: scenarioDiskFsyncFail},
-		{Name: "disk-enospc", Surface: "disk", run: scenarioDiskENOSPC},
-		{Name: "disk-short-write", Surface: "disk", run: scenarioDiskShortWrite},
+		{Name: "disk-fsync-fail", Surface: "disk", run: stickyDisk{
+			inject: fsyncFail, clear: fsyncClear, wantErr: faultinject.ErrInjectedFsync}.run},
+		// The disk "fills" mid-campaign: 8 KiB of budget absorbs a few more
+		// appends, then every write fails with ENOSPC.
+		{Name: "disk-enospc", Surface: "disk", run: stickyDisk{
+			inject:  func(fs *faultinject.FaultFS) { fs.SetWriteBudget(8 << 10) },
+			clear:   func(fs *faultinject.FaultFS) { fs.SetWriteBudget(-1) },
+			wantErr: faultinject.ErrInjectedNoSpace}.run},
+		// A short write surfaces as a wrapped io.ErrShortWrite via bufio, so
+		// any sticky error will do.
+		{Name: "disk-short-write", Surface: "disk", run: stickyDisk{
+			inject: func(fs *faultinject.FaultFS) { fs.InjectShortWrites(1) }}.run},
 		{Name: "disk-crash-torn-tail", Surface: "disk", run: scenarioDiskCrashTornTail},
-		{Name: "net-reset-storm", Surface: "network", run: scenarioNetResetStorm},
-		{Name: "net-5xx-storm", Surface: "network", run: scenarioNet5xxStorm},
+		{Name: "net-reset-storm", Surface: "network", run: httpFaults{
+			net: faultinject.NetFaults{ResetProb: 0.35}}.run},
+		// Two overload storms, one with a Retry-After flood: every response
+		// until the counter drains is a synthesized 5xx, exactly what a
+		// shedding upstream emits.
+		{Name: "net-5xx-storm", Surface: "network", run: httpFaults{storms: []netStorm{
+			{at: 0.25, count: 5, status: http.StatusServiceUnavailable, retryAfter: "0"},
+			{at: 0.75, count: 5, status: http.StatusInternalServerError},
+		}}.run},
 		{Name: "net-latency-spikes", Surface: "network", run: scenarioNetLatencySpikes},
 		{Name: "net-truncated-body", Surface: "network", run: scenarioNetTruncatedBody},
-		{Name: "censor-throttle-ramp", Surface: "censor", run: scenarioCensorThrottleRamp},
-		{Name: "censor-dns-flip", Surface: "censor", run: scenarioCensorDNSFlip},
-		{Name: "churn-backdated", Surface: "censor", run: scenarioChurnBackdated},
+		{Name: "censor-throttle-ramp", Surface: "censor", run: stickyDisk{censor: throttleRampEvents,
+			inject: fsyncFail, clear: fsyncClear, wantErr: faultinject.ErrInjectedFsync}.run},
+		{Name: "censor-dns-flip", Surface: "censor", run: httpFaults{censor: dnsFlipEvents,
+			net: faultinject.NetFaults{ResetProb: 0.3}}.run},
+		// Clients churn through the campaign out of time order: later time
+		// slices upload first, earlier slices arrive last as backdated v2
+		// batches. The collector must keep its timeline straight either way.
+		{Name: "churn-backdated", Surface: "censor", run: httpFaults{order: []int{2, 0, 3, 1}, storms: []netStorm{
+			{at: 0.5, count: 4, status: http.StatusServiceUnavailable, retryAfter: "0"},
+		}}.run},
 		{Name: "coord-partition-heal", Surface: "coord", run: scenarioCoordPartitionHeal},
 		{Name: "coord-crash-restart", Surface: "coord", run: scenarioCoordCrashRestart},
 		{Name: "coord-gossip-storm", Surface: "coord", run: scenarioCoordGossipStorm},
@@ -109,26 +137,15 @@ func ChaosScenarios() []ChaosScenario {
 // failure reported from CI replays locally with the seed its message
 // carries. logf (optional) receives progress lines.
 func RunChaos(seed uint64, logf func(format string, args ...any)) []ChaosResult {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
+	return runChaos(seed, ChaosScenarios(), logf)
+}
+
+func runChaos(seed uint64, scenarios []ChaosScenario, logf func(format string, args ...any)) []ChaosResult {
 	rng := faultinject.NewRNG(seed)
 	baseline := runtime.NumGoroutine()
 	var out []ChaosResult
-	for _, sc := range ChaosScenarios() {
-		sub := rng.Uint64()
-		logf("chaos: %-22s surface=%-7s seed=%d", sc.Name, sc.Surface, sub)
-		err := sc.run(&chaosCtx{seed: sub, logf: logf})
-		if err == nil {
-			// The no-goroutine-leak invariant holds between scenarios: every
-			// server, forwarder, WAL flusher, and transport a scenario
-			// started must be gone before the next one begins.
-			err = awaitGoroutineBaseline(baseline)
-		}
-		if err != nil {
-			err = fmt.Errorf("chaos scenario %s failed (replay with seed %d): %w", sc.Name, seed, err)
-		}
-		out = append(out, ChaosResult{Name: sc.Name, Surface: sc.Surface, Seed: sub, Err: err})
+	for _, sc := range scenarios {
+		out = append(out, runScenario(sc, rng.Uint64(), baseline, fmt.Sprintf("seed %d", seed), logf))
 	}
 	return out
 }
@@ -150,21 +167,28 @@ func FindChaosScenario(name string) (ChaosScenario, bool) {
 // name is reported as a failed result rather than a panic — campaign specs
 // validate names up front, so this is a backstop.
 func RunChaosScenario(name string, seed uint64, logf func(format string, args ...any)) ChaosResult {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
 	sc, ok := FindChaosScenario(name)
 	if !ok {
 		return ChaosResult{Name: name, Seed: seed, Err: fmt.Errorf("unknown chaos scenario %q", name)}
 	}
-	baseline := runtime.NumGoroutine()
+	return runScenario(sc, seed, runtime.NumGoroutine(), fmt.Sprintf("-chaos-scenario %s -seed %d", name, seed), logf)
+}
+
+// runScenario runs one scenario at its sub-seed. The no-goroutine-leak
+// invariant holds against baseline afterwards: every server, forwarder, WAL
+// flusher, and transport the scenario started must be gone. A failure's
+// error names the scenario and how to replay it.
+func runScenario(sc ChaosScenario, seed uint64, baseline int, replay string, logf func(format string, args ...any)) ChaosResult {
+	if logf == nil {
+		logf = func(string, ...any) {}
+	}
 	logf("chaos: %-22s surface=%-7s seed=%d", sc.Name, sc.Surface, seed)
 	err := sc.run(&chaosCtx{seed: seed, logf: logf})
 	if err == nil {
 		err = awaitGoroutineBaseline(baseline)
 	}
 	if err != nil {
-		err = fmt.Errorf("chaos scenario %s failed (replay with -chaos-scenario %s -seed %d): %w", sc.Name, sc.Name, seed, err)
+		err = fmt.Errorf("chaos scenario %s failed (replay with %s): %w", sc.Name, replay, err)
 	}
 	return ChaosResult{Name: sc.Name, Surface: sc.Surface, Seed: seed, Err: err}
 }
@@ -218,12 +242,36 @@ func newChaosArm(seed uint64, withWAL bool, policy results.SyncPolicy) (*chaosAr
 // close releases the arm; WAL close errors are expected on faulted arms
 // (the injected fault is still sticky) and deliberately ignored.
 func (a *chaosArm) close() {
-	if a.stack != nil {
-		_ = a.stack.Close()
-	}
+	_ = a.stack.Close()
 	if a.dir != "" {
 		_ = os.RemoveAll(a.dir)
 	}
+}
+
+// runArms is the two-arm skeleton every data-path scenario shares: a
+// baseline arm and then a faulted arm, built from the same seed (persisting
+// through a WAL on a FaultFS when withWAL) and each driven by drive. The
+// arms must then agree (compareArms) before check applies the scenario's
+// own invariants to the faulted arm.
+func runArms(ctx *chaosCtx, withWAL bool, policy results.SyncPolicy,
+	drive func(a *chaosArm, faulted bool) error, check func(faulted *chaosArm) error) error {
+	var arms [2]*chaosArm
+	for i := range arms {
+		a, err := newChaosArm(ctx.seed, withWAL, policy)
+		if err != nil {
+			return err
+		}
+		defer a.close()
+		if err := drive(a, i == 1); err != nil {
+			return err
+		}
+		arms[i] = a
+	}
+	base, faulted := arms[0].stack, arms[1].stack
+	if err := compareArms(base.Store, faulted.Store, base.Aggregator, faulted.Aggregator); err != nil {
+		return err
+	}
+	return check(arms[1])
 }
 
 // runSegmentedCampaign drives visits through the arm's population in
@@ -231,7 +279,7 @@ func (a *chaosArm) close() {
 // slices (progress = slices completed). order optionally permutes which
 // time slice runs when (the churn scenario submits later slices first);
 // nil runs them in time order.
-func runSegmentedCampaign(stack *clientsim.Stack, visits int, events []faultinject.Event, order []int) clientsim.CampaignResult {
+func runSegmentedCampaign(stack *clientsim.Stack, visits int, events []faultinject.Event, order []int) {
 	sched := faultinject.NewSchedule(events...)
 	if order == nil {
 		order = make([]int, chaosSegments)
@@ -239,61 +287,109 @@ func runSegmentedCampaign(stack *clientsim.Stack, visits int, events []faultinje
 			order[i] = i
 		}
 	}
-	total := clientsim.CampaignResult{ByRegion: make(map[geo.CountryCode]int)}
-	duration := 24 * time.Hour
-	segVisits := visits / chaosSegments
-	segDur := duration / chaosSegments
+	segDur := 24 * time.Hour / chaosSegments
 	for j, idx := range order {
-		sched.Advance(float64(j) / float64(chaosSegments))
-		part := stack.Population.RunCampaign(clientsim.CampaignConfig{
-			Visits:   segVisits,
+		sched.Advance(float64(j) / chaosSegments)
+		stack.Population.RunCampaign(clientsim.CampaignConfig{
+			Visits:   visits / chaosSegments,
 			Start:    chaosStart.Add(time.Duration(idx) * segDur),
 			Duration: segDur,
 			Regions:  chaosRegions,
 		})
-		total.Visits += part.Visits
-		total.OriginUnreachable += part.OriginUnreachable
-		total.CoordinatorBlocked += part.CoordinatorBlocked
-		total.TasksAssigned += part.TasksAssigned
-		total.TasksSubmitted += part.TasksSubmitted
-		for region, n := range part.ByRegion {
-			total.ByRegion[region] += n
-		}
 	}
 	sched.Advance(1)
-	return total
 }
 
-// armVerdicts runs the incremental detector over an aggregation tier.
-func armVerdicts(agg *results.Aggregator) []inference.Verdict {
-	return inference.New(inference.Config{}).DetectIncremental(agg)
-}
-
-// compareVerdicts checks the faulted arm reached exactly the fault-free
-// arm's conclusions — the detection pipeline's outcome must be invariant
-// under infrastructure faults.
-func compareVerdicts(baseline, faulted []inference.Verdict) error {
-	if reflect.DeepEqual(baseline, faulted) {
+// compareArms checks the standing two-arm invariant on what each arm's
+// collector holds: the faulted arm lost no submissions and reached exactly
+// the baseline's DetectIncremental verdicts — the detection pipeline's
+// outcome must be invariant under infrastructure faults.
+func compareArms(base, faulted *results.Store, baseAgg, faultedAgg *results.Aggregator) error {
+	if base.Len() != faulted.Len() {
+		return fmt.Errorf("records dropped: baseline stored %d, chaos stored %d", base.Len(), faulted.Len())
+	}
+	detect := inference.New(inference.Config{}).DetectIncremental
+	want, got := detect(baseAgg), detect(faultedAgg)
+	if reflect.DeepEqual(want, got) {
 		return nil
 	}
-	if len(baseline) != len(faulted) {
-		return fmt.Errorf("verdict count diverged: baseline %d, chaos %d", len(baseline), len(faulted))
+	if len(want) != len(got) {
+		return fmt.Errorf("verdict count diverged: baseline %d, chaos %d", len(want), len(got))
 	}
-	for i := range baseline {
-		if !reflect.DeepEqual(baseline[i], faulted[i]) {
+	for i := range want {
+		if !reflect.DeepEqual(want[i], got[i]) {
 			return fmt.Errorf("verdict diverged for %s/%s: baseline %+v, chaos %+v",
-				baseline[i].PatternKey, baseline[i].Region, baseline[i], faulted[i])
+				want[i].PatternKey, want[i].Region, want[i], got[i])
 		}
 	}
 	return fmt.Errorf("verdicts diverged")
 }
 
-// compareStores checks the faulted arm lost no submissions.
-func compareStores(baseline, faulted *results.Store) error {
-	if baseline.Len() != faulted.Len() {
-		return fmt.Errorf("records dropped: baseline stored %d, chaos stored %d", baseline.Len(), faulted.Len())
+// censorTimeline is an adversarial schedule over one arm's stack. It fires
+// on BOTH arms — the baseline must face the same adversary — so the
+// invariant is that infrastructure faults add nothing on top of what the
+// adversary already causes.
+type censorTimeline func(stack *clientsim.Stack) []faultinject.Event
+
+func (t censorTimeline) events(stack *clientsim.Stack) []faultinject.Event {
+	if t == nil {
+		return nil
 	}
-	return nil
+	return t(stack)
+}
+
+// ---------------------------------------------------------------------------
+// Disk surface.
+
+// stickyDisk is a disk-fault row: identical campaigns on both arms through a
+// SyncAlways WAL, with inject applied to the faulted arm's filesystem at
+// mid-campaign. The WAL must go sticky (with wantErr, when set) while the
+// collector keeps serving from memory and reports degraded; once clear (if
+// any) lifts the fault, the log replays to a clean prefix of what the
+// collector held.
+type stickyDisk struct {
+	censor  censorTimeline
+	inject  func(*faultinject.FaultFS)
+	clear   func(*faultinject.FaultFS)
+	wantErr error
+}
+
+func (d stickyDisk) run(ctx *chaosCtx) error {
+	return runArms(ctx, true, results.SyncAlways, func(a *chaosArm, faulted bool) error {
+		evs := d.censor.events(a.stack)
+		if faulted {
+			evs = append(evs, faultinject.Event{At: 0.5, Name: "disk-fault", Apply: func() { d.inject(a.ffs) }})
+		}
+		runSegmentedCampaign(a.stack, chaosVisits, evs, nil)
+		return nil
+	}, func(faulted *chaosArm) error {
+		walErr := faulted.stack.WAL.Err()
+		if walErr == nil {
+			return fmt.Errorf("injected disk fault never made the WAL sticky")
+		}
+		if d.wantErr != nil && !errors.Is(walErr, d.wantErr) {
+			return fmt.Errorf("WAL sticky error = %v, want %v", walErr, d.wantErr)
+		}
+		h, err := collectorHealth(faulted.stack.Collector)
+		if err != nil {
+			return err
+		}
+		if h.Status != api.StatusDegraded || h.WALError == "" {
+			return fmt.Errorf("sticky-WAL collector health = %q (wal_error %q), want degraded with detail", h.Status, h.WALError)
+		}
+		if d.clear != nil {
+			d.clear(faulted.ffs)
+		}
+		recovered, _, err := results.OpenStoreFromWALFS(faulted.dir, faulted.ffs)
+		if err != nil {
+			return fmt.Errorf("recovering from faulted WAL dir: %w", err)
+		}
+		if recovered.Len() == 0 || recovered.Len() > faulted.stack.Store.Len() {
+			return fmt.Errorf("recovered %d records, want 1..%d (durable prefix)", recovered.Len(), faulted.stack.Store.Len())
+		}
+		ctx.logf("chaos:   sticky %v; store intact (%d records), recovered prefix %d", walErr, faulted.stack.Store.Len(), recovered.Len())
+		return nil
+	})
 }
 
 // collectorHealth fetches /v2/healthz from a collector over a throwaway
@@ -313,206 +409,91 @@ func collectorHealth(c *collectserver.Server) (api.HealthResponse, error) {
 	return h, nil
 }
 
-// recoveredJSONL replays the WAL in dir into a fresh store and renders it
-// as JSONL — the byte string two recoveries of the same log must agree on.
-func recoveredJSONL(dir string, fs faultinject.FS) ([]byte, results.WALRecoveryStats, error) {
-	st, stats, err := results.OpenStoreFromWALFS(dir, fs)
-	if err != nil {
-		return nil, stats, err
-	}
-	var buf bytes.Buffer
-	if err := st.WriteJSONL(&buf); err != nil {
-		return nil, stats, err
-	}
-	return buf.Bytes(), stats, nil
-}
-
-// ---------------------------------------------------------------------------
-// Disk surface.
-
-// diskFault parameterizes the three sticky-disk scenarios, which share a
-// skeleton: identical campaigns on both arms, a mid-campaign disk fault on
-// the chaos arm, then the full invariant battery plus recovery.
-type diskFault struct {
-	arm     func(a *chaosArm) faultinject.Event
-	disarm  func(a *chaosArm)
-	wantErr error
-}
-
-func runStickyDiskScenario(ctx *chaosCtx, fault diskFault) error {
-	base, err := newChaosArm(ctx.seed, true, results.SyncAlways)
-	if err != nil {
-		return err
-	}
-	defer base.close()
-	faulted, err := newChaosArm(ctx.seed, true, results.SyncAlways)
-	if err != nil {
-		return err
-	}
-	defer faulted.close()
-
-	runSegmentedCampaign(base.stack, chaosVisits, nil, nil)
-	runSegmentedCampaign(faulted.stack, chaosVisits, []faultinject.Event{fault.arm(faulted)}, nil)
-
-	walErr := faulted.stack.WAL.Err()
-	if walErr == nil {
-		return fmt.Errorf("injected disk fault never made the WAL sticky")
-	}
-	if fault.wantErr != nil && !errors.Is(walErr, fault.wantErr) {
-		return fmt.Errorf("WAL sticky error = %v, want %v", walErr, fault.wantErr)
-	}
-	// The collector keeps serving from memory and reports the degradation.
-	if err := compareStores(base.stack.Store, faulted.stack.Store); err != nil {
-		return err
-	}
-	if err := compareVerdicts(armVerdicts(base.stack.Aggregator), armVerdicts(faulted.stack.Aggregator)); err != nil {
-		return err
-	}
-	h, err := collectorHealth(faulted.stack.Collector)
-	if err != nil {
-		return err
-	}
-	if h.Status != api.StatusDegraded || h.WALError == "" {
-		return fmt.Errorf("sticky-WAL collector health = %q (wal_error %q), want degraded with detail", h.Status, h.WALError)
-	}
-	// Recovery: once the fault clears, the log replays to a clean prefix of
-	// what the collector held — never more, never corrupt.
-	fault.disarm(faulted)
-	recovered, _, err := results.OpenStoreFromWALFS(faulted.dir, faulted.ffs)
-	if err != nil {
-		return fmt.Errorf("recovering from faulted WAL dir: %w", err)
-	}
-	if recovered.Len() == 0 || recovered.Len() > faulted.stack.Store.Len() {
-		return fmt.Errorf("recovered %d records, want 1..%d (durable prefix)", recovered.Len(), faulted.stack.Store.Len())
-	}
-	ctx.logf("chaos:   sticky %v; store intact (%d records), recovered prefix %d", walErr, faulted.stack.Store.Len(), recovered.Len())
-	return nil
-}
-
-func scenarioDiskFsyncFail(ctx *chaosCtx) error {
-	return runStickyDiskScenario(ctx, diskFault{
-		arm: func(a *chaosArm) faultinject.Event {
-			return faultinject.Event{At: 0.5, Name: "fsync-fail", Apply: a.ffs.InjectFsyncFailures}
-		},
-		disarm:  func(a *chaosArm) { a.ffs.ClearFsyncFailures() },
-		wantErr: faultinject.ErrInjectedFsync,
-	})
-}
-
-func scenarioDiskENOSPC(ctx *chaosCtx) error {
-	return runStickyDiskScenario(ctx, diskFault{
-		arm: func(a *chaosArm) faultinject.Event {
-			// The disk "fills" mid-campaign: 8 KiB of budget absorbs a few
-			// more appends, then every write fails with ENOSPC.
-			return faultinject.Event{At: 0.5, Name: "enospc", Apply: func() { a.ffs.SetWriteBudget(8 << 10) }}
-		},
-		disarm:  func(a *chaosArm) { a.ffs.SetWriteBudget(-1) },
-		wantErr: faultinject.ErrInjectedNoSpace,
-	})
-}
-
-func scenarioDiskShortWrite(ctx *chaosCtx) error {
-	return runStickyDiskScenario(ctx, diskFault{
-		arm: func(a *chaosArm) faultinject.Event {
-			return faultinject.Event{At: 0.5, Name: "short-write", Apply: func() { a.ffs.InjectShortWrites(1) }}
-		},
-		disarm:  func(a *chaosArm) {},
-		wantErr: nil, // surfaces as a wrapped io.ErrShortWrite via bufio
-	})
-}
-
 // scenarioDiskCrashTornTail kills the "machine" mid-write: everything synced
 // before the crash must recover bit-identically, the torn unsynced tail must
 // be discarded cleanly, and the in-memory arm's verdicts must still match
 // the fault-free baseline.
 func scenarioDiskCrashTornTail(ctx *chaosCtx) error {
+	var durable []byte
 	// SyncNone: durability happens only at explicit sync barriers, so the
 	// final segment's records are exactly the unsynced tail the crash tears.
-	base, err := newChaosArm(ctx.seed, true, results.SyncNone)
-	if err != nil {
-		return err
-	}
-	defer base.close()
-	faulted, err := newChaosArm(ctx.seed, true, results.SyncNone)
-	if err != nil {
-		return err
-	}
-	defer faulted.close()
+	return runArms(ctx, true, results.SyncNone, func(a *chaosArm, faulted bool) error {
+		if !faulted {
+			runSegmentedCampaign(a.stack, chaosVisits, nil, nil)
+			return nil
+		}
+		// Three quarters of the same campaign, then a durable snapshot at a
+		// sync barrier...
+		var snapErr error
+		snapshot := faultinject.Event{At: 0.75, Name: "sync-snapshot", Apply: func() {
+			if snapErr = a.stack.WAL.Sync(); snapErr == nil {
+				durable, _, snapErr = recoveredJSONL(results.OpenStoreFromWALFS(a.dir, a.ffs))
+			}
+		}}
+		runSegmentedCampaign(a.stack, chaosVisits, []faultinject.Event{snapshot}, nil)
+		if snapErr != nil {
+			return fmt.Errorf("snapshot at sync barrier: %w", snapErr)
+		}
+		// ...then the last quarter reaches the OS (Flush) but never stable
+		// storage, and the crash leaves a torn frame on the tail.
+		if err := a.stack.WAL.Flush(); err != nil {
+			return fmt.Errorf("flush after final segment: %w", err)
+		}
+		if _, err := a.ffs.Crash(9); err != nil {
+			return fmt.Errorf("crash: %w", err)
+		}
+		return nil
+	}, func(faulted *chaosArm) error {
+		// Recovery happens on the real filesystem: the process is gone, the
+		// FaultFS with it; only the files survive. The in-memory store ran
+		// the full campaign either way (compareArms).
+		after, stats, err := recoveredJSONL(results.OpenStoreFromWAL(faulted.dir))
+		if err != nil {
+			return fmt.Errorf("recovering crashed WAL dir: %w", err)
+		}
+		if !bytes.Equal(durable, after) {
+			return fmt.Errorf("recovered snapshot not bit-identical: %d bytes at sync barrier, %d after crash recovery", len(durable), len(after))
+		}
+		ctx.logf("chaos:   crash recovery bit-identical (%d bytes, %d torn segments tolerated)", len(after), stats.TornSegments)
+		return nil
+	})
+}
 
-	runSegmentedCampaign(base.stack, chaosVisits, nil, nil)
-
-	// Faulted arm: three quarters of the same campaign, then a durable
-	// snapshot at a sync barrier...
-	seg := chaosVisits / chaosSegments
-	segDur := 24 * time.Hour / chaosSegments
-	runSeg := func(idx int) {
-		faulted.stack.Population.RunCampaign(clientsim.CampaignConfig{
-			Visits:   seg,
-			Start:    chaosStart.Add(time.Duration(idx) * segDur),
-			Duration: segDur,
-			Regions:  chaosRegions,
-		})
-	}
-	for idx := 0; idx < 3; idx++ {
-		runSeg(idx)
-	}
-	if err := faulted.stack.WAL.Sync(); err != nil {
-		return fmt.Errorf("sync before snapshot: %w", err)
-	}
-	durable, _, err := recoveredJSONL(faulted.dir, faulted.ffs)
+// recoveredJSONL renders a WAL recovery's store (OpenStoreFromWAL's results,
+// as they come) as JSONL — the byte string two recoveries of the same log
+// must agree on.
+func recoveredJSONL(st *results.Store, stats results.WALRecoveryStats, err error) ([]byte, results.WALRecoveryStats, error) {
 	if err != nil {
-		return fmt.Errorf("snapshot at sync barrier: %w", err)
+		return nil, stats, err
 	}
-	// ...then more records that reach the OS (Flush) but never stable
-	// storage, and the crash leaves a torn frame on the tail.
-	runSeg(3)
-	if err := faulted.stack.WAL.Flush(); err != nil {
-		return fmt.Errorf("flush after final segment: %w", err)
-	}
-	if _, err := faulted.ffs.Crash(9); err != nil {
-		return fmt.Errorf("crash: %w", err)
-	}
-
-	// Recovery happens on the real filesystem: the process is gone, the
-	// FaultFS with it; only the files survive.
-	after, stats, err := recoveredJSONL(faulted.dir, faultinject.OS())
-	if err != nil {
-		return fmt.Errorf("recovering crashed WAL dir: %w", err)
-	}
-	if !bytes.Equal(durable, after) {
-		return fmt.Errorf("recovered snapshot not bit-identical: %d bytes at sync barrier, %d after crash recovery", len(durable), len(after))
-	}
-	// The in-memory store ran the full campaign either way.
-	if err := compareStores(base.stack.Store, faulted.stack.Store); err != nil {
-		return err
-	}
-	if err := compareVerdicts(armVerdicts(base.stack.Aggregator), armVerdicts(faulted.stack.Aggregator)); err != nil {
-		return err
-	}
-	ctx.logf("chaos:   crash recovery bit-identical (%d bytes, %d torn segments tolerated)", len(after), stats.TornSegments)
-	return nil
+	var buf bytes.Buffer
+	err = st.WriteJSONL(&buf)
+	return buf.Bytes(), stats, err
 }
 
 // ---------------------------------------------------------------------------
 // Network surface.
 
 // httpLane rewires an arm's population to submit over real loopback HTTP
-// (v2 JSON POSTs through the SDK), with the transport wrapped by the
-// caller — the seam the network-fault scenarios inject through.
+// (v2 JSON POSTs through the SDK). With faults set, the SDK dials through a
+// faultinject.RoundTripper (rt) — the seam the network-fault scenarios
+// inject through.
 type httpLane struct {
 	srv     *httptest.Server
 	inner   *http.Transport
+	rt      *faultinject.RoundTripper
 	restore func()
 }
 
-func attachHTTPLane(stack *clientsim.Stack, wrap func(http.RoundTripper) http.RoundTripper) *httpLane {
+func attachHTTPLane(stack *clientsim.Stack, faults *faultinject.NetFaults) *httpLane {
 	lane := &httpLane{
 		srv:   httptest.NewServer(stack.Collector),
 		inner: &http.Transport{},
 	}
 	var transport http.RoundTripper = lane.inner
-	if wrap != nil {
-		transport = wrap(transport)
+	if faults != nil {
+		lane.rt = faultinject.NewRoundTripper(lane.inner, *faults)
+		transport = lane.rt
 	}
 	client := apiclient.NewWithConfig(lane.srv.URL, apiclient.Config{
 		HTTPClient: &http.Client{Transport: transport, Timeout: 30 * time.Second},
@@ -534,112 +515,80 @@ func (l *httpLane) close() {
 	l.inner.CloseIdleConnections()
 }
 
-// runHTTPArms runs the same campaign over HTTP on a clean arm and a faulted
-// arm and applies the shared invariants. wrap builds the faulted arm's
-// RoundTripper. censorEvents (optional) is the adversarial timeline and
-// fires on BOTH arms — the baseline must face the same adversary;
-// faultEvents (optional) are the infrastructure faults and fire on the
-// faulted arm only.
-func runHTTPArms(ctx *chaosCtx, wrap func(http.RoundTripper) *faultinject.RoundTripper,
-	censorEvents func(a *chaosArm) []faultinject.Event,
-	faultEvents func(rt *faultinject.RoundTripper) []faultinject.Event,
-	order []int,
-	check func(rt *faultinject.RoundTripper) error) error {
+// httpFaults is a network-fault row: the same campaign over loopback HTTP
+// on a clean and a faulted arm, in the given time-slice order (nil: time
+// order), with the censor timeline (if any) on both. The faulted arm's SDK
+// dials through a RoundTripper configured by net (seeded from the scenario)
+// and hit by the storms on schedule. The row's fault must fire: every storm
+// response when the row has storms, otherwise at least one reset.
+type httpFaults struct {
+	net    faultinject.NetFaults
+	storms []netStorm
+	censor censorTimeline
+	order  []int
+}
 
-	base, err := newChaosArm(ctx.seed, false, 0)
-	if err != nil {
-		return err
-	}
-	defer base.close()
-	baseLane := attachHTTPLane(base.stack, nil)
-	var baseEvs []faultinject.Event
-	if censorEvents != nil {
-		baseEvs = censorEvents(base)
-	}
-	runSegmentedCampaign(base.stack, chaosHTTPVisits, baseEvs, order)
-	baseLane.close()
+// netStorm makes the next count requests from campaign progress at receive
+// a synthesized status response, with Retry-After when retryAfter is set.
+type netStorm struct {
+	at         float64
+	count      int
+	status     int
+	retryAfter string
+}
 
-	faulted, err := newChaosArm(ctx.seed, false, 0)
-	if err != nil {
-		return err
-	}
-	defer faulted.close()
+func (h httpFaults) run(ctx *chaosCtx) error {
+	faults := h.net
+	faults.Seed = ctx.seed
 	var rt *faultinject.RoundTripper
-	lane := attachHTTPLane(faulted.stack, func(inner http.RoundTripper) http.RoundTripper {
-		rt = wrap(inner)
-		return rt
+	return runArms(ctx, false, 0, func(a *chaosArm, faulted bool) error {
+		var nf *faultinject.NetFaults
+		if faulted {
+			nf = &faults
+		}
+		lane := attachHTTPLane(a.stack, nf)
+		defer lane.close()
+		evs := h.censor.events(a.stack)
+		if faulted {
+			rt = lane.rt
+			for _, s := range h.storms {
+				evs = append(evs, faultinject.Event{At: s.at, Name: "storm", Apply: func() { rt.FailNext(s.count, s.status, s.retryAfter) }})
+			}
+		}
+		runSegmentedCampaign(a.stack, chaosHTTPVisits, evs, h.order)
+		return nil
+	}, func(*chaosArm) error {
+		st := rt.Stats()
+		storms := 0
+		for _, s := range h.storms {
+			storms += s.count
+		}
+		if storms == 0 && st.Resets == 0 {
+			return fmt.Errorf("reset fault never fired across %d requests", st.Requests)
+		}
+		if storms > 0 && st.StormResponses != uint64(storms) {
+			return fmt.Errorf("storm responses = %d, want %d", st.StormResponses, storms)
+		}
+		ctx.logf("chaos:   %d requests rode out %d resets / %d storms / %d truncations / %d delays",
+			st.Requests, st.Resets, st.StormResponses, st.Truncations, st.Delays)
+		return nil
 	})
-	var evs []faultinject.Event
-	if censorEvents != nil {
-		evs = append(evs, censorEvents(faulted)...)
-	}
-	if faultEvents != nil {
-		evs = append(evs, faultEvents(rt)...)
-	}
-	runSegmentedCampaign(faulted.stack, chaosHTTPVisits, evs, order)
-	lane.close()
-
-	if err := check(rt); err != nil {
-		return err
-	}
-	if err := compareStores(base.stack.Store, faulted.stack.Store); err != nil {
-		return err
-	}
-	if err := compareVerdicts(armVerdicts(base.stack.Aggregator), armVerdicts(faulted.stack.Aggregator)); err != nil {
-		return err
-	}
-	st := rt.Stats()
-	ctx.logf("chaos:   %d requests rode out %d resets / %d storms / %d truncations / %d delays",
-		st.Requests, st.Resets, st.StormResponses, st.Truncations, st.Delays)
-	return nil
-}
-
-func scenarioNetResetStorm(ctx *chaosCtx) error {
-	return runHTTPArms(ctx,
-		func(inner http.RoundTripper) *faultinject.RoundTripper {
-			return faultinject.NewRoundTripper(inner, faultinject.NetFaults{Seed: ctx.seed, ResetProb: 0.35})
-		},
-		nil, nil, nil,
-		func(rt *faultinject.RoundTripper) error {
-			if st := rt.Stats(); st.Resets == 0 {
-				return fmt.Errorf("reset fault never fired across %d requests", st.Requests)
-			}
-			return nil
-		})
-}
-
-func scenarioNet5xxStorm(ctx *chaosCtx) error {
-	const perStorm = 5
-	return runHTTPArms(ctx,
-		func(inner http.RoundTripper) *faultinject.RoundTripper {
-			return faultinject.NewRoundTripper(inner, faultinject.NetFaults{Seed: ctx.seed})
-		},
-		nil,
-		func(rt *faultinject.RoundTripper) []faultinject.Event {
-			// Two overload storms, one with a Retry-After flood: every
-			// response until the counter drains is a synthesized 5xx
-			// carrying Retry-After, exactly what a shedding upstream emits.
-			return []faultinject.Event{
-				{At: 0.25, Name: "503-storm", Apply: func() { rt.FailNext(perStorm, http.StatusServiceUnavailable, "0") }},
-				{At: 0.75, Name: "500-storm", Apply: func() { rt.FailNext(perStorm, http.StatusInternalServerError, "") }},
-			}
-		},
-		nil,
-		func(rt *faultinject.RoundTripper) error {
-			if st := rt.Stats(); st.StormResponses != 2*perStorm {
-				return fmt.Errorf("storm responses = %d, want %d", st.StormResponses, 2*perStorm)
-			}
-			return nil
-		})
 }
 
 // scenarioNetLatencySpikes goes through loadgen.Run itself — the
 // Config.HTTPTransport seam — so the measured-path wiring is exercised too.
 func scenarioNetLatencySpikes(ctx *chaosCtx) error {
-	runArm := func(transport http.RoundTripper) (*chaosArm, error) {
-		a, err := newChaosArm(ctx.seed, false, 0)
-		if err != nil {
-			return nil, err
+	inner := &http.Transport{}
+	defer inner.CloseIdleConnections()
+	rt := faultinject.NewRoundTripper(inner, faultinject.NetFaults{
+		Seed:        ctx.seed,
+		LatencyProb: 0.3,
+		Latency:     2 * time.Millisecond,
+	})
+	return runArms(ctx, false, 0, func(a *chaosArm, faulted bool) error {
+		var transport http.RoundTripper
+		if faulted {
+			transport = rt
 		}
 		Run(a.stack, Config{
 			Clients:           1,
@@ -649,37 +598,15 @@ func scenarioNetLatencySpikes(ctx *chaosCtx) error {
 			Transport:         TransportV2,
 			HTTPTransport:     transport,
 		})
-		return a, nil
-	}
-	base, err := runArm(nil)
-	if err != nil {
-		return err
-	}
-	defer base.close()
-	inner := &http.Transport{}
-	defer inner.CloseIdleConnections()
-	rt := faultinject.NewRoundTripper(inner, faultinject.NetFaults{
-		Seed:        ctx.seed,
-		LatencyProb: 0.3,
-		Latency:     2 * time.Millisecond,
+		return nil
+	}, func(*chaosArm) error {
+		st := rt.Stats()
+		if st.Delays == 0 {
+			return fmt.Errorf("latency fault never fired across %d requests", st.Requests)
+		}
+		ctx.logf("chaos:   %d of %d requests delayed; verdicts unmoved", st.Delays, st.Requests)
+		return nil
 	})
-	faulted, err := runArm(rt)
-	if err != nil {
-		return err
-	}
-	defer faulted.close()
-	st := rt.Stats()
-	if st.Delays == 0 {
-		return fmt.Errorf("latency fault never fired across %d requests", st.Requests)
-	}
-	if err := compareStores(base.stack.Store, faulted.stack.Store); err != nil {
-		return err
-	}
-	if err := compareVerdicts(armVerdicts(base.stack.Aggregator), armVerdicts(faulted.stack.Aggregator)); err != nil {
-		return err
-	}
-	ctx.logf("chaos:   %d of %d requests delayed; verdicts unmoved", st.Delays, st.Requests)
-	return nil
 }
 
 // chaosEdgeMeasurement builds the deterministic attributed records the
@@ -708,17 +635,15 @@ func chaosEdgeMeasurement(i int) results.Measurement {
 // scenarioNetTruncatedBody aims truncated response bodies at the federation
 // forwarder: the SDK surfaces a decode failure, the forwarder re-queues the
 // batch, and the upstream's idempotent merge absorbs the duplicate send.
-// Nothing may be dropped (WAL attached), and the forward cursor must be
-// monotone throughout.
+// After the final flush nothing is lagging or rejected and the upstream
+// holds every record, and the forward cursor must be monotone throughout.
 func scenarioNetTruncatedBody(ctx *chaosCtx) error {
 	const records = 96
 	const chunk = 16
 	type armOut struct {
-		verdicts []inference.Verdict
-		upLen    int
-		fstats   federation.ForwarderStats
-		nstats   faultinject.NetStats
-		cursors  []uint64
+		up      *node.Node
+		nstats  faultinject.NetStats
+		cursors []uint64
 	}
 	runArm := func(faulty bool) (*armOut, error) {
 		up, err := node.Open(node.Config{Index: results.NewTaskIndex(), Geo: geo.NewRegistry(1)})
@@ -776,7 +701,7 @@ func scenarioNetTruncatedBody(ctx *chaosCtx) error {
 			return fmt.Errorf("forwarder flush never converged: %w", last)
 		}
 
-		out := &armOut{}
+		out := &armOut{up: up}
 		for i := 0; i < records; i++ {
 			if err := edge.Server.Store.Add(chaosEdgeMeasurement(i)); err != nil {
 				return nil, err
@@ -791,15 +716,18 @@ func scenarioNetTruncatedBody(ctx *chaosCtx) error {
 		if err := flush(); err != nil {
 			return nil, err
 		}
-		out.fstats = fwd.Stats()
+		if st := fwd.Stats(); st.Lag != 0 || st.Rejected != 0 {
+			return nil, fmt.Errorf("after the final flush: forwarder lag %d, rejected %d, want 0 and 0", st.Lag, st.Rejected)
+		}
+		if n := up.Server.Store.Len(); n != records {
+			return nil, fmt.Errorf("after the final flush the upstream holds %d records, want %d", n, records)
+		}
 		if err := edge.Close(); err != nil {
 			return nil, err
 		}
 		if rt != nil {
 			out.nstats = rt.Stats()
 		}
-		out.verdicts = armVerdicts(up.Aggregator)
-		out.upLen = up.Server.Store.Len()
 		return out, nil
 	}
 
@@ -814,9 +742,6 @@ func scenarioNetTruncatedBody(ctx *chaosCtx) error {
 	if faulted.nstats.Truncations == 0 {
 		return fmt.Errorf("truncation fault never fired across %d requests", faulted.nstats.Requests)
 	}
-	if faulted.fstats.Dropped != 0 {
-		return fmt.Errorf("WAL-backed forwarder dropped %d records under truncation faults", faulted.fstats.Dropped)
-	}
 	var prev uint64
 	for i, c := range faulted.cursors {
 		if c < prev {
@@ -827,22 +752,17 @@ func scenarioNetTruncatedBody(ctx *chaosCtx) error {
 	if prev != records {
 		return fmt.Errorf("final forward cursor = %d, want %d", prev, records)
 	}
-	if base.upLen != faulted.upLen {
-		return fmt.Errorf("upstream records diverged: baseline %d, chaos %d", base.upLen, faulted.upLen)
-	}
-	if err := compareVerdicts(base.verdicts, faulted.verdicts); err != nil {
+	if err := compareArms(base.up.Server.Store, faulted.up.Server.Store, base.up.Aggregator, faulted.up.Aggregator); err != nil {
 		return err
 	}
 	ctx.logf("chaos:   %d truncations absorbed; upstream complete (%d records), cursor monotone to %d",
-		faulted.nstats.Truncations, faulted.upLen, prev)
+		faulted.nstats.Truncations, faulted.up.Server.Store.Len(), prev)
 	return nil
 }
 
 // ---------------------------------------------------------------------------
-// Censor surface: schedule-driven adversarial grids, with an infrastructure
-// fault layered onto the chaos arm only. The adversarial timeline runs on
-// BOTH arms — the invariant is that infrastructure faults add nothing on
-// top of what the adversary already causes.
+// Censor surface: the schedule-driven adversarial timelines the censor rows
+// share with a disk or network fault on the chaos arm.
 
 // throttleRampEvents squeezes CN over the campaign: first a per-pattern
 // throttle, then region-wide path latency, finally a saturating ramp past
@@ -866,44 +786,6 @@ func throttleRampEvents(stack *clientsim.Stack) []faultinject.Event {
 	}
 }
 
-func scenarioCensorThrottleRamp(ctx *chaosCtx) error {
-	base, err := newChaosArm(ctx.seed, true, results.SyncAlways)
-	if err != nil {
-		return err
-	}
-	defer base.close()
-	faulted, err := newChaosArm(ctx.seed, true, results.SyncAlways)
-	if err != nil {
-		return err
-	}
-	defer faulted.close()
-
-	runSegmentedCampaign(base.stack, chaosVisits, throttleRampEvents(base.stack), nil)
-	chaosEvents := append(throttleRampEvents(faulted.stack), faultinject.Event{
-		At: 0.5, Name: "wal-fsync-fail", Apply: faulted.ffs.InjectFsyncFailures,
-	})
-	runSegmentedCampaign(faulted.stack, chaosVisits, chaosEvents, nil)
-
-	if faulted.stack.WAL.Err() == nil {
-		return fmt.Errorf("injected fsync fault never made the WAL sticky")
-	}
-	if err := compareStores(base.stack.Store, faulted.stack.Store); err != nil {
-		return err
-	}
-	if err := compareVerdicts(armVerdicts(base.stack.Aggregator), armVerdicts(faulted.stack.Aggregator)); err != nil {
-		return err
-	}
-	h, err := collectorHealth(faulted.stack.Collector)
-	if err != nil {
-		return err
-	}
-	if h.Status != api.StatusDegraded {
-		return fmt.Errorf("collector health under ramp+disk fault = %q, want degraded", h.Status)
-	}
-	ctx.logf("chaos:   throttling ramp verdicts identical under sticky WAL")
-	return nil
-}
-
 // dnsFlipEvents poisons TR's DNS for twitter mid-campaign and lifts PK's
 // YouTube ban near the end — the policy-flip timeline both arms share.
 func dnsFlipEvents(stack *clientsim.Stack) []faultinject.Event {
@@ -915,45 +797,4 @@ func dnsFlipEvents(stack *clientsim.Stack) []faultinject.Event {
 		}},
 		{At: 0.75, Name: "dns-unpoison-PK", Apply: func() { stack.Censor.RemovePolicy("PK") }},
 	}
-}
-
-func scenarioCensorDNSFlip(ctx *chaosCtx) error {
-	return runHTTPArms(ctx,
-		func(inner http.RoundTripper) *faultinject.RoundTripper {
-			return faultinject.NewRoundTripper(inner, faultinject.NetFaults{Seed: ctx.seed, ResetProb: 0.3})
-		},
-		func(a *chaosArm) []faultinject.Event { return dnsFlipEvents(a.stack) },
-		nil,
-		nil,
-		func(rt *faultinject.RoundTripper) error {
-			if st := rt.Stats(); st.Resets == 0 {
-				return fmt.Errorf("reset fault never fired across %d requests", st.Requests)
-			}
-			return nil
-		})
-}
-
-func scenarioChurnBackdated(ctx *chaosCtx) error {
-	// Clients churn through the campaign out of time order: later time
-	// slices upload first, earlier slices arrive last as backdated v2
-	// batches. The collector must keep its timeline straight either way.
-	order := []int{2, 0, 3, 1}
-	const perStorm = 4
-	return runHTTPArms(ctx,
-		func(inner http.RoundTripper) *faultinject.RoundTripper {
-			return faultinject.NewRoundTripper(inner, faultinject.NetFaults{Seed: ctx.seed})
-		},
-		nil,
-		func(rt *faultinject.RoundTripper) []faultinject.Event {
-			return []faultinject.Event{
-				{At: 0.5, Name: "mid-churn-storm", Apply: func() { rt.FailNext(perStorm, http.StatusServiceUnavailable, "0") }},
-			}
-		},
-		order,
-		func(rt *faultinject.RoundTripper) error {
-			if st := rt.Stats(); st.StormResponses != perStorm {
-				return fmt.Errorf("storm responses = %d, want %d", st.StormResponses, perStorm)
-			}
-			return nil
-		})
 }

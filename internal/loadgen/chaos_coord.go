@@ -81,18 +81,43 @@ func (n *coordNode) stop() {
 	}
 }
 
+// newCoordNode serves one coordinator's gossip handler on ln (a fresh
+// loopback port when nil); join attaches its federation once the peer URLs
+// are known.
+func newCoordNode(origin string, sched *scheduler.Scheduler, ln net.Listener) *coordNode {
+	n := &coordNode{origin: origin, sched: sched}
+	n.srv = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		n.fed.Handler()(w, r)
+	}))
+	if ln != nil {
+		n.srv.Listener.Close()
+		n.srv.Listener = ln
+	}
+	n.srv.Start()
+	n.host = n.srv.Listener.Addr().String()
+	return n
+}
+
+func (n *coordNode) join(peers []string, transport http.RoundTripper, seed uint64) error {
+	fed, err := coordfed.New(coordfed.Config{
+		Origin:    n.origin,
+		Scheduler: n.sched,
+		Peers:     peers,
+		Transport: transport,
+		Timeout:   2 * time.Second,
+		Seed:      seed,
+	})
+	n.fed = fed
+	return err
+}
+
 // newCoordCluster builds k fully-meshed coordinators. transportFor (optional)
 // supplies each node's outbound transport — the fault injection point — and
 // receives the node's index and its own listen host.
 func newCoordCluster(seed uint64, k int, transportFor func(i int, host string) http.RoundTripper) ([]*coordNode, error) {
 	nodes := make([]*coordNode, k)
 	for i := range nodes {
-		nodes[i] = &coordNode{origin: fmt.Sprintf("c%d", i), sched: newCoordScheduler(seed + uint64(i))}
-		n := nodes[i]
-		n.srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			n.fed.Handler()(w, r)
-		}))
-		n.host = n.srv.Listener.Addr().String()
+		nodes[i] = newCoordNode(fmt.Sprintf("c%d", i), newCoordScheduler(seed+uint64(i)), nil)
 	}
 	for i, n := range nodes {
 		var peers []string
@@ -105,18 +130,10 @@ func newCoordCluster(seed uint64, k int, transportFor func(i int, host string) h
 		if transportFor != nil {
 			transport = transportFor(i, n.host)
 		}
-		fed, err := coordfed.New(coordfed.Config{
-			Origin:    n.origin,
-			Scheduler: n.sched,
-			Peers:     peers,
-			Transport: transport,
-			Timeout:   2 * time.Second,
-			Seed:      seed ^ uint64(i+1),
-		})
-		if err != nil {
+		if err := n.join(peers, transport, seed^uint64(i+1)); err != nil {
+			stopCoordCluster(nodes)
 			return nil, err
 		}
-		n.fed = fed
 	}
 	return nodes, nil
 }
@@ -138,16 +155,40 @@ func coordAssign(n *coordNode, region geo.CountryCode, at time.Time) error {
 	return nil
 }
 
-// coordConverge steps the given number of full gossip rounds (every live node
-// exchanges with every peer once per round).
-func coordConverge(ctx context.Context, nodes []*coordNode, rounds int) {
-	for r := 0; r < rounds; r++ {
-		for _, n := range nodes {
-			if n != nil && n.fed != nil {
-				n.fed.RunRound(ctx)
+// coordWarmUp is the coord scenarios' shared prologue: one assignment on the
+// first node anchors the cluster's focus schedule at chaosStart, then every
+// node serves picks clients from its own region.
+func coordWarmUp(nodes []*coordNode, picks int) error {
+	if err := coordAssign(nodes[0], "US", chaosStart); err != nil {
+		return err
+	}
+	for i, n := range nodes {
+		for p := 0; p < picks; p++ {
+			if err := coordAssign(n, coordRegions[i], chaosStart.Add(time.Duration(p+1)*time.Millisecond)); err != nil {
+				return err
 			}
 		}
 	}
+	return nil
+}
+
+// coordConverge steps the given number of full gossip rounds (every live node
+// exchanges with every peer once per round).
+func coordConverge(nodes []*coordNode, rounds int) {
+	for r := 0; r < rounds; r++ {
+		for _, n := range nodes {
+			if n != nil && n.fed != nil {
+				n.fed.RunRound(context.Background())
+			}
+		}
+	}
+}
+
+// coordSettle steps rounds gossip rounds and then requires every node to
+// hold the same global view.
+func coordSettle(nodes []*coordNode, rounds int) error {
+	coordConverge(nodes, rounds)
+	return coordViewsAgree(nodes)
 }
 
 // coordViewsAgree verifies every node reports the identical global count for
@@ -181,14 +222,14 @@ func coordTotal(n *coordNode) int {
 
 // coordCheckBalance drives picks serialized picks in converged lockstep and
 // verifies the global per-region spread over the image patterns stays <= 1.
-func coordCheckBalance(ctx context.Context, nodes []*coordNode, at time.Time) error {
+func coordCheckBalance(nodes []*coordNode, at time.Time) error {
 	for pick := 0; pick < 18; pick++ {
 		n := nodes[pick%len(nodes)]
 		region := coordRegions[pick%len(coordRegions)]
 		if err := coordAssign(n, region, at); err != nil {
 			return err
 		}
-		coordConverge(ctx, nodes, 1)
+		coordConverge(nodes, 1)
 	}
 	if err := coordViewsAgree(nodes); err != nil {
 		return err
@@ -249,21 +290,11 @@ func scenarioCoordPartitionHeal(ctx *chaosCtx) error {
 		return err
 	}
 	defer stopCoordCluster(nodes)
-	bg := context.Background()
 
-	t0 := chaosStart
-	if err := coordAssign(nodes[0], "US", t0); err != nil {
+	if err := coordWarmUp(nodes, 30); err != nil {
 		return err
 	}
-	for i, n := range nodes {
-		for p := 0; p < 30; p++ {
-			if err := coordAssign(n, coordRegions[i], t0.Add(time.Duration(p+1)*time.Millisecond)); err != nil {
-				return err
-			}
-		}
-	}
-	coordConverge(bg, nodes, 4)
-	if err := coordViewsAgree(nodes); err != nil {
+	if err := coordSettle(nodes, 4); err != nil {
 		return fmt.Errorf("pre-partition: %w", err)
 	}
 
@@ -271,12 +302,12 @@ func scenarioCoordPartitionHeal(ctx *chaosCtx) error {
 	partition.Isolate([]string{nodes[0].host}, []string{nodes[1].host, nodes[2].host})
 	for i, n := range nodes {
 		for p := 0; p < 15; p++ {
-			if err := coordAssign(n, coordRegions[i], t0.Add(time.Second)); err != nil {
+			if err := coordAssign(n, coordRegions[i], chaosStart.Add(time.Second)); err != nil {
 				return fmt.Errorf("during partition: %w", err)
 			}
 		}
 	}
-	coordConverge(bg, nodes, 4) // every c0 exchange fails; c1<->c2 keep converging
+	coordConverge(nodes, 4) // every c0 exchange fails; c1<->c2 keep converging
 	if partition.Severed() == 0 {
 		return fmt.Errorf("partition injected no faults: Link not on the gossip path")
 	}
@@ -289,17 +320,16 @@ func scenarioCoordPartitionHeal(ctx *chaosCtx) error {
 
 	// Heal and converge: the isolated side's counts flow back in.
 	partition.Heal()
-	coordConverge(bg, nodes, 6)
-	if err := coordViewsAgree(nodes); err != nil {
+	if err := coordSettle(nodes, 6); err != nil {
 		return fmt.Errorf("post-heal: %w", err)
 	}
 	if nodes[0].fed.Degraded() {
 		return fmt.Errorf("coordinator still degraded after the partition healed")
 	}
-	if err := coordCheckBalance(bg, nodes, t0.Add(2*time.Second)); err != nil {
+	if err := coordCheckBalance(nodes, chaosStart.Add(2*time.Second)); err != nil {
 		return fmt.Errorf("post-heal: %w", err)
 	}
-	return coordCheckFocusSchedule(nodes, t0)
+	return coordCheckFocusSchedule(nodes, chaosStart)
 }
 
 // scenarioCoordCrashRestart kills one coordinator mid-campaign and restarts
@@ -312,21 +342,11 @@ func scenarioCoordCrashRestart(ctx *chaosCtx) error {
 		return err
 	}
 	defer stopCoordCluster(nodes)
-	bg := context.Background()
 
-	t0 := chaosStart
-	if err := coordAssign(nodes[0], "US", t0); err != nil {
+	if err := coordWarmUp(nodes, 30); err != nil {
 		return err
 	}
-	for i, n := range nodes {
-		for p := 0; p < 30; p++ {
-			if err := coordAssign(n, coordRegions[i], t0.Add(time.Duration(p+1)*time.Millisecond)); err != nil {
-				return err
-			}
-		}
-	}
-	coordConverge(bg, nodes, 4)
-	if err := coordViewsAgree(nodes); err != nil {
+	if err := coordSettle(nodes, 4); err != nil {
 		return fmt.Errorf("pre-crash: %w", err)
 	}
 	preCrashTotal := coordTotal(nodes[0])
@@ -340,13 +360,12 @@ func scenarioCoordCrashRestart(ctx *chaosCtx) error {
 	survivors := []*coordNode{nodes[0], nodes[2]}
 	for i, n := range survivors {
 		for p := 0; p < 12; p++ {
-			if err := coordAssign(n, coordRegions[2*i], t0.Add(time.Second)); err != nil {
+			if err := coordAssign(n, coordRegions[2*i], chaosStart.Add(time.Second)); err != nil {
 				return fmt.Errorf("after crash: %w", err)
 			}
 		}
 	}
-	coordConverge(bg, survivors, 4)
-	if err := coordViewsAgree(survivors); err != nil {
+	if err := coordSettle(survivors, 4); err != nil {
 		return fmt.Errorf("survivors: %w", err)
 	}
 	if survivors[0].fed.Degraded() || survivors[1].fed.Degraded() {
@@ -368,40 +387,27 @@ func scenarioCoordCrashRestart(ctx *chaosCtx) error {
 	if err != nil {
 		return err
 	}
-	restarted := &coordNode{origin: "c1b", host: crashedHost, sched: newCoordScheduler(ctx.seed + 99)}
-	restarted.srv = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		restarted.fed.Handler()(w, r)
-	}))
-	restarted.srv.Listener.Close()
-	restarted.srv.Listener = ln
-	restarted.srv.Start()
-	fed, err := coordfed.New(coordfed.Config{
-		Origin: restarted.origin, Scheduler: restarted.sched, Peers: crashedPeers,
-		Timeout: 2 * time.Second, Seed: ctx.seed ^ 0xbeef,
-	})
-	if err != nil {
+	restarted := newCoordNode("c1b", newCoordScheduler(ctx.seed+99), ln)
+	nodes[1] = restarted // stopped with the cluster
+	if err := restarted.join(crashedPeers, nil, ctx.seed^0xbeef); err != nil {
 		return err
 	}
-	restarted.fed = fed
-	nodes[1] = restarted
-	defer restarted.stop()
 
 	for p := 0; p < 12; p++ {
-		if err := coordAssign(restarted, coordRegions[1], t0.Add(2*time.Second)); err != nil {
+		if err := coordAssign(restarted, coordRegions[1], chaosStart.Add(2*time.Second)); err != nil {
 			return fmt.Errorf("after restart: %w", err)
 		}
 	}
-	coordConverge(bg, nodes, 6)
-	if err := coordViewsAgree(nodes); err != nil {
+	if err := coordSettle(nodes, 6); err != nil {
 		return fmt.Errorf("post-restart: %w", err)
 	}
 	if got := coordTotal(restarted); got < preCrashTotal {
 		return fmt.Errorf("restart lost coverage: replacement sees %d assignments, %d existed before the crash", got, preCrashTotal)
 	}
-	if err := coordCheckBalance(bg, nodes, t0.Add(3*time.Second)); err != nil {
+	if err := coordCheckBalance(nodes, chaosStart.Add(3*time.Second)); err != nil {
 		return fmt.Errorf("post-restart: %w", err)
 	}
-	return coordCheckFocusSchedule(nodes, t0)
+	return coordCheckFocusSchedule(nodes, chaosStart)
 }
 
 // relistenCoord rebinds a just-released loopback address, absorbing the OS
@@ -438,18 +444,8 @@ func scenarioCoordGossipStorm(ctx *chaosCtx) error {
 		return err
 	}
 	defer stopCoordCluster(nodes)
-	bg := context.Background()
-
-	t0 := chaosStart
-	if err := coordAssign(nodes[0], "US", t0); err != nil {
+	if err := coordWarmUp(nodes, 25); err != nil {
 		return err
-	}
-	for i, n := range nodes {
-		for p := 0; p < 25; p++ {
-			if err := coordAssign(n, coordRegions[i], t0.Add(time.Duration(p+1)*time.Millisecond)); err != nil {
-				return err
-			}
-		}
 	}
 
 	// A stale frame captured mid-campaign, replayed after convergence.
@@ -468,8 +464,7 @@ func scenarioCoordGossipStorm(ctx *chaosCtx) error {
 	// A 5xx burst on top of the resets, then enough rounds to converge
 	// through the lossy transport.
 	rts[0].FailNext(5, http.StatusServiceUnavailable, "")
-	coordConverge(bg, nodes, 12)
-	if err := coordViewsAgree(nodes); err != nil {
+	if err := coordSettle(nodes, 12); err != nil {
 		return fmt.Errorf("storm prevented convergence: %w", err)
 	}
 	st := nodes[0].fed.Stats()
@@ -499,5 +494,5 @@ func scenarioCoordGossipStorm(ctx *chaosCtx) error {
 	if err := coordViewsAgree(nodes); err != nil {
 		return fmt.Errorf("after stale replay: %w", err)
 	}
-	return coordCheckFocusSchedule(nodes, t0)
+	return coordCheckFocusSchedule(nodes, chaosStart)
 }

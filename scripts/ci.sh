@@ -9,7 +9,7 @@
 # catch-up and drain benchmarks and of the store-commit and admit benchmarks,
 # a -count=20 race run of the forwarder's in-flight and cursor tests, the separate
 # bench/ module's vet and tests, the
-# deterministic chaos suite at fixed seeds (scripts/chaos.sh), and the
+# deterministic chaos suite at fixed seeds (make chaos), and the
 # campaign-tier smoke
 # (scripts/campaign_smoke.sh: grid/dispatcher property tests under -race plus
 # a fixed-seed kill-and-resume pass through the encore-campaign binary).
@@ -68,7 +68,7 @@ go test ./internal/wire -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime 10s
 go test ./internal/wire -run '^$' -fuzz '^FuzzDecodeBatchStream$' -fuzztime 10s
 
 echo "== chaos suite =="
-./scripts/chaos.sh
+make chaos
 
 echo "== campaign smoke =="
 ./scripts/campaign_smoke.sh
