@@ -59,6 +59,7 @@ bench-module:
 fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeBatchStream$$' -fuzztime 10s
+	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeGossip$$' -fuzztime 10s
 
 bench-paper:
 	$(GO) test -bench=. -benchmem .

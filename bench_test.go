@@ -65,7 +65,7 @@ func feasibility() *pipeline.Report {
 		}
 		client.Unreliability = 0
 		fetcher := browser.New(core.BrowserChrome, client, net, 61)
-		pl := pipeline.New(web, fetcher, pipeline.DefaultConfig())
+		pl := pipeline.New(web, fetcher)
 		feasibilityReport = pl.Run(targets.HerdictHighValue(), time.Date(2014, 2, 26, 0, 0, 0, 0, time.UTC))
 	})
 	return feasibilityReport
@@ -237,7 +237,7 @@ func BenchmarkPilotStudyDemographics(b *testing.B) {
 	g := geo.NewRegistry(62)
 	var report analytics.PilotReport
 	for i := 0; i < b.N; i++ {
-		visits := analytics.GeneratePilot(analytics.DefaultPilotConfig(62), g)
+		visits := analytics.GeneratePilot(62, g)
 		report = analytics.Analyze(visits, g)
 	}
 	b.Logf("\n%s", report.String())

@@ -104,7 +104,7 @@ func main() {
 	fmt.Print(inference.Report(verdicts))
 
 	if *confounds {
-		warnings := inference.CheckConfounds(store, verdicts, inference.DefaultConfoundConfig())
+		warnings := inference.CheckConfounds(store, verdicts)
 		fmt.Println()
 		fmt.Print(inference.ConfoundReport(warnings))
 	}

@@ -105,7 +105,7 @@ func main() {
 	fetcher := browser.New(core.BrowserChrome, fetcherClient, net, *seed)
 
 	log.Printf("running task-generation pipeline over %d target patterns", list.Len())
-	pl := pipeline.New(web, fetcher, pipeline.DefaultConfig())
+	pl := pipeline.New(web, fetcher)
 	report := pl.Run(list, time.Now())
 	log.Printf("pipeline: %s", report.Summary())
 

@@ -55,7 +55,7 @@ func main() {
 	client.Unreliability = 0
 	fetcher := browser.New(core.BrowserChrome, client, net, *seed)
 
-	pl := pipeline.New(web, fetcher, pipeline.DefaultConfig())
+	pl := pipeline.New(web, fetcher)
 	start := time.Now()
 	report := pl.Run(list, time.Date(2014, 2, 26, 0, 0, 0, 0, time.UTC))
 	fmt.Printf("pipeline finished in %v: %s\n\n", time.Since(start).Round(time.Millisecond), report.Summary())

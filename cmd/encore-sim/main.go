@@ -157,7 +157,7 @@ func main() {
 	}
 	fmt.Println()
 	fmt.Print(inference.Report(verdicts))
-	fmt.Print(inference.ConfoundReport(inference.CheckConfounds(stack.Store, verdicts, inference.DefaultConfoundConfig())))
+	fmt.Print(inference.ConfoundReport(inference.CheckConfounds(stack.Store, verdicts)))
 
 	conf := inference.Score(verdicts, stack.GroundTruth(), inference.DefaultConfig().MinMeasurements)
 	fmt.Printf("\nscoring against ground truth: TP=%d FP=%d FN=%d TN=%d precision=%.2f recall=%.2f\n",

@@ -32,7 +32,7 @@ func main() {
 	g := geo.NewRegistry(2014)
 
 	// --- §6.2: who performs Encore measurements? ---
-	visits := analytics.GeneratePilot(analytics.DefaultPilotConfig(2014), g)
+	visits := analytics.GeneratePilot(2014, g)
 	report := analytics.Analyze(visits, g)
 	fmt.Println("§6.2 pilot demographics (one month, professor's home page):")
 	fmt.Print(report.String())

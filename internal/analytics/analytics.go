@@ -35,60 +35,40 @@ type Visit struct {
 	RanTask bool
 }
 
-// PilotConfig parameterizes the synthetic pilot visit log.
-type PilotConfig struct {
-	Seed uint64
-	// Visits is the total page views in the month; the paper saw 1,171.
-	Visits int
-	// Start is the beginning of the observation month.
-	Start time.Time
-	// HomeCountry is where most visitors come from (a US university page).
-	HomeCountry geo.CountryCode
-	// HomeFraction is the fraction of visits from the home country.
-	HomeFraction float64
-	// AutomatedFraction is the fraction of automated (bot) visits; the
+// The synthetic pilot mirrors the February 2014 pilot.
+const (
+	// pilotVisits is the total page views in the month; the paper saw 1,171.
+	pilotVisits = 1171
+	// homeCountry is where most visitors come from (a US university page).
+	homeCountry geo.CountryCode = "US"
+	// homeFraction is the fraction of visits from the home country.
+	homeFraction = 0.55
+	// automatedFraction is the fraction of automated (bot) visits; the
 	// paper attributes 1,171-999 ≈ 15% to scanners.
-	AutomatedFraction float64
-}
+	automatedFraction = 0.15
+)
 
-// DefaultPilotConfig mirrors the February 2014 pilot.
-func DefaultPilotConfig(seed uint64) PilotConfig {
-	return PilotConfig{
-		Seed:              seed,
-		Visits:            1171,
-		Start:             time.Date(2014, 2, 1, 0, 0, 0, 0, time.UTC),
-		HomeCountry:       "US",
-		HomeFraction:      0.55,
-		AutomatedFraction: 0.15,
-	}
-}
-
-// GeneratePilot produces a synthetic month of visits matching the configured
-// demographics: mostly home-country visitors, a long tail of other countries
-// drawn by Internet population, dwell times such that roughly 45% exceed 10
-// seconds and 35% exceed a minute.
-func GeneratePilot(cfg PilotConfig, registry *geo.Registry) []Visit {
-	rng := stats.NewRNG(cfg.Seed)
-	if cfg.Visits <= 0 {
-		cfg.Visits = 1171
-	}
-	if cfg.HomeCountry == "" {
-		cfg.HomeCountry = "US"
-	}
-	visits := make([]Visit, 0, cfg.Visits)
+// GeneratePilot produces a synthetic month of visits (February 2014) matching
+// the pilot's demographics: mostly home-country visitors, a long tail of other
+// countries drawn by Internet population, dwell times such that roughly 45%
+// exceed 10 seconds and 35% exceed a minute.
+func GeneratePilot(seed uint64, registry *geo.Registry) []Visit {
+	rng := stats.NewRNG(seed)
+	start := time.Date(2014, 2, 1, 0, 0, 0, 0, time.UTC)
+	visits := make([]Visit, 0, pilotVisits)
 	monthSeconds := 28 * 24 * 3600.0
-	for i := 0; i < cfg.Visits; i++ {
-		country := cfg.HomeCountry
-		if !rng.Bool(cfg.HomeFraction) {
+	for i := 0; i < pilotVisits; i++ {
+		country := homeCountry
+		if !rng.Bool(homeFraction) {
 			country = registry.SampleCountry(rng)
 		}
-		automated := rng.Bool(cfg.AutomatedFraction)
+		automated := rng.Bool(automatedFraction)
 		dwell := sampleDwellSeconds(rng)
 		if automated {
 			dwell = 1 + rng.Float64()*3
 		}
 		v := Visit{
-			Time:         cfg.Start.Add(time.Duration(rng.Float64()*monthSeconds) * time.Second),
+			Time:         start.Add(time.Duration(rng.Float64()*monthSeconds) * time.Second),
 			Country:      country,
 			Browser:      sampleBrowser(rng),
 			DwellSeconds: dwell,

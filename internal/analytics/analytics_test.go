@@ -9,8 +9,7 @@ import (
 
 func TestGeneratePilotShape(t *testing.T) {
 	g := geo.NewRegistry(1)
-	cfg := DefaultPilotConfig(7)
-	visits := GeneratePilot(cfg, g)
+	visits := GeneratePilot(7, g)
 	if len(visits) != 1171 {
 		t.Fatalf("generated %d visits, want 1171", len(visits))
 	}
@@ -31,8 +30,8 @@ func TestGeneratePilotShape(t *testing.T) {
 
 func TestGeneratePilotDeterministic(t *testing.T) {
 	g := geo.NewRegistry(1)
-	a := GeneratePilot(DefaultPilotConfig(5), g)
-	b := GeneratePilot(DefaultPilotConfig(5), g)
+	a := GeneratePilot(5, g)
+	b := GeneratePilot(5, g)
 	if len(a) != len(b) {
 		t.Fatal("lengths differ")
 	}
@@ -45,7 +44,7 @@ func TestGeneratePilotDeterministic(t *testing.T) {
 
 func TestAnalyzeMatchesPaperDemographics(t *testing.T) {
 	g := geo.NewRegistry(1)
-	visits := GeneratePilot(DefaultPilotConfig(11), g)
+	visits := GeneratePilot(11, g)
 	r := Analyze(visits, g)
 
 	if r.Visits != 1171 {
@@ -96,15 +95,15 @@ func TestAnalyzeEmpty(t *testing.T) {
 
 func TestGeneratePilotDefaults(t *testing.T) {
 	g := geo.NewRegistry(1)
-	visits := GeneratePilot(PilotConfig{Seed: 3}, g)
+	visits := GeneratePilot(3, g)
 	if len(visits) != 1171 {
-		t.Fatalf("zero config should default to 1171 visits, got %d", len(visits))
+		t.Fatalf("the pilot should have 1171 visits, got %d", len(visits))
 	}
 }
 
 func TestExpectedMeasurementsPerDay(t *testing.T) {
 	g := geo.NewRegistry(1)
-	r := Analyze(GeneratePilot(DefaultPilotConfig(13), g), g)
+	r := Analyze(GeneratePilot(13, g), g)
 	got := ExpectedMeasurementsPerDay(1000, r, 1.5)
 	if got <= 0 || got > 1500 {
 		t.Fatalf("ExpectedMeasurementsPerDay=%v", got)

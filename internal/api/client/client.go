@@ -54,9 +54,6 @@ type Config struct {
 	// GzipThreshold is the body size in bytes above which POST bodies are
 	// gzip-compressed (default 4096; negative disables compression).
 	GzipThreshold int
-	// UserAgent is sent with every request unless a per-call ClientMeta
-	// overrides it.
-	UserAgent string
 	// BinaryEncoding switches SubmitBatch and the Measurements export from
 	// JSON to the application/x-encore-records frame stream, the same
 	// CRC-framed encoding the collector's WAL persists (ForwardRecordFrames
@@ -110,9 +107,6 @@ type ClientMeta struct {
 }
 
 func (c *Client) apply(req *http.Request, meta *ClientMeta) {
-	if c.cfg.UserAgent != "" {
-		req.Header.Set("User-Agent", c.cfg.UserAgent)
-	}
 	if c.cfg.AuthToken != "" {
 		req.Header.Set("Authorization", "Bearer "+c.cfg.AuthToken)
 	}

@@ -30,10 +30,11 @@ type cursorFile struct {
 	Acked   uint64 `json:"acked_commit_seq"`
 }
 
-// loadCursor reads the persisted cursor; a missing file is position zero
-// (nothing acknowledged yet), which is the correct cold-start value.
-func loadCursor(path string) (uint64, error) {
-	data, err := os.ReadFile(path)
+// loadCursor reads the persisted cursor through fs (the WAL's, the same seam
+// saveCursor writes through); a missing file is position zero (nothing
+// acknowledged yet), which is the correct cold-start value.
+func loadCursor(fs faultinject.FS, path string) (uint64, error) {
+	data, err := fs.ReadFile(path)
 	if os.IsNotExist(err) {
 		return 0, nil
 	}

@@ -235,7 +235,7 @@ func NewForwarder(cfg ForwarderConfig) (*Forwarder, error) {
 	if cursorPath == "" {
 		cursorPath = filepath.Join(cfg.WAL.Dir(), "forward-cursor.json")
 	}
-	cursor, err := loadCursor(cursorPath)
+	cursor, err := loadCursor(cfg.WAL.Config().FS, cursorPath)
 	if err != nil {
 		return nil, err
 	}

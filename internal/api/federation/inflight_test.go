@@ -272,7 +272,7 @@ func TestStopWithPOSTsInFlight(t *testing.T) {
 	<-stopped
 
 	cursorPath := filepath.Join(wal.Dir(), "forward-cursor.json")
-	file, err := loadCursor(cursorPath)
+	file, err := loadCursor(faultinject.OS(), cursorPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,7 +291,7 @@ func TestStopWithPOSTsInFlight(t *testing.T) {
 	if err := f2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := loadCursor(cursorPath); got != records {
+	if got, _ := loadCursor(faultinject.OS(), cursorPath); got != records {
 		t.Fatalf("cursor file holds %d after the restart, want %d", got, records)
 	}
 	if got, want := exportSet(t, upStore), exportSet(t, edge); !reflect.DeepEqual(got, want) {

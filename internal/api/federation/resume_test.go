@@ -9,6 +9,7 @@ package federation
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -62,14 +63,14 @@ func TestAckTrackerContiguousAdvance(t *testing.T) {
 func TestCursorFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "forward-cursor.json")
 	// Missing file is position zero — the cold-start value.
-	got, err := loadCursor(path)
+	got, err := loadCursor(faultinject.OS(), path)
 	if err != nil || got != 0 {
 		t.Fatalf("loadCursor(missing) = %d, %v; want 0, nil", got, err)
 	}
 	if err := saveCursor(faultinject.OS(), path, 42); err != nil {
 		t.Fatal(err)
 	}
-	if got, err = loadCursor(path); err != nil || got != 42 {
+	if got, err = loadCursor(faultinject.OS(), path); err != nil || got != 42 {
 		t.Fatalf("loadCursor = %d, %v; want 42, nil", got, err)
 	}
 	// Overwrite is atomic (tmp+rename): no tmp file left behind.
@@ -79,7 +80,7 @@ func TestCursorFileRoundTrip(t *testing.T) {
 	if _, err := os.Stat(path + ".tmp"); !os.IsNotExist(err) {
 		t.Fatalf("tmp file left behind: %v", err)
 	}
-	if got, _ = loadCursor(path); got != 99 {
+	if got, _ = loadCursor(faultinject.OS(), path); got != 99 {
 		t.Fatalf("loadCursor after overwrite = %d, want 99", got)
 	}
 	// Corrupt cursor files fail loudly rather than silently restarting at 0
@@ -87,8 +88,30 @@ func TestCursorFileRoundTrip(t *testing.T) {
 	if err := os.WriteFile(path, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadCursor(path); err == nil {
+	if _, err := loadCursor(faultinject.OS(), path); err == nil {
 		t.Fatal("loadCursor(corrupt) succeeded, want error")
+	}
+}
+
+// TestForwarderReadsCursorThroughWALFS checks that the cursor is read
+// through the WAL's filesystem, the seam it is saved through: a forwarder
+// over a crashed disk must fail to start instead of reading around the fault.
+func TestForwarderReadsCursorThroughWALFS(t *testing.T) {
+	ffs := faultinject.NewFaultFS()
+	wal, err := results.OpenWAL(results.WALConfig{Dir: t.TempDir(), Policy: results.SyncNone, FS: ffs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	if _, err := ffs.Crash(0); err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewForwarder(ForwarderConfig{Client: stubClient(nil), WAL: wal})
+	if !errors.Is(err, faultinject.ErrCrashed) {
+		if f != nil {
+			f.Stop()
+		}
+		t.Fatalf("NewForwarder over a crashed WAL filesystem: err = %v, want %v", err, faultinject.ErrCrashed)
 	}
 }
 
@@ -200,7 +223,7 @@ func TestForwarderResumesFromCursorAfterCrash(t *testing.T) {
 	// The restarted forwarder resumes from what the crash left on disk. Read
 	// the file, not f2's stats: NewForwarder kicks the start-up catch-up, so
 	// its background sender may already have advanced the in-memory cursor.
-	persisted, err := loadCursor(filepath.Join(dir, "forward-cursor.json"))
+	persisted, err := loadCursor(faultinject.OS(), filepath.Join(dir, "forward-cursor.json"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,7 +159,7 @@ func TestCursorSaveFaults(t *testing.T) {
 			if err := f.Flush(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			if got, _ := loadCursor(cursorPath); got != first {
+			if got, _ := loadCursor(faultinject.OS(), cursorPath); got != first {
 				t.Fatalf("cursor file holds %d after a Flush, want %d", got, first)
 			}
 
@@ -193,7 +193,7 @@ func TestCursorSaveFaults(t *testing.T) {
 				}
 			}
 			f.Stop()
-			got, err := loadCursor(cursorPath)
+			got, err := loadCursor(faultinject.OS(), cursorPath)
 			if err != nil {
 				t.Fatalf("cursor file corrupt after %s: %v", fault, err)
 			}
@@ -240,7 +240,7 @@ func TestCursorSaveFaults(t *testing.T) {
 			if resent := sent.Load() - sentBefore; resent > second {
 				t.Fatalf("resume re-sent %d records, want at most the %d past the file cursor", resent, second)
 			}
-			if got, _ := loadCursor(cursorPath); got != total {
+			if got, _ := loadCursor(faultinject.OS(), cursorPath); got != total {
 				t.Fatalf("cursor file holds %d after the resumed Flush, want %d", got, total)
 			}
 		})
@@ -286,7 +286,7 @@ func TestCursorSaveRecoveryIsLogged(t *testing.T) {
 	if len(logs) != 2 || !strings.Contains(logs[0], "persisting forward cursor") || !strings.Contains(logs[1], "persisted again after") {
 		t.Fatalf("want one failure line and one recovery line, got %d:\n%s", len(logs), strings.Join(logs, "\n"))
 	}
-	if got, _ := loadCursor(filepath.Join(wal.Dir(), "forward-cursor.json")); got != 64 {
+	if got, _ := loadCursor(faultinject.OS(), filepath.Join(wal.Dir(), "forward-cursor.json")); got != 64 {
 		t.Fatalf("cursor file holds %d after recovery, want 64", got)
 	}
 }
@@ -333,7 +333,7 @@ func TestCompactionBetweenCrashAndRestartLeavesNoGap(t *testing.T) {
 		runPass(t, f)
 	}
 	f.Stop()
-	fileCursor, err := loadCursor(filepath.Join(dir, "forward-cursor.json"))
+	fileCursor, err := loadCursor(faultinject.OS(), filepath.Join(dir, "forward-cursor.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,7 +402,7 @@ func TestCursorInvariantsUnderLoad(t *testing.T) {
 		var lastFile, lastMem uint64
 		for {
 			// The file first: it may only trail the in-memory cursor.
-			file, err := loadCursor(filepath.Join(dir, "forward-cursor.json"))
+			file, err := loadCursor(faultinject.OS(), filepath.Join(dir, "forward-cursor.json"))
 			st := f.Stats()
 			mem := st.AckedCursor
 			peakLag = max(peakLag, st.Lag)
@@ -477,7 +477,7 @@ func TestCursorSaveCadence(t *testing.T) {
 	}
 	want := func(when string, file, mem uint64) {
 		t.Helper()
-		got, err := loadCursor(filepath.Join(dir, "forward-cursor.json"))
+		got, err := loadCursor(faultinject.OS(), filepath.Join(dir, "forward-cursor.json"))
 		if err != nil || got != file || f.Stats().AckedCursor != mem {
 			t.Fatalf("%s: file cursor %d (err %v), in-memory %d; want %d and %d", when, got, err, f.Stats().AckedCursor, file, mem)
 		}

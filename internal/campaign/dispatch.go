@@ -10,10 +10,10 @@ package campaign
 // a bounded channel in ordinal order and workers drain it concurrently.
 // Before each job, a worker consults the Pacer (live collectors'
 // api.LoadSignal / Retry-After advice); after each job, the result is
-// journaled and fsynced before it counts as complete, then the cursor file
-// is rewritten. Cancellation stops feeding and lets in-flight jobs finish;
-// a harder kill loses at most the in-flight jobs, which re-run on resume —
-// at-least-once execution, exactly-once reporting.
+// journaled and fsynced before it counts as complete. The cursor file is
+// written once per run, before the first wave. Cancellation stops feeding and
+// lets in-flight jobs finish; a harder kill loses at most the in-flight jobs,
+// which re-run on resume — at-least-once execution, exactly-once reporting.
 
 import (
 	"context"
@@ -30,13 +30,16 @@ type Pacer interface {
 	Delay(ctx context.Context) time.Duration
 }
 
+// queuePerWorker sizes the in-memory job queue: two queued jobs per worker
+// keep every worker fed between feeder sends. Jobs still queued at a
+// cancellation are drained without running.
+const queuePerWorker = 2
+
 // DispatchConfig parameterizes a campaign run.
 type DispatchConfig struct {
 	// Workers is the worker-slot count; zero falls back to Spec.Workers,
 	// then DefaultWorkers.
 	Workers int
-	// QueueDepth bounds the in-memory job queue; zero means 2×Workers.
-	QueueDepth int
 	// Dir is the campaign state directory (journal + cursor). Empty runs
 	// without a journal: nothing is persisted and nothing can resume.
 	Dir string
@@ -91,9 +94,6 @@ func Run(ctx context.Context, spec *Spec, cfg DispatchConfig) (*Outcome, error) 
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = DefaultWorkers
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 2 * cfg.Workers
 	}
 	if cfg.RunJob == nil {
 		runner, err := NewRunner(spec)
@@ -150,7 +150,7 @@ func Run(ctx context.Context, spec *Spec, cfg DispatchConfig) (*Outcome, error) 
 		}
 		if err := saveCursor(cfg.Dir, cursorState{
 			Version: cursorVersion, Name: spec.Name, SpecHash: exp.Hash,
-			TotalJobs: len(exp.Jobs), Completed: outcome.Resumed,
+			TotalJobs: len(exp.Jobs),
 		}); err != nil {
 			return nil, err
 		}
@@ -159,7 +159,7 @@ func Run(ctx context.Context, spec *Spec, cfg DispatchConfig) (*Outcome, error) 
 		}
 	}
 
-	var mu sync.Mutex // guards outcome counters/results and the cursor file
+	var mu sync.Mutex // guards outcome counters and results
 	for w, wave := range exp.Waves {
 		var pending []Job
 		for _, idx := range wave {
@@ -172,7 +172,7 @@ func Run(ctx context.Context, spec *Spec, cfg DispatchConfig) (*Outcome, error) 
 		}
 		cfg.Logf("campaign %s: wave %d, %d job(s) over %d worker(s)", spec.Name, w, len(pending), cfg.Workers)
 
-		queue := make(chan Job, cfg.QueueDepth)
+		queue := make(chan Job, queuePerWorker*cfg.Workers)
 		var wg sync.WaitGroup
 		for i := 0; i < cfg.Workers; i++ {
 			wg.Add(1)
@@ -188,15 +188,6 @@ func Run(ctx context.Context, spec *Spec, cfg DispatchConfig) (*Outcome, error) 
 						outcome.Ran++
 						if res.Failed() {
 							outcome.Failed++
-						}
-						if cfg.Dir != "" {
-							// Cursor refresh is best-effort status: the journal
-							// is the source of truth and already holds the
-							// fsynced done entry.
-							_ = saveCursor(cfg.Dir, cursorState{
-								Version: cursorVersion, Name: spec.Name, SpecHash: exp.Hash,
-								TotalJobs: len(exp.Jobs), Completed: outcome.Completed(),
-							})
 						}
 						mu.Unlock()
 						if cfg.OnJobDone != nil {

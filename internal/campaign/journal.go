@@ -6,9 +6,9 @@ package campaign
 // kill mid-append leaves a torn tail the replay detects and drops, exactly
 // like a WAL segment's. Beside the journal sits a cursor file maintained
 // with the tmp+fsync+rename dance federation.Forwarder uses for its forward
-// cursor: it pins the campaign name, the expansion hash (refusing to resume
-// a journal under a different spec), and the completed count for quick
-// status without a full replay.
+// cursor: written once per run, it pins the campaign name, the expansion
+// hash and the job count, refusing to resume a journal under a different
+// spec.
 //
 // The exactly-once contract: a job's "done" entry is appended (and synced)
 // before the job counts as complete, and replay deduplicates by job ID
@@ -183,14 +183,13 @@ func (j *Journal) append(e journalEntry) error {
 // Close closes the journal file.
 func (j *Journal) Close() error { return j.f.Close() }
 
-// cursorState is the JSON persisted beside the journal, rewritten
-// atomically (tmp + fsync + rename) as the campaign progresses.
+// cursorState is the JSON persisted beside the journal, written atomically
+// (tmp + fsync + rename) once per run.
 type cursorState struct {
 	Version   int    `json:"version"`
 	Name      string `json:"name"`
 	SpecHash  string `json:"spec_hash"`
 	TotalJobs int    `json:"total_jobs"`
-	Completed int    `json:"completed"`
 }
 
 const cursorVersion = 1

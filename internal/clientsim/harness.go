@@ -62,13 +62,6 @@ type StackConfig struct {
 	// Targets is the measurement target list; nil means the §7.2 list
 	// (YouTube, Twitter, Facebook).
 	Targets *targets.List
-	// WebConfig overrides the synthetic Web; zero value uses a medium-sized
-	// web suitable for campaigns.
-	WebConfig webgen.Config
-	// SchedulerConfig overrides scheduling parameters.
-	SchedulerConfig scheduler.Config
-	// PipelineStarted is the nominal time of the task-generation crawl.
-	PipelineStarted time.Time
 	// Infra overrides the deployment's infrastructure layout (coordinator
 	// mirrors, webmaster proxying); nil uses DefaultInfrastructure.
 	Infra *Infrastructure
@@ -88,24 +81,17 @@ func BuildStack(cfg StackConfig) *Stack {
 	if cfg.Targets == nil {
 		cfg.Targets = targets.MeasurementStudyList()
 	}
-	if cfg.WebConfig.TargetDomains == nil {
-		cfg.WebConfig = webgen.Config{
-			Seed:           cfg.Seed,
-			TargetDomains:  webgen.HighValueTargets(),
-			GenericDomains: 20,
-			CDNDomains:     3,
-			PagesPerDomain: 15,
-		}
-	}
-	if cfg.SchedulerConfig.QuorumWindow == 0 {
-		cfg.SchedulerConfig = scheduler.DefaultConfig()
-		cfg.SchedulerConfig.Seed = cfg.Seed + 1
-	}
-	if cfg.PipelineStarted.IsZero() {
-		cfg.PipelineStarted = time.Date(2014, 2, 26, 0, 0, 0, 0, time.UTC)
-	}
+	// pipelineStarted is the nominal time of the task-generation crawl.
+	pipelineStarted := time.Date(2014, 2, 26, 0, 0, 0, 0, time.UTC)
 
-	web := webgen.Generate(cfg.WebConfig)
+	// A medium-sized web suitable for campaigns.
+	web := webgen.Generate(webgen.Config{
+		Seed:           cfg.Seed,
+		TargetDomains:  webgen.HighValueTargets(),
+		GenericDomains: 20,
+		CDNDomains:     3,
+		PagesPerDomain: 15,
+	})
 	g := geo.NewRegistry(cfg.Seed + 2)
 	net := netsim.New(netsim.Config{Web: web, Censor: cfg.Censor, Geo: g, Seed: cfg.Seed + 3})
 
@@ -117,17 +103,19 @@ func BuildStack(cfg StackConfig) *Stack {
 	fetcherClient.Unreliability = 0
 	fetcher := browser.New(core.BrowserChrome, fetcherClient, net, cfg.Seed+4)
 
-	pl := pipeline.New(web, fetcher, pipeline.DefaultConfig())
-	report := pl.Run(cfg.Targets, cfg.PipelineStarted)
+	pl := pipeline.New(web, fetcher)
+	report := pl.Run(cfg.Targets, pipelineStarted)
 
-	sched := scheduler.New(report.Tasks, cfg.SchedulerConfig)
+	schedCfg := scheduler.DefaultConfig()
+	schedCfg.Seed = cfg.Seed + 1
+	sched := scheduler.New(report.Tasks, schedCfg)
 	index := results.NewTaskIndex()
 	// The aggregator keeps week buckets, the window the examples' and
 	// reports' longitudinal analyses run at.
 	collector, err := node.Open(node.Config{
 		Index:      index,
 		Geo:        g,
-		Aggregator: results.AggregatorConfig{Window: 7 * 24 * time.Hour, Epoch: cfg.PipelineStarted},
+		Aggregator: results.AggregatorConfig{Window: 7 * 24 * time.Hour, Epoch: pipelineStarted},
 		WAL:        cfg.WAL,
 	})
 	if err != nil {

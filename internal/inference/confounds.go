@@ -90,20 +90,15 @@ func (w ConfoundWarning) String() string {
 		w.PatternKey, w.Region, 100*w.FailureShare, w.Dimension, w.Slice, w.Dimension, 100*w.ObservedSuccessElsewhere)
 }
 
-// ConfoundConfig tunes the warning thresholds.
-type ConfoundConfig struct {
-	// MinFailureShare is how concentrated failures must be in one slice.
-	MinFailureShare float64
-	// MinElsewhereSuccess is how healthy the remaining slices must look.
-	MinElsewhereSuccess float64
-	// MinElsewhereCompleted requires enough data outside the suspect slice.
-	MinElsewhereCompleted int
-}
-
-// DefaultConfoundConfig returns conservative thresholds.
-func DefaultConfoundConfig() ConfoundConfig {
-	return ConfoundConfig{MinFailureShare: 0.9, MinElsewhereSuccess: 0.8, MinElsewhereCompleted: 5}
-}
+// The warning thresholds, chosen conservatively.
+const (
+	// minFailureShare is how concentrated failures must be in one slice.
+	minFailureShare = 0.9
+	// minElsewhereSuccess is how healthy the remaining slices must look.
+	minElsewhereSuccess = 0.8
+	// minElsewhereCompleted requires enough data outside the suspect slice.
+	minElsewhereCompleted = 5
+)
 
 // CheckConfounds inspects every filtered verdict and returns warnings for
 // cells whose failures are concentrated in a single browser family or task
@@ -111,10 +106,7 @@ func DefaultConfoundConfig() ConfoundConfig {
 // review before being reported as censorship. The breakdowns for all flagged
 // cells are tallied in one streaming pass over the store (Store.Range) —
 // no defensive copy, and no per-verdict rescans.
-func CheckConfounds(store *results.Store, verdicts []Verdict, cfg ConfoundConfig) []ConfoundWarning {
-	if cfg.MinFailureShare <= 0 {
-		cfg = DefaultConfoundConfig()
-	}
+func CheckConfounds(store *results.Store, verdicts []Verdict) []ConfoundWarning {
 	flagged := Filtered(verdicts)
 	if len(flagged) == 0 {
 		return nil
@@ -165,7 +157,7 @@ func CheckConfounds(store *results.Store, verdicts []Verdict, cfg ConfoundConfig
 			name   string
 			slices []Breakdown
 		}{{"browser", byBrowser}, {"task-type", byTaskType}} {
-			if w, ok := findConfound(dim.slices, cfg); ok {
+			if w, ok := findConfound(dim.slices); ok {
 				warnings = append(warnings, ConfoundWarning{
 					PatternKey:               v.PatternKey,
 					Region:                   v.Region,
@@ -199,7 +191,7 @@ type confoundCandidate struct {
 
 // findConfound looks for a slice concentrating the failures while the other
 // slices succeed.
-func findConfound(slices []Breakdown, cfg ConfoundConfig) (confoundCandidate, bool) {
+func findConfound(slices []Breakdown) (confoundCandidate, bool) {
 	if len(slices) < 2 {
 		return confoundCandidate{}, false
 	}
@@ -212,7 +204,7 @@ func findConfound(slices []Breakdown, cfg ConfoundConfig) (confoundCandidate, bo
 	}
 	for _, suspect := range slices {
 		share := float64(suspect.Failures) / float64(totalFailures)
-		if share < cfg.MinFailureShare {
+		if share < minFailureShare {
 			continue
 		}
 		var otherSuccess, otherCompleted int
@@ -223,11 +215,11 @@ func findConfound(slices []Breakdown, cfg ConfoundConfig) (confoundCandidate, bo
 			otherSuccess += s.Successes
 			otherCompleted += s.Completed()
 		}
-		if otherCompleted < cfg.MinElsewhereCompleted {
+		if otherCompleted < minElsewhereCompleted {
 			continue
 		}
 		elsewhereRate := float64(otherSuccess) / float64(otherCompleted)
-		if elsewhereRate >= cfg.MinElsewhereSuccess {
+		if elsewhereRate >= minElsewhereSuccess {
 			return confoundCandidate{Label: suspect.Label, failureShare: share, elsewhereSuccess: elsewhereRate}, true
 		}
 	}

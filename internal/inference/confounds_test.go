@@ -74,7 +74,7 @@ func TestCheckConfoundsFlagsBrowserConcentration(t *testing.T) {
 	if !FilteredSet(verdicts)["domain:youtube.com|IN"] {
 		t.Fatal("sanity: the cell should be flagged by the plain detector")
 	}
-	warnings := CheckConfounds(store, verdicts, DefaultConfoundConfig())
+	warnings := CheckConfounds(store, verdicts)
 	if len(warnings) == 0 {
 		t.Fatal("expected a confound warning")
 	}
@@ -109,7 +109,7 @@ func TestCheckConfoundsQuietOnGenuineFiltering(t *testing.T) {
 	if !FilteredSet(verdicts)["domain:twitter.com|CN"] {
 		t.Fatal("sanity: genuine filtering should be flagged")
 	}
-	warnings := CheckConfounds(store, verdicts, DefaultConfoundConfig())
+	warnings := CheckConfounds(store, verdicts)
 	if len(warnings) != 0 {
 		t.Fatalf("genuine filtering should not warn: %+v", warnings)
 	}
@@ -124,9 +124,8 @@ func TestCheckConfoundsZeroConfigUsesDefaults(t *testing.T) {
 	addCell(store, "domain:a.com", "US", core.BrowserChrome, core.TaskImage, 10, 0)
 	d := New(DefaultConfig())
 	verdicts := d.DetectStore(store)
-	// Single-browser cells cannot be attributed either way: no warnings,
-	// and no panic with the zero config.
-	if got := CheckConfounds(store, verdicts, ConfoundConfig{}); len(got) != 0 {
+	// Single-browser cells cannot be attributed either way: no warnings.
+	if got := CheckConfounds(store, verdicts); len(got) != 0 {
 		t.Fatalf("unexpected warnings: %+v", got)
 	}
 }

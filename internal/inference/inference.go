@@ -38,18 +38,18 @@ type Config struct {
 	// region must contribute before the detector will consider flagging it;
 	// prevents single-client regions from generating verdicts.
 	MinMeasurements int
-	// MinControlRegions is how many other regions must find the resource
-	// accessible before a flagged region is reported (the "yet does not
-	// fail the same test in other regions" condition).
-	MinControlRegions int
 }
+
+// minControlRegions is how many other regions must find the resource
+// accessible before a flagged region is reported (the "yet does not fail the
+// same test in other regions" condition).
+const minControlRegions = 1
 
 // DefaultConfig returns the paper's detection parameters.
 func DefaultConfig() Config {
 	return Config{
-		Test:              stats.DefaultBinomialTest(),
-		MinMeasurements:   5,
-		MinControlRegions: 1,
+		Test:            stats.DefaultBinomialTest(),
+		MinMeasurements: 5,
 	}
 }
 
@@ -65,7 +65,7 @@ type Verdict struct {
 	PValue float64
 	// RejectsNull reports whether the binomial test alone flags the cell.
 	RejectsNull bool
-	// AccessibleElsewhere reports whether at least MinControlRegions other
+	// AccessibleElsewhere reports whether at least minControlRegions other
 	// regions measured the same pattern without rejecting the null.
 	AccessibleElsewhere bool
 	// Filtered is the final decision: RejectsNull && AccessibleElsewhere.
@@ -105,9 +105,6 @@ func New(cfg Config) *Detector {
 	}
 	if cfg.MinMeasurements <= 0 {
 		cfg.MinMeasurements = def.MinMeasurements
-	}
-	if cfg.MinControlRegions <= 0 {
-		cfg.MinControlRegions = def.MinControlRegions
 	}
 	return &Detector{cfg: cfg}
 }
@@ -157,7 +154,7 @@ func (d *Detector) detectPattern(pattern string, cells []results.Group) []Verdic
 		verdicts = append(verdicts, v)
 	}
 	for i := range verdicts {
-		verdicts[i].AccessibleElsewhere = accessibleRegions >= d.cfg.MinControlRegions
+		verdicts[i].AccessibleElsewhere = accessibleRegions >= minControlRegions
 		verdicts[i].Filtered = verdicts[i].RejectsNull && verdicts[i].AccessibleElsewhere
 	}
 	return verdicts

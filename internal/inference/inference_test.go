@@ -157,7 +157,7 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.Test.P != 0.7 || cfg.Test.Alpha != 0.05 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
-	if cfg.MinMeasurements <= 0 || cfg.MinControlRegions <= 0 {
+	if cfg.MinMeasurements <= 0 {
 		t.Fatalf("defaults not applied: %+v", cfg)
 	}
 }

@@ -183,7 +183,7 @@ func (t *TunedDetector) Detect(groups []results.Group) []Verdict {
 		}
 	}
 	for i := range all {
-		all[i].AccessibleElsewhere = accessible[all[i].PatternKey] >= t.base.cfg.MinControlRegions
+		all[i].AccessibleElsewhere = accessible[all[i].PatternKey] >= minControlRegions
 		all[i].Filtered = all[i].RejectsNull && all[i].AccessibleElsewhere
 	}
 	sort.Slice(all, func(i, j int) bool {

@@ -74,16 +74,6 @@ type Config struct {
 	Regions []geo.CountryCode
 }
 
-// DefaultConfig returns a short, CI-sized load run.
-func DefaultConfig() Config {
-	return Config{
-		Clients:           8,
-		Visits:            2000,
-		Start:             time.Date(2014, 5, 1, 0, 0, 0, 0, time.UTC),
-		SimulatedDuration: 24 * time.Hour,
-	}
-}
-
 // Result reports what a load run achieved.
 type Result struct {
 	Clients int

@@ -110,43 +110,23 @@ func (ts *TaskSet) CountByType() map[core.TaskType]int {
 	return out
 }
 
-// Config parameterizes the pipeline.
-type Config struct {
-	// MaxURLsPerPattern bounds pattern expansion; the paper samples up to
-	// 50 search results per pattern.
-	MaxURLsPerPattern int
-	// Requirements are the Task Generator's admission rules.
-	Requirements core.Requirements
-	// MaxImageCandidatesPerDomain bounds how many image candidates are kept
-	// per domain (variety helps scheduling without exploding the set).
-	MaxImageCandidatesPerDomain int
-}
-
-// DefaultConfig returns the paper's parameters.
-func DefaultConfig() Config {
-	return Config{
-		MaxURLsPerPattern:           50,
-		Requirements:                core.DefaultRequirements(),
-		MaxImageCandidatesPerDomain: 20,
-	}
-}
+// maxURLsPerPattern bounds pattern expansion; the paper samples up to 50
+// search results per pattern.
+const maxURLsPerPattern = 50
 
 // Pipeline wires the three stages together over the synthetic Web, using a
 // browser instance as the Target Fetcher's headless browser. The fetcher
 // must be located at an unfiltered vantage point (the paper used Georgia
 // Tech), otherwise generated tasks inherit the fetcher's own censorship.
+// Candidates are admitted by core.DefaultRequirements.
 type Pipeline struct {
 	Web     *webgen.Web
 	Fetcher *browser.Browser
-	Config  Config
 }
 
 // New creates a pipeline.
-func New(web *webgen.Web, fetcher *browser.Browser, cfg Config) *Pipeline {
-	if cfg.MaxURLsPerPattern <= 0 {
-		cfg.MaxURLsPerPattern = 50
-	}
-	return &Pipeline{Web: web, Fetcher: fetcher, Config: cfg}
+func New(web *webgen.Web, fetcher *browser.Browser) *Pipeline {
+	return &Pipeline{Web: web, Fetcher: fetcher}
 }
 
 // Expansion is the output of the Pattern Expander for one pattern.
@@ -162,7 +142,7 @@ func (p *Pipeline) ExpandPattern(pat urlpattern.Pattern) Expansion {
 	if pat.IsTrivial() {
 		return Expansion{Pattern: pat, URLs: []string{pat.URL()}}
 	}
-	urls := p.Web.Search(pat, p.Config.MaxURLsPerPattern)
+	urls := p.Web.Search(pat, maxURLsPerPattern)
 	return Expansion{Pattern: pat, URLs: urls}
 }
 
@@ -176,7 +156,7 @@ func (p *Pipeline) FetchTarget(url string, started time.Time) (*har.Log, error) 
 // via core.Requirements.
 func (p *Pipeline) GenerateFromHAR(pat urlpattern.Pattern, log *har.Log) []Candidate {
 	var out []Candidate
-	req := p.Config.Requirements
+	req := core.DefaultRequirements()
 	for _, pageStats := range log.AnalyzeAll() {
 		// The page itself as an iframe candidate.
 		pageCand := core.Candidate{

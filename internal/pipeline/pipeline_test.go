@@ -30,7 +30,7 @@ func testPipeline(t *testing.T) (*Pipeline, *webgen.Web) {
 	}
 	client.Unreliability = 0
 	fetcher := browser.New(core.BrowserChrome, client, net, 77)
-	return New(web, fetcher, DefaultConfig()), web
+	return New(web, fetcher), web
 }
 
 func TestExpandPatternDomain(t *testing.T) {
@@ -39,8 +39,8 @@ func TestExpandPatternDomain(t *testing.T) {
 	if len(exp.URLs) == 0 {
 		t.Fatal("domain pattern expanded to no URLs")
 	}
-	if len(exp.URLs) > p.Config.MaxURLsPerPattern {
-		t.Fatalf("expansion exceeded the %d-URL cap", p.Config.MaxURLsPerPattern)
+	if len(exp.URLs) > maxURLsPerPattern {
+		t.Fatalf("expansion exceeded the %d-URL cap", maxURLsPerPattern)
 	}
 	for _, u := range exp.URLs {
 		if !exp.Pattern.Matches(u) {
@@ -89,7 +89,7 @@ func TestGenerateFromHARRespectsRequirements(t *testing.T) {
 	if len(candidates) == 0 {
 		t.Fatal("no candidates generated for facebook.com")
 	}
-	req := p.Config.Requirements
+	req := core.DefaultRequirements()
 	for _, c := range candidates {
 		if c.PatternKey != pat.Key() {
 			t.Fatalf("candidate attributed to wrong pattern: %+v", c)

@@ -203,7 +203,7 @@ func cacheTimingSection(opts Options, stack *clientsim.Stack) string {
 
 func pilotSection(opts Options) string {
 	g := geo.NewRegistry(opts.Seed + 20)
-	visits := analytics.GeneratePilot(analytics.DefaultPilotConfig(opts.Seed+20), g)
+	visits := analytics.GeneratePilot(opts.Seed+20, g)
 	rep := analytics.Analyze(visits, g)
 	return rep.String()
 }

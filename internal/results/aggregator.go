@@ -41,16 +41,10 @@ type Aggregator struct {
 	patterns internTable
 	regions  internTable
 	shards   []aggShard
-	mask     uint32
 }
 
 // AggregatorConfig parameterizes an Aggregator.
 type AggregatorConfig struct {
-	// Shards is the number of lock shards the group cells are spread over
-	// (rounded up to a power of two; < 1 means the default of 16). Group
-	// cardinality is patterns × regions, far below measurement cardinality,
-	// so fewer shards than the Store's suffice.
-	Shards int
 	// Window is the time-bucket size maintained for the longitudinal view;
 	// 0 disables windowed tracking (Windowed then returns nil).
 	Window time.Duration
@@ -64,8 +58,11 @@ type AggregatorConfig struct {
 	Epoch time.Time
 }
 
-// defaultAggShards is the default number of group shards.
-const defaultAggShards = 16
+// aggShards is the number of lock shards the group cells are spread over (a
+// power of two, so a mask picks the shard). Group cardinality is patterns ×
+// regions, far below measurement cardinality, so fewer shards than the
+// Store's suffice.
+const aggShards = 16
 
 // aggCell is one pattern×region group maintained online.
 type aggCell struct {
@@ -114,15 +111,7 @@ func (t *internTable) id(s string) uint32 {
 // NewAggregator returns an empty aggregation tier; zero config fields fall
 // back to defaults (16 shards, no windowed tracking, Unix-epoch grid).
 func NewAggregator(cfg AggregatorConfig) *Aggregator {
-	n := cfg.Shards
-	if n < 1 {
-		n = defaultAggShards
-	}
-	size := 1
-	for size < n {
-		size <<= 1
-	}
-	a := &Aggregator{cfg: cfg, shards: make([]aggShard, size), mask: uint32(size - 1)}
+	a := &Aggregator{cfg: cfg, shards: make([]aggShard, aggShards)}
 	for i := range a.shards {
 		a.shards[i].cells = make(map[uint64]*aggCell)
 		a.shards[i].dirty = make(map[string]struct{})
@@ -154,7 +143,7 @@ func mix(x uint64) uint64 {
 
 // shardFor maps an interned cell key to its shard.
 func (a *Aggregator) shardFor(key uint64) *aggShard {
-	return &a.shards[uint32(mix(key))&a.mask]
+	return &a.shards[uint32(mix(key))&(aggShards-1)]
 }
 
 // Commit implements CommitObserver: it retracts the replaced record's

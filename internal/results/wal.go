@@ -698,39 +698,27 @@ func (w *WAL) compactShard(shard int) error {
 	recs = append(recs, unacked...)
 
 	last := files[len(files)-1]
-	tmpPath := last.path + ".tmp"
-	tmp, err := w.fs.OpenFile(tmpPath, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	err = durable.ReplaceFile(w.fs, last.path, func(out io.Writer) error {
+		bw := bufio.NewWriterSize(out, 1<<16)
+		scratch := make([]byte, walFrameHeader, 256)
+		for _, r := range recs {
+			frame, err := wire.AppendRecord(scratch[:walFrameHeader], r.cseq, r.seq, (*wire.Record)(&r.m))
+			if err != nil {
+				return err
+			}
+			scratch = frame
+			wire.FillFrameHeader(frame)
+			if _, err := bw.Write(frame); err != nil {
+				return err
+			}
+		}
+		if err := bw.Flush(); err != nil {
+			return err
+		}
+		sh.gen.Add(1) // before the rename: a tail opening last.path after it must see it
+		return nil
+	})
 	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriterSize(tmp, 1<<16)
-	scratch := make([]byte, walFrameHeader, 256)
-	for _, r := range recs {
-		frame, err := wire.AppendRecord(scratch[:walFrameHeader], r.cseq, r.seq, (*wire.Record)(&r.m))
-		if err != nil {
-			tmp.Close()
-			return err
-		}
-		scratch = frame
-		wire.FillFrameHeader(frame)
-		if _, err := bw.Write(frame); err != nil {
-			tmp.Close()
-			return err
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	sh.gen.Add(1) // first: a tail opening last.path after the rename must see it
-	if err := w.fs.Rename(tmpPath, last.path); err != nil {
 		return err
 	}
 	sh.segs = append(sh.segs[:0], last.index)

@@ -50,7 +50,7 @@ func TestQuickAssignmentsAlwaysValidAndCompatible(t *testing.T) {
 			ExpectedDwellSeconds: float64(dwell % 300),
 		}
 		tasks := s.Assign(client, time.Unix(int64(at), 0))
-		if len(tasks) > cfg.MaxTasksPerClient {
+		if len(tasks) > maxTasksPerClient {
 			return false
 		}
 		for _, task := range tasks {

@@ -58,27 +58,23 @@ type Config struct {
 	// QuorumWindow is how long the scheduler keeps steering clients to the
 	// same focus pattern before rotating to the next one.
 	QuorumWindow time.Duration
-	// SecondsPerTask is the budget assumed per measurement task when
-	// deciding how many tasks an idle client can run.
-	SecondsPerTask float64
-	// MaxTasksPerClient caps assignments per page view.
-	MaxTasksPerClient int
-	// ControlFraction is the fraction of clients diverted to control
-	// (testbed validation) tasks when a control set is installed; the paper
-	// used roughly 30% (§7.1).
-	ControlFraction float64
 	// Seed drives the scheduler's random choices.
 	Seed uint64
 }
 
+const (
+	// secondsPerTask is the budget assumed per measurement task when
+	// deciding how many tasks an idle client can run.
+	secondsPerTask = 10
+	// maxTasksPerClient caps assignments per page view.
+	maxTasksPerClient = 5
+)
+
 // DefaultConfig returns scheduling parameters matching the paper.
 func DefaultConfig() Config {
 	return Config{
-		QuorumWindow:      60 * time.Second,
-		SecondsPerTask:    10,
-		MaxTasksPerClient: 5,
-		ControlFraction:   0,
-		Seed:              1,
+		QuorumWindow: 60 * time.Second,
+		Seed:         1,
 	}
 }
 
@@ -139,12 +135,6 @@ func New(tasks *pipeline.TaskSet, cfg Config) *Scheduler {
 	if cfg.QuorumWindow <= 0 {
 		cfg.QuorumWindow = 60 * time.Second
 	}
-	if cfg.SecondsPerTask <= 0 {
-		cfg.SecondsPerTask = 10
-	}
-	if cfg.MaxTasksPerClient <= 0 {
-		cfg.MaxTasksPerClient = 5
-	}
 	compiled := pipeline.Compile(tasks)
 	s := &Scheduler{
 		cfg:            cfg,
@@ -161,16 +151,14 @@ func New(tasks *pipeline.TaskSet, cfg Config) *Scheduler {
 			s.schedulable[p] = true
 		}
 	}
-	if cfg.ControlFraction > 0 {
-		s.control.Store(&controlSet{fraction: cfg.ControlFraction})
-	}
 	return s
 }
 
 // SetControlTasks installs a control task set (testbed targets and
-// known-unfiltered resources); a ControlFraction of clients is diverted to it
-// for soundness validation (§7.1). The compiled set is swapped in atomically,
-// so installation never blocks concurrent assignment.
+// known-unfiltered resources); that fraction of clients is diverted to it for
+// soundness validation (§7.1; the paper used roughly 30%). The compiled set
+// is swapped in atomically, so installation never blocks concurrent
+// assignment.
 func (s *Scheduler) SetControlTasks(control *pipeline.TaskSet, fraction float64) {
 	if control == nil {
 		s.control.Store(&controlSet{fraction: fraction})
@@ -278,11 +266,11 @@ func (s *Scheduler) AssignInto(client ClientInfo, now time.Time, buf []core.Task
 	rng := stats.RNGFrom(splitmix64(s.nextID.Add(1) ^ (s.cfg.Seed << 17)))
 
 	budget := 1
-	if client.ExpectedDwellSeconds > s.cfg.SecondsPerTask {
-		budget = int(client.ExpectedDwellSeconds / s.cfg.SecondsPerTask)
+	if client.ExpectedDwellSeconds > secondsPerTask {
+		budget = int(client.ExpectedDwellSeconds / secondsPerTask)
 	}
-	if budget > s.cfg.MaxTasksPerClient {
-		budget = s.cfg.MaxTasksPerClient
+	if budget > maxTasksPerClient {
+		budget = maxTasksPerClient
 	}
 
 	ctrl := s.control.Load()
@@ -350,7 +338,7 @@ func (s *Scheduler) AssignInto(client ClientInfo, now time.Time, buf []core.Task
 		seen = append(seen, targetKey{typ: cand.Type, url: cand.TargetURL})
 		task := cand.Task(s.newMeasurementID(), useControl)
 		task.Created = now
-		task.TimeoutMillis = int(s.cfg.SecondsPerTask * 1000 * 3)
+		task.TimeoutMillis = secondsPerTask * 1000 * 3
 		buf = append(buf, task)
 		assigned++
 		s.totalAssigned.Add(1)

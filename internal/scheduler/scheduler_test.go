@@ -71,7 +71,7 @@ func TestAssignMultipleTasksForIdleClients(t *testing.T) {
 	if len(tasks) < 2 {
 		t.Fatalf("idle client got only %d tasks", len(tasks))
 	}
-	if len(tasks) > DefaultConfig().MaxTasksPerClient {
+	if len(tasks) > maxTasksPerClient {
 		t.Fatalf("assignment exceeds cap: %d", len(tasks))
 	}
 	ids := map[string]bool{}

@@ -1,7 +1,8 @@
 package wire
 
-// Fuzz targets for the untrusted-input surfaces: DecodeRecord (one payload)
-// and the FrameReader (a whole stream). The seeded corpus covers the shapes
+// Fuzz targets for the untrusted-input surfaces: DecodeRecord (one payload),
+// the FrameReader (a whole stream) and DecodeGossip (a peer coordinator's
+// anti-entropy payload). The seeded corpus covers the shapes
 // the hardening is built against — valid frames, torn tails, truncations,
 // CRC bit flips, and length bombs — and the invariants are the decoder's
 // contract: never panic, never allocate ahead of bytes actually read, never
@@ -12,6 +13,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 	"time"
 
@@ -147,6 +149,37 @@ func FuzzDecodeBatchStream(f *testing.F) {
 		// runs more than one read chunk ahead of the input it was fed.
 		if cap(fr.frame) > len(data)+frameReadChunk+FrameHeaderLen {
 			t.Fatalf("reader holds %d bytes of scratch for a %d-byte stream", cap(fr.frame), len(data))
+		}
+	})
+}
+
+// FuzzDecodeGossip fuzzes the gossip payload decoder, seeded from the gossip
+// tests' payloads: a full exchange, an empty one, a truncation and a length
+// bomb. Anything that decodes must survive AppendGossip → DecodeGossip
+// unchanged; anything else must be ErrMalformed.
+func FuzzDecodeGossip(f *testing.F) {
+	full := AppendGossip(nil, sampleGossip())
+	f.Add(full)
+	f.Add(AppendGossip(nil, &Gossip{From: "x"}))
+	f.Add(full[:len(full)/2])
+	f.Add(AppendGossipFrame(nil, sampleGossip())) // header bytes as payload
+	bomb := AppendGossip(nil, &Gossip{From: "a"})
+	bomb = append(bomb[:len(bomb)-2], 0x80, 0x80, 0x80, 0x80, 0x80, 0x01) // digest count 2^35
+	f.Add(bomb)
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		g, err := DecodeGossip(payload)
+		if err != nil {
+			if !errors.Is(err, ErrMalformed) {
+				t.Fatalf("decode error %v is not ErrMalformed", err)
+			}
+			return
+		}
+		g2, err := DecodeGossip(AppendGossip(nil, &g))
+		if err != nil {
+			t.Fatalf("re-decoding a re-encoded gossip: %v", err)
+		}
+		if !reflect.DeepEqual(g2, g) {
+			t.Fatalf("decode⇄encode not idempotent:\n got %+v\nwant %+v", g2, g)
 		}
 	})
 }

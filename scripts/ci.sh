@@ -59,13 +59,14 @@ echo "== bench module =="
 (cd bench && go vet ./... && go test ./...)
 
 # Short fuzz smoke over the untrusted wire surfaces: the record payload
-# decoder and the full streaming frame path. Ten seconds each — enough to
-# shake out regressions around the seeded adversarial corpus on every CI run;
-# longer exploratory runs stay manual. (go test accepts one -fuzz pattern per
-# invocation, hence two runs.)
+# decoder, the full streaming frame path and the coordinator gossip decoder.
+# Ten seconds each — enough to shake out regressions around the seeded
+# adversarial corpus on every CI run; longer exploratory runs stay manual.
+# (go test accepts one -fuzz pattern per invocation, hence three runs.)
 echo "== fuzz smoke (internal/wire) =="
 go test ./internal/wire -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime 10s
 go test ./internal/wire -run '^$' -fuzz '^FuzzDecodeBatchStream$' -fuzztime 10s
+go test ./internal/wire -run '^$' -fuzz '^FuzzDecodeGossip$' -fuzztime 10s
 
 echo "== chaos suite =="
 make chaos
