@@ -12,7 +12,8 @@
 #                      `bash bench/run.sh trace` and `... aa`
 #   make bench-module - vet and test the separate bench/ module against this
 #                      checkout's product API (part of make ci)
-#   make fuzz        - the CI fuzz smoke: 10s on each internal/wire target
+#   make fuzz        - the CI fuzz smoke: 10s on each fuzz target (the three
+#                      internal/wire decoders and the campaign journal replay)
 #   make docs-check  - verify the docs suite: README/architecture/example
 #                      docs exist, every package carries a package comment,
 #                      and the commands the README names actually build
@@ -60,6 +61,7 @@ fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeBatchStream$$' -fuzztime 10s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeGossip$$' -fuzztime 10s
+	$(GO) test ./internal/campaign -run '^$$' -fuzz '^FuzzReplayJournal$$' -fuzztime 10s
 
 bench-paper:
 	$(GO) test -bench=. -benchmem .

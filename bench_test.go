@@ -330,14 +330,14 @@ func BenchmarkDeploymentCampaign(b *testing.B) {
 // ---------------------------------------------------------------------------
 
 // BenchmarkFilteringDetection runs the binomial detection algorithm over the
-// campaign store and scores it against ground truth.
+// campaign's aggregated group counters and scores it against ground truth.
 func BenchmarkFilteringDetection(b *testing.B) {
 	stack := campaign()
 	detector := inference.New(inference.DefaultConfig())
 	var verdicts []inference.Verdict
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		verdicts = detector.DetectStore(stack.Store)
+		verdicts = detector.Detect(stack.Aggregator.Groups())
 	}
 	b.StopTimer()
 	conf := inference.Score(verdicts, stack.GroundTruth(), inference.DefaultConfig().MinMeasurements)
@@ -436,7 +436,7 @@ func BenchmarkAblationDetectionParameters(b *testing.B) {
 		for _, p := range ps {
 			for _, alpha := range alphas {
 				det := inference.New(inference.Config{Test: stats.BinomialTest{P: p, Alpha: alpha}, MinMeasurements: 5})
-				verdicts := det.DetectStore(stack.Store)
+				verdicts := det.Detect(stack.Aggregator.Groups())
 				conf := inference.Score(verdicts, truth, 5)
 				rows = append(rows, row{p: p, alpha: alpha, precision: conf.Precision(), recall: conf.Recall(),
 					detections: len(inference.Filtered(verdicts))})
@@ -536,8 +536,11 @@ func BenchmarkLongitudinalOnsetDetection(b *testing.B) {
 		stack.Population.RunCampaign(clientsim.CampaignConfig{
 			Visits: 1000, Start: blockStart, Duration: 14 * 24 * time.Hour, Regions: regions})
 
+		const week = 7 * 24 * time.Hour
+		agg := results.NewAggregator(results.AggregatorConfig{Window: week, Epoch: start})
+		agg.Backfill(stack.Store)
 		detector := inference.New(inference.DefaultConfig())
-		windows := detector.DetectWindows(stack.Store, 7*24*time.Hour)
+		windows := detector.DetectWindows(agg, week)
 		for _, t := range inference.Transitions(windows, inference.DefaultConfig().MinMeasurements) {
 			if t.PatternKey == "domain:twitter.com" && t.Region == "TR" && t.FilteredNow {
 				detected++

@@ -70,17 +70,13 @@ func main() {
 	}
 
 	// Cold start for the incremental analysis tier: fold the loaded store
-	// into an aggregator with one parallel pass (per store shard), then run
-	// detection over the finished group counters. Skipped when nothing will
-	// read the aggregator (-tuned detection without a -window).
-	var agg *results.Aggregator
-	if !*tuned || *window > 0 {
-		agg = results.NewAggregator(results.AggregatorConfig{Window: *window})
-		backfillStart := time.Now()
-		backfilled := agg.Backfill(store)
-		fmt.Printf("backfilled %d stored measurements into %d non-control groups in %v\n",
-			backfilled, agg.GroupCount(), time.Since(backfillStart).Round(time.Millisecond))
-	}
+	// into an aggregator with one parallel pass (per store shard); every
+	// detection below reads its group counters.
+	agg := results.NewAggregator(results.AggregatorConfig{Window: *window})
+	backfillStart := time.Now()
+	backfilled := agg.Backfill(store)
+	fmt.Printf("backfilled %d stored measurements into %d non-control groups in %v\n",
+		backfilled, agg.GroupCount(), time.Since(backfillStart).Round(time.Millisecond))
 
 	campaign := store.Stats()
 	fmt.Printf("loaded %d measurements from %d distinct clients in %d countries\n",
@@ -96,7 +92,8 @@ func main() {
 	detector := inference.New(cfg)
 	var verdicts []inference.Verdict
 	if *tuned {
-		verdicts = inference.NewTuned(cfg, store, 0.9).DetectStore(store)
+		groups := agg.Groups()
+		verdicts = inference.NewTuned(cfg, groups, 0.9).Detect(groups)
 	} else {
 		verdicts = detector.DetectIncremental(agg)
 	}
@@ -111,7 +108,7 @@ func main() {
 
 	if *window > 0 {
 		fmt.Printf("\nwindowed detection (%v windows, grid anchored at the Unix epoch):\n", *window)
-		windows := detector.DetectWindowsAggregated(agg, *window)
+		windows := detector.DetectWindows(agg, *window)
 		fmt.Print(inference.TimelineReport(windows, *minMeas))
 	}
 

@@ -141,20 +141,12 @@ func main() {
 		stack.Scheduler.TotalAssignments(), len(coverage), maxSpread)
 
 	// Detection reads the incremental aggregation tier the collector
-	// maintained during ingest (O(groups)); a batch pass over the full store
-	// (O(store)) runs alongside it to show the crossover on this run.
+	// maintained during ingest (O(groups)).
 	detector := inference.New(inference.DefaultConfig())
-	batchStart := time.Now()
-	batchVerdicts := detector.DetectStore(stack.Store)
-	batchTime := time.Since(batchStart)
 	incStart := time.Now()
 	verdicts := detector.DetectIncremental(stack.Aggregator)
-	incTime := time.Since(incStart)
-	fmt.Printf("\ndetection: batch rescan of %d measurements in %v; incremental over %d groups in %v\n",
-		stack.Store.Len(), batchTime.Round(time.Microsecond), len(verdicts), incTime.Round(time.Microsecond))
-	if len(verdicts) != len(batchVerdicts) {
-		fmt.Printf("WARNING: incremental (%d verdicts) and batch (%d) disagree\n", len(verdicts), len(batchVerdicts))
-	}
+	fmt.Printf("\ndetection: incremental over %d groups in %v\n",
+		len(verdicts), time.Since(incStart).Round(time.Microsecond))
 	fmt.Println()
 	fmt.Print(inference.Report(verdicts))
 	fmt.Print(inference.ConfoundReport(inference.CheckConfounds(stack.Store, verdicts)))

@@ -47,7 +47,7 @@ func main() {
 	fmt.Println()
 
 	detector := inference.New(inference.DefaultConfig())
-	verdicts := detector.DetectStore(stack.Store)
+	verdicts := detector.DetectIncremental(stack.Aggregator)
 	fmt.Print(inference.Report(verdicts))
 
 	conf := inference.Score(verdicts, stack.GroundTruth(), inference.DefaultConfig().MinMeasurements)

@@ -21,6 +21,7 @@ import (
 	"encore/internal/clientsim"
 	"encore/internal/geo"
 	"encore/internal/inference"
+	"encore/internal/results"
 )
 
 func main() {
@@ -50,18 +51,25 @@ func main() {
 		Regions:  regions,
 	})
 
+	// Fold the campaign into an aggregator whose weekly grid starts on the
+	// campaign's first day, so each window is one week of the campaign.
+	const week = 7 * 24 * time.Hour
+	agg := results.NewAggregator(results.AggregatorConfig{Window: week, Epoch: start})
+	agg.Backfill(stack.Store)
+	groups := agg.Groups()
+
 	detector := inference.New(inference.DefaultConfig())
-	windows := detector.DetectWindows(stack.Store, 7*24*time.Hour)
+	windows := detector.DetectWindows(agg, week)
 	fmt.Println("\nweekly detection timeline:")
 	fmt.Print(inference.TimelineReport(windows, inference.DefaultConfig().MinMeasurements))
 
 	fmt.Println("\nper-country tuned detection (the §7.2 enhancement):")
-	tuned := inference.NewTuned(inference.DefaultConfig(), stack.Store, 0.9)
+	tuned := inference.NewTuned(inference.DefaultConfig(), groups, 0.9)
 	for _, region := range []geo.CountryCode{"US", "TR", "NG"} {
 		fmt.Printf("  tuned null success probability for %s: %.2f\n", region, tuned.NullProbability(region))
 	}
-	plain := inference.Filtered(detector.DetectStore(stack.Store))
-	adjusted := inference.Filtered(tuned.DetectStore(stack.Store))
+	plain := inference.Filtered(detector.Detect(groups))
+	adjusted := inference.Filtered(tuned.Detect(groups))
 	fmt.Printf("  detections with the fixed p=0.7 test: %d; with per-country tuning: %d\n", len(plain), len(adjusted))
 	for _, v := range adjusted {
 		fmt.Printf("    %s filtered in %s (%d/%d successes)\n", v.PatternKey, v.Region, v.Successes, v.Completed)

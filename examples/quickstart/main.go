@@ -52,7 +52,7 @@ func main() {
 	// 3. Run the detection algorithm: a one-sided binomial test per
 	//    resource and region, confirmed against other regions.
 	detector := inference.New(inference.DefaultConfig())
-	verdicts := detector.DetectStore(stack.Store)
+	verdicts := detector.DetectIncremental(stack.Aggregator)
 	fmt.Print(inference.Report(verdicts))
 
 	for _, v := range inference.Filtered(verdicts) {

@@ -216,7 +216,7 @@ func TestConcurrentIngestSoak(t *testing.T) {
 		t.Fatalf("aggregation conserved %d measurements, want %d", total, nonControl)
 	}
 	detector := inference.New(inference.DefaultConfig())
-	_ = detector.DetectStore(stack.Store)
+	_ = detector.DetectIncremental(stack.Aggregator)
 }
 
 // TestLongitudinalOnsetEndToEnd changes the censor's policy halfway through a
@@ -251,8 +251,12 @@ func TestLongitudinalOnsetEndToEnd(t *testing.T) {
 		Regions:  regions,
 	})
 
+	// Weekly windows on a grid starting at the campaign's first day.
+	const week = 7 * 24 * time.Hour
+	agg := results.NewAggregator(results.AggregatorConfig{Window: week, Epoch: start})
+	agg.Backfill(stack.Store)
 	detector := inference.New(inference.DefaultConfig())
-	windows := detector.DetectWindows(stack.Store, 7*24*time.Hour)
+	windows := detector.DetectWindows(agg, week)
 	if len(windows) < 4 {
 		t.Fatalf("expected at least 4 weekly windows, got %d", len(windows))
 	}
@@ -286,8 +290,8 @@ func TestLongitudinalOnsetEndToEnd(t *testing.T) {
 // nothing needs a clean close), and a restarted collector recovers via
 // OpenStoreFromWAL + Aggregator.Backfill. The
 // recovered store must match the pre-crash store bit-for-bit, and incremental
-// detection over the backfilled aggregation tier must reproduce the pre-crash
-// batch DetectStore verdicts exactly.
+// detection over the backfilled aggregation tier must reproduce the verdicts
+// the pre-crash live aggregation tier gave exactly.
 func TestKillAndRestartRecovery(t *testing.T) {
 	walDir := t.TempDir()
 	stack := clientsim.BuildStack(clientsim.StackConfig{
@@ -318,7 +322,7 @@ func TestKillAndRestartRecovery(t *testing.T) {
 	if err := stack.Store.WriteJSONL(&preSnapshot); err != nil {
 		t.Fatal(err)
 	}
-	preVerdicts := inference.New(inference.DefaultConfig()).DetectStore(stack.Store)
+	preVerdicts := inference.New(inference.DefaultConfig()).DetectIncremental(stack.Aggregator)
 
 	// Kill: drop every in-memory tier without closing the WAL. (The open
 	// segment files leak until the test process exits, exactly like a real
@@ -348,7 +352,7 @@ func TestKillAndRestartRecovery(t *testing.T) {
 
 	postVerdicts := inference.New(inference.DefaultConfig()).DetectIncremental(agg)
 	if len(postVerdicts) != len(preVerdicts) {
-		t.Fatalf("recovered detection produced %d verdicts, pre-crash batch produced %d",
+		t.Fatalf("recovered detection produced %d verdicts, pre-crash detection produced %d",
 			len(postVerdicts), len(preVerdicts))
 	}
 	for i := range preVerdicts {

@@ -247,6 +247,16 @@ func TestDispatchResumeAfterTornTail(t *testing.T) {
 	if outcome.Completed() != outcome.Total || outcome.Ran == 0 {
 		t.Fatalf("torn tail should re-run its job: %+v", outcome)
 	}
+	// The first resume cut the torn bytes before appending, so what it
+	// journaled replays: a second resume finds every job done.
+	again, err := Run(context.Background(), spec, DispatchConfig{Dir: dir, RunJob: stub.run})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Ran != 0 || again.TornJournal || again.Completed() != again.Total {
+		t.Fatalf("second resume after a torn tail: Ran = %d, TornJournal = %v, completed %d of %d; want nothing re-run",
+			again.Ran, again.TornJournal, again.Completed(), again.Total)
+	}
 }
 
 func TestDispatchRecordsFailuresAndPanics(t *testing.T) {

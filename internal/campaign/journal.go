@@ -14,7 +14,9 @@ package campaign
 // before the job counts as complete, and replay deduplicates by job ID
 // keeping the first done entry — so a job runs at least once, and appears
 // in the recorded results exactly once, across any number of kills and
-// resumes. "started" entries carry attempt accounting only.
+// resumes. "started" entries carry attempt accounting only. Reopening a
+// journal truncates a torn tail before the first append, so entries written
+// after a kill stay replayable.
 
 import (
 	"encoding/json"
@@ -94,67 +96,69 @@ type Journal struct {
 }
 
 // openJournal opens (creating if missing) the journal in dir and replays
-// its existing entries.
+// its existing entries. A torn tail is cut off (and the cut fsynced) before
+// anything is appended: an entry written after torn bytes would never be
+// replayed, so every later resume would re-run its job.
 func openJournal(dir string) (*Journal, *ReplayState, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
-	path := filepath.Join(dir, journalFileName)
-	state, err := replayJournal(path)
+	f, err := os.OpenFile(filepath.Join(dir, journalFileName), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	state, end, err := replayJournal(f)
+	if err == nil && state.TornTail {
+		if err = f.Truncate(end); err == nil {
+			err = f.Sync()
+		}
+	}
 	if err != nil {
+		f.Close()
 		return nil, nil, err
 	}
 	return &Journal{f: f}, state, nil
 }
 
-// replayJournal reads every decodable entry; a torn tail stops the replay
-// cleanly.
-func replayJournal(path string) (*ReplayState, error) {
+// replayJournal reads every decodable entry and returns the offset where
+// the last whole frame ends; a torn tail stops the replay cleanly.
+func replayJournal(r io.Reader) (*ReplayState, int64, error) {
 	state := &ReplayState{Done: map[string]*JobResult{}, Starts: map[string]int{}}
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return state, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	fr := wire.NewFrameReader(f)
+	fr := wire.NewFrameReader(r)
+	var end int64
 	for {
-		payload, err := fr.Next()
+		frame, err := fr.NextFrame()
 		if errors.Is(err, io.EOF) {
-			return state, nil
+			return state, end, nil
 		}
 		if wire.Torn(err) {
 			state.TornTail = true
-			return state, nil
+			return state, end, nil
 		}
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
+		end += int64(len(frame))
+		payload := frame[wire.FrameHeaderLen:]
 		if wire.PayloadKind(payload) != journalKind {
-			return nil, fmt.Errorf("%w: frame kind %d", ErrJournalCorrupt, wire.PayloadKind(payload))
+			return nil, 0, fmt.Errorf("%w: frame kind %d", ErrJournalCorrupt, wire.PayloadKind(payload))
 		}
 		var e journalEntry
 		if err := json.Unmarshal(payload[1:], &e); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrJournalCorrupt, err)
+			return nil, 0, fmt.Errorf("%w: %v", ErrJournalCorrupt, err)
 		}
 		switch e.Type {
 		case entryStarted:
 			state.Starts[e.JobID]++
 		case entryDone:
 			if e.Result == nil {
-				return nil, fmt.Errorf("%w: done entry without result", ErrJournalCorrupt)
+				return nil, 0, fmt.Errorf("%w: done entry without result", ErrJournalCorrupt)
 			}
 			if _, dup := state.Done[e.JobID]; !dup {
 				state.Done[e.JobID] = e.Result
 			}
 		default:
-			return nil, fmt.Errorf("%w: entry type %q", ErrJournalCorrupt, e.Type)
+			return nil, 0, fmt.Errorf("%w: entry type %q", ErrJournalCorrupt, e.Type)
 		}
 	}
 }

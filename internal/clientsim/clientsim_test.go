@@ -123,7 +123,7 @@ func TestEndToEndDetectionMatchesPaper(t *testing.T) {
 	s.Population.RunCampaign(cfg)
 
 	detector := inference.New(inference.DefaultConfig())
-	verdicts := detector.DetectStore(s.Store)
+	verdicts := detector.DetectIncremental(s.Aggregator)
 	flagged := inference.FilteredSet(verdicts)
 
 	expectFiltered := []string{
@@ -247,7 +247,7 @@ func TestInitOnlyRecordsWhenClientsAbandon(t *testing.T) {
 		t.Fatal("abandoned tasks should leave init records")
 	}
 	// Init-only records must not produce detections.
-	verdicts := inference.New(inference.DefaultConfig()).DetectStore(s.Store)
+	verdicts := inference.New(inference.DefaultConfig()).DetectIncremental(s.Aggregator)
 	if len(inference.Filtered(verdicts)) != 0 {
 		t.Fatal("init-only records caused detections")
 	}

@@ -70,7 +70,7 @@ func TestCheckConfoundsFlagsBrowserConcentration(t *testing.T) {
 	addCell(store, "domain:youtube.com", "US", core.BrowserChrome, core.TaskImage, 30, 0)
 
 	d := New(DefaultConfig())
-	verdicts := d.DetectStore(store)
+	verdicts := d.Detect(results.Aggregate(store.All()))
 	if !FilteredSet(verdicts)["domain:youtube.com|IN"] {
 		t.Fatal("sanity: the cell should be flagged by the plain detector")
 	}
@@ -105,7 +105,7 @@ func TestCheckConfoundsQuietOnGenuineFiltering(t *testing.T) {
 	addCell(store, "domain:twitter.com", "US", core.BrowserChrome, core.TaskImage, 30, 0)
 
 	d := New(DefaultConfig())
-	verdicts := d.DetectStore(store)
+	verdicts := d.Detect(results.Aggregate(store.All()))
 	if !FilteredSet(verdicts)["domain:twitter.com|CN"] {
 		t.Fatal("sanity: genuine filtering should be flagged")
 	}
@@ -123,7 +123,7 @@ func TestCheckConfoundsZeroConfigUsesDefaults(t *testing.T) {
 	addCell(store, "domain:a.com", "CN", core.BrowserChrome, core.TaskImage, 0, 10)
 	addCell(store, "domain:a.com", "US", core.BrowserChrome, core.TaskImage, 10, 0)
 	d := New(DefaultConfig())
-	verdicts := d.DetectStore(store)
+	verdicts := d.Detect(results.Aggregate(store.All()))
 	// Single-browser cells cannot be attributed either way: no warnings.
 	if got := CheckConfounds(store, verdicts); len(got) != 0 {
 		t.Fatalf("unexpected warnings: %+v", got)

@@ -132,45 +132,3 @@ func TestDetectIncrementalSwitchesAggregators(t *testing.T) {
 		t.Fatalf("post-switch verdicts leaked the first aggregator's patterns: %+v", second)
 	}
 }
-
-// TestDetectWindowsAggregatedMatchesBatchOnEpochGrid checks the longitudinal
-// incremental view: with the aggregator's epoch pinned to the earliest
-// measurement, windowed detection over the online buckets equals
-// DetectWindows' store rescan exactly.
-func TestDetectWindowsAggregatedMatchesBatchOnEpochGrid(t *testing.T) {
-	const window = 7 * 24 * time.Hour
-	base := time.Date(2014, 3, 1, 0, 0, 0, 0, time.UTC)
-	store := results.NewStore()
-	agg := results.NewAggregator(results.AggregatorConfig{Window: window, Epoch: base})
-	store.AddObserver(agg)
-	id := 0
-	add := func(region string, success bool, day int) {
-		id++
-		state := core.StateSuccess
-		if !success {
-			state = core.StateFailure
-		}
-		if err := store.Add(results.Measurement{
-			MeasurementID: fmt.Sprintf("m%d", id), PatternKey: "domain:twitter.com", State: state,
-			Region: geo.CountryCode(region), Browser: core.BrowserChrome,
-			Received: base.Add(time.Duration(day) * 24 * time.Hour)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for day := 0; day < 28; day++ {
-		add("TR", day < 14, day)
-		add("TR", day < 14, day)
-		add("US", true, day)
-		add("US", true, day)
-	}
-	d := New(Config{MinMeasurements: 3})
-	fromAgg := d.DetectWindowsAggregated(agg, window)
-	fromStore := d.DetectWindows(store, window)
-	if !reflect.DeepEqual(fromAgg, fromStore) {
-		t.Fatalf("aggregated windows diverge from batch windows:\nagg=%+v\nstore=%+v", fromAgg, fromStore)
-	}
-	transitions := Transitions(fromAgg, 3)
-	if len(transitions) != 1 || transitions[0].Region != "TR" || !transitions[0].FilteredNow {
-		t.Fatalf("windowed incremental detection lost the onset: %+v", transitions)
-	}
-}

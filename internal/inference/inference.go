@@ -8,14 +8,18 @@
 // requirement is what separates "this site is down or broken" from "this
 // site is blocked here".
 //
-// Detection runs in two modes with identical output: DetectStore batch-scans
-// a results.Store, while DetectIncremental reads the group counters a
-// results.Aggregator maintained at ingest and recomputes only patterns whose
-// counters changed — O(groups) per pass instead of O(store), which is what
-// keeps detection latency flat as a campaign accumulates measurements.
-// DetectWindows/DetectWindowsAggregated are the longitudinal counterparts,
-// and CheckConfounds flags detections whose failures concentrate in one
-// browser or task type.
+// Detection reads only the pattern×region counters a results.Aggregator
+// maintains at ingest; nothing here rescans a store. There are three entry
+// points: Detect, the pure kernel over a slice of groups; DetectIncremental,
+// which recomputes only the patterns whose counters changed since the last
+// call — O(dirtied groups) per pass instead of O(store), which keeps
+// detection latency flat as a campaign accumulates measurements; and
+// DetectWindows, the longitudinal view over the aggregator's time buckets.
+// NewTuned builds an ordinary Detector whose null probability is tuned per
+// region (the §7.2 enhancement). CheckConfounds flags detections whose
+// failures concentrate in one browser or task type. The tests hold every
+// entry point equal to a reference detector written straight from §7
+// (reference_test.go), computed from raw final-state measurements.
 package inference
 
 import (
@@ -85,6 +89,9 @@ func (v Verdict) SuccessRate() float64 {
 // path (DetectIncremental) guards its verdict cache with its own mutex.
 type Detector struct {
 	cfg Config
+	// tuned holds a tuned detector's per-region null probability before the
+	// base cap and floor (see NewTuned); nil for an untuned detector.
+	tuned map[geo.CountryCode]float64
 
 	// Incremental state: cached per-pattern verdicts for the aggregator most
 	// recently passed to DetectIncremental. The detection algorithm
@@ -112,17 +119,60 @@ func New(cfg Config) *Detector {
 // Config returns the effective configuration.
 func (d *Detector) Config() Config { return d.cfg }
 
+// NewTuned builds a detector whose null-hypothesis success probability is
+// adjusted per region from the observed groups, implementing the enhancement
+// the paper sketches in §7.2 ("dynamically tuning model parameters to account
+// for differing false positive rates in each country"). For each region the
+// null probability becomes min(base.P, baseline × margin), floored at 0.05,
+// where baseline is the region's median per-pattern success rate over cells
+// with at least MinMeasurements completed measurements: regions with
+// chronically lossy networks (high spurious-failure rates) get a lower bar,
+// so they stop generating false positives without masking real filtering
+// (which drives the success rate far below any plausible baseline). A margin
+// outside (0, 1] means 0.9.
+func NewTuned(base Config, groups []results.Group, margin float64) *Detector {
+	if margin <= 0 || margin > 1 {
+		margin = 0.9
+	}
+	d := New(base)
+	// Measurements without a region have no country to tune for.
+	rates := make(map[geo.CountryCode][]float64)
+	for _, g := range groups {
+		if n := g.Successes + g.Failures; n >= d.cfg.MinMeasurements && g.Key.Region != "" {
+			rates[g.Key.Region] = append(rates[g.Key.Region], float64(g.Successes)/float64(n))
+		}
+	}
+	d.tuned = make(map[geo.CountryCode]float64, len(rates))
+	for region, rs := range rates {
+		// The median per-pattern rate is robust to a minority of genuinely
+		// filtered patterns dragging the estimate down.
+		sort.Float64s(rs)
+		d.tuned[region] = rs[len(rs)/2] * margin
+	}
+	return d
+}
+
+// NullProbability returns the null success probability the detector tests
+// region's cells against: the configured P, or for a tuned detector the
+// region's tuned value.
+func (d *Detector) NullProbability(region geo.CountryCode) float64 {
+	p := d.cfg.Test.P
+	if d.tuned == nil {
+		return p
+	}
+	if tuned, ok := d.tuned[region]; ok && tuned < p {
+		p = tuned
+	}
+	return max(p, 0.05)
+}
+
 // Detect evaluates every (pattern, region) cell in the aggregated groups and
 // returns verdicts sorted by pattern then region. Cells with fewer completed
 // measurements than MinMeasurements yield verdicts with Filtered=false and
 // are still included so reports can show coverage.
 func (d *Detector) Detect(groups []results.Group) []Verdict {
-	byPattern := make(map[string][]results.Group)
-	for _, g := range groups {
-		byPattern[g.Key.PatternKey] = append(byPattern[g.Key.PatternKey], g)
-	}
 	var verdicts []Verdict
-	for pattern, cells := range byPattern {
+	for pattern, cells := range groupsByPattern(groups) {
 		verdicts = append(verdicts, d.detectPattern(pattern, cells)...)
 	}
 	sortVerdicts(verdicts)
@@ -138,15 +188,17 @@ func (d *Detector) detectPattern(pattern string, cells []results.Group) []Verdic
 	// Count regions where the resource looks accessible (enough data and the
 	// test does not reject).
 	accessibleRegions := 0
+	test := d.cfg.Test
 	for _, g := range cells {
 		completed := g.Successes + g.Failures
+		test.P = d.NullProbability(g.Key.Region)
 		v := Verdict{
 			PatternKey:  pattern,
 			Region:      g.Key.Region,
 			Completed:   completed,
 			Successes:   g.Successes,
-			PValue:      d.cfg.Test.PValue(g.Successes, completed),
-			RejectsNull: completed >= d.cfg.MinMeasurements && d.cfg.Test.Rejects(g.Successes, completed),
+			PValue:      test.PValue(g.Successes, completed),
+			RejectsNull: completed >= d.cfg.MinMeasurements && test.Rejects(g.Successes, completed),
 		}
 		if completed >= d.cfg.MinMeasurements && !v.RejectsNull {
 			accessibleRegions++
@@ -171,22 +223,13 @@ func sortVerdicts(verdicts []Verdict) {
 	})
 }
 
-// DetectStore is a convenience wrapper that aggregates a store (excluding
-// control measurements) and runs detection. Its cost is O(store): it makes a
-// defensive copy of every measurement and re-aggregates from scratch. Use
-// DetectIncremental over an attached Aggregator when detection runs
-// repeatedly against a growing store.
-func (d *Detector) DetectStore(store *results.Store) []Verdict {
-	return d.Detect(results.Aggregate(store.All()))
-}
-
 // DetectIncremental evaluates the detection algorithm over an incrementally
 // maintained Aggregator, recomputing verdicts only for patterns whose group
 // counters changed since the previous call (the aggregator's dirty-pattern
 // set). Unchanged patterns reuse their cached verdicts, so steady-state cost
-// is O(dirtied groups + total verdicts) and — unlike DetectStore — does not
-// grow with the number of stored measurements. The first call with a given
-// aggregator (or after switching aggregators) computes everything.
+// is O(dirtied groups + total verdicts) and does not grow with the number of
+// stored measurements. The first call with a given aggregator (or after
+// switching aggregators) computes everything.
 //
 // The returned slice is identical in content and order to
 // Detect(results.Aggregate(store.All())) whenever the aggregator has observed

@@ -132,8 +132,10 @@ func TestVerdictFieldsAndOrdering(t *testing.T) {
 	}
 }
 
-func TestDetectStoreExcludesControls(t *testing.T) {
+func TestDetectIncrementalExcludesControls(t *testing.T) {
 	store := results.NewStore()
+	agg := results.NewAggregator(results.AggregatorConfig{})
+	store.AddObserver(agg)
 	for i := 0; i < 20; i++ {
 		_ = store.Add(results.Measurement{MeasurementID: fmt.Sprintf("c%d", i), PatternKey: "domain:testbed",
 			Region: "CN", State: core.StateFailure, Control: true})
@@ -143,7 +145,7 @@ func TestDetectStoreExcludesControls(t *testing.T) {
 			Region: "CN", State: core.StateSuccess})
 	}
 	d := New(DefaultConfig())
-	verdicts := d.DetectStore(store)
+	verdicts := d.DetectIncremental(agg)
 	for _, v := range verdicts {
 		if v.PatternKey == "domain:testbed" {
 			t.Fatal("control measurements leaked into detection")

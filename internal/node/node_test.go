@@ -111,7 +111,7 @@ func TestReopenResumesStore(t *testing.T) {
 		t.Fatal("recovered store's WriteWire differs from the store that wrote the log")
 	}
 	det := inference.New(inference.Config{})
-	full := det.DetectStore(second.Server.Store)
+	full := det.Detect(results.Aggregate(second.Server.Store.All()))
 	if inc := det.DetectIncremental(second.Aggregator); len(full) == 0 || !reflect.DeepEqual(inc, full) {
 		t.Fatalf("backfilled aggregator's verdicts %+v, store's %+v", inc, full)
 	}

@@ -281,15 +281,8 @@ func campaignSection(opts Options, stack *clientsim.Stack) string {
 	st := stack.Store.Stats()
 	// The collector maintained group counters incrementally during the
 	// campaign, so detection reads them directly instead of rescanning the
-	// store (identical verdicts; O(groups) instead of O(store)). Hand-built
-	// stacks without an aggregator fall back to the batch rescan.
-	detector := inference.New(inference.DefaultConfig())
-	var verdicts []inference.Verdict
-	if stack.Aggregator != nil {
-		verdicts = detector.DetectIncremental(stack.Aggregator)
-	} else {
-		verdicts = detector.DetectStore(stack.Store)
-	}
+	// store (O(groups) instead of O(store)).
+	verdicts := inference.New(inference.DefaultConfig()).DetectIncremental(stack.Aggregator)
 	conf := inference.Score(verdicts, stack.GroundTruth(), inference.DefaultConfig().MinMeasurements)
 
 	var b strings.Builder

@@ -50,9 +50,8 @@ type AggregatorConfig struct {
 	Window time.Duration
 	// Epoch anchors the window grid: buckets cover [Epoch+k·Window,
 	// Epoch+(k+1)·Window). The zero value anchors at the Unix epoch. Set it
-	// to a campaign's start (or the earliest measurement of a backfilled
-	// store) to reproduce AggregateWindowed's earliest-aligned output
-	// exactly; an epoch-anchored grid is used because it is stable under
+	// to a campaign's start so weekly windows start on the campaign's own
+	// days; an epoch-anchored grid is used because it is stable under
 	// streaming arrival — an earlier-timestamped late arrival never shifts
 	// existing buckets.
 	Epoch time.Time

@@ -140,7 +140,7 @@ func TestQuickWindowedAggregationConservesCompletedCounts(t *testing.T) {
 		}
 		all := store.All()
 		window := time.Duration(int(windowHours%72)+1) * time.Hour
-		buckets := AggregateWindowed(all, window)
+		buckets := AggregateWindowedAt(all, window, time.Unix(0, 0))
 		total := 0
 		for _, b := range buckets {
 			for _, g := range b.Groups {

@@ -411,12 +411,17 @@ func (w *WAL) writeFrameLocked(sh *walShard, frame []byte) error {
 
 // openSegmentLocked opens the shard's next segment file; sh.mu held.
 // Segments are opened lazily on first append so untouched shards create no
-// files.
+// files. The directory is fsynced after the create, so a record fsynced into
+// the new segment does not depend on a directory entry a crash could lose.
 func (w *WAL) openSegmentLocked(sh *walShard) error {
 	name := filepath.Join(w.cfg.Dir, segmentName(sh.id, sh.next))
 	f, err := w.fs.OpenFile(name, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return fmt.Errorf("results: opening WAL segment: %w", err)
+	}
+	if err := durable.SyncDir(w.fs, w.cfg.Dir); err != nil {
+		f.Close()
+		return fmt.Errorf("results: syncing WAL directory: %w", err)
 	}
 	sh.f = f
 	if sh.w == nil {

@@ -8,6 +8,10 @@ package results
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 
 	"encore/internal/core"
@@ -194,4 +198,100 @@ func TestWALFaultFSDefaultsToHostFS(t *testing.T) {
 		}
 	})
 	requireRecovered(t, dir, live)
+}
+
+// opRecorder wraps a faultinject.FS and logs the operations that decide
+// whether a new segment survives a crash: file creates, file fsyncs and
+// directory fsyncs.
+type opRecorder struct {
+	faultinject.FS
+	mu  sync.Mutex
+	ops []string
+}
+
+func (r *opRecorder) record(op string) {
+	r.mu.Lock()
+	r.ops = append(r.ops, op)
+	r.mu.Unlock()
+}
+
+func (r *opRecorder) log() []string {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return append([]string(nil), r.ops...)
+}
+
+func (r *opRecorder) OpenFile(name string, flag int, perm os.FileMode) (faultinject.File, error) {
+	f, err := r.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	if flag&os.O_CREATE != 0 {
+		r.record("create " + filepath.Base(name))
+	}
+	return recordedFile{f, r, "sync " + filepath.Base(name)}, nil
+}
+
+func (r *opRecorder) Open(name string) (faultinject.File, error) {
+	f, err := r.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return recordedFile{f, r, "sync " + filepath.Base(name) + "/"}, nil
+}
+
+type recordedFile struct {
+	faultinject.File
+	r      *opRecorder
+	syncOp string
+}
+
+func (f recordedFile) Sync() error {
+	f.r.record(f.syncOp)
+	return f.File.Sync()
+}
+
+// TestWALSyncsDirectoryAfterSegmentCreate checks that under SyncAlways a
+// new segment's directory entry is made durable before the append that
+// created it returns — for the first segment and for every rotation — and
+// before any record in the segment is fsynced.
+func TestWALSyncsDirectoryAfterSegmentCreate(t *testing.T) {
+	dir := t.TempDir()
+	rec := &opRecorder{FS: faultinject.NewFaultFS()}
+	w, err := OpenWAL(WALConfig{Dir: dir, FS: rec, Policy: SyncAlways, Shards: 1, SegmentBytes: 512})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	s := NewStore()
+	s.AddObserver(w)
+	syncDir := "sync " + filepath.Base(dir) + "/"
+	for i := 0; i < 12; i++ {
+		if err := s.Add(walTestMeasurement(i, core.StateSuccess)); err != nil {
+			t.Fatal(err)
+		}
+		ops := rec.log()
+		for at, op := range ops {
+			segment, ok := strings.CutPrefix(op, "create ")
+			if !ok || !strings.HasSuffix(segment, ".seg") {
+				continue
+			}
+			dirSynced := false
+			for _, later := range ops[at+1:] {
+				if later == syncDir {
+					dirSynced = true
+					break
+				}
+				if later == "sync "+segment {
+					t.Fatalf("after append %d: %s fsynced a record before its directory entry: %v", i, segment, ops)
+				}
+			}
+			if !dirSynced {
+				t.Fatalf("after append %d: no directory fsync followed creating %s: %v", i, segment, ops)
+			}
+		}
+	}
+	if st := w.Stats(); st.Segments < 2 {
+		t.Fatalf("the appends made %d segments, want a rotation", st.Segments)
+	}
 }

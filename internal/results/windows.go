@@ -1,10 +1,7 @@
 package results
 
 import (
-	"sort"
 	"time"
-
-	"encore/internal/geo"
 )
 
 // Window identifies one time bucket of a longitudinal analysis.
@@ -38,40 +35,15 @@ func windowIndex(t, epoch time.Time, window time.Duration) int64 {
 	return idx
 }
 
-// AggregateWindowed buckets measurements into fixed-size time windows by
-// their Received timestamps and aggregates each bucket by pattern and region.
-// Measurements without a timestamp are ignored; control measurements are
-// excluded as in Aggregate. Windows are aligned to the earliest non-control
-// measurement and returned in chronological order; empty windows are included
-// so longitudinal plots have a continuous time axis.
-func AggregateWindowed(ms []Measurement, window time.Duration) []WindowedGroups {
-	if window <= 0 {
-		return nil
-	}
-	// Alignment depends on the global minimum timestamp, so it must be known
-	// before bucketing; this pre-scan is the only extra pass — the bucketing
-	// pass below aggregates directly, with no intermediate per-bucket copies.
-	var first time.Time
-	for _, m := range ms {
-		if m.Received.IsZero() || m.Control {
-			continue
-		}
-		if first.IsZero() || m.Received.Before(first) {
-			first = m.Received
-		}
-	}
-	if first.IsZero() {
-		return nil
-	}
-	return AggregateWindowedAt(ms, window, first)
-}
-
-// AggregateWindowedAt is AggregateWindowed with an explicit window-grid
-// anchor: buckets cover [epoch+k·window, epoch+(k+1)·window). Because the
-// anchor is fixed up front, it aggregates in a single pass over ms — each
-// measurement is folded straight into its bucket's group cell, with no
-// min/max pre-scan and no intermediate per-bucket measurement slices. The
-// returned windows span the occupied range (empty interior windows included).
+// AggregateWindowedAt buckets measurements into fixed-size time windows by
+// their Received timestamps and aggregates each bucket by pattern and region;
+// buckets cover [epoch+k·window, epoch+(k+1)·window). Measurements without a
+// timestamp are ignored and control measurements are excluded, as in
+// Aggregate. It aggregates in a single pass over ms — each measurement is
+// folded straight into its bucket's group cell, with no intermediate
+// per-bucket measurement slices. The returned windows are in chronological
+// order and span the occupied range (empty interior windows included, so
+// longitudinal plots have a continuous time axis).
 // This is the batch counterpart of the incremental Aggregator's Windowed
 // view: both bucket via the same grid function, so an Aggregator configured
 // with the same window and epoch reproduces this output exactly.
@@ -125,113 +97,6 @@ func AggregateWindowedAt(ms []Measurement, window time.Duration, epoch time.Time
 			sortGroups(wg.Groups)
 		}
 		out = append(out, wg)
-	}
-	return out
-}
-
-// SuccessRateByRegion returns, for one pattern, the per-region success rate
-// over a set of measurements; used to estimate per-country baseline
-// reliability for the tuned detector.
-func SuccessRateByRegion(ms []Measurement, patternKey string) map[geo.CountryCode]float64 {
-	type tally struct{ success, completed int }
-	counts := make(map[geo.CountryCode]*tally)
-	for _, m := range ms {
-		if m.Control || m.PatternKey != patternKey || !m.Completed() {
-			continue
-		}
-		t, ok := counts[m.Region]
-		if !ok {
-			t = &tally{}
-			counts[m.Region] = t
-		}
-		t.completed++
-		if m.Success() {
-			t.success++
-		}
-	}
-	out := make(map[geo.CountryCode]float64, len(counts))
-	for region, t := range counts {
-		if t.completed > 0 {
-			out[region] = float64(t.success) / float64(t.completed)
-		}
-	}
-	return out
-}
-
-// RegionBaselines estimates each region's baseline measurement success rate
-// from the supplied measurements: the mean per-pattern success rate across
-// all patterns measured from that region with at least minPerPattern
-// completed measurements. Regions under censorship for a particular pattern
-// still contribute their other (unfiltered) patterns, so the estimate tracks
-// network quality rather than censorship as long as most patterns are not
-// filtered.
-func RegionBaselines(ms []Measurement, minPerPattern int) map[geo.CountryCode]float64 {
-	acc := newBaselineAccumulator()
-	for _, m := range ms {
-		acc.observe(m)
-	}
-	return acc.finish(minPerPattern)
-}
-
-// RegionBaselinesStore is RegionBaselines computed by streaming the store
-// (Store.Range) instead of materializing a full defensive copy first, so
-// tuned-detector construction over a large live store allocates O(cells)
-// rather than O(measurements).
-func RegionBaselinesStore(store *Store, minPerPattern int) map[geo.CountryCode]float64 {
-	acc := newBaselineAccumulator()
-	store.Range(nil, func(m Measurement) bool {
-		acc.observe(m)
-		return true
-	})
-	return acc.finish(minPerPattern)
-}
-
-// baselineAccumulator is the shared per-region, per-pattern tally behind both
-// RegionBaselines entry points.
-type baselineAccumulator struct {
-	perRegionPattern map[geo.CountryCode]map[string]*baselineCell
-}
-
-type baselineCell struct{ success, completed int }
-
-func newBaselineAccumulator() *baselineAccumulator {
-	return &baselineAccumulator{perRegionPattern: make(map[geo.CountryCode]map[string]*baselineCell)}
-}
-
-func (a *baselineAccumulator) observe(m Measurement) {
-	if m.Control || !m.Completed() || m.Region == "" {
-		return
-	}
-	if a.perRegionPattern[m.Region] == nil {
-		a.perRegionPattern[m.Region] = make(map[string]*baselineCell)
-	}
-	c, ok := a.perRegionPattern[m.Region][m.PatternKey]
-	if !ok {
-		c = &baselineCell{}
-		a.perRegionPattern[m.Region][m.PatternKey] = c
-	}
-	c.completed++
-	if m.Success() {
-		c.success++
-	}
-}
-
-func (a *baselineAccumulator) finish(minPerPattern int) map[geo.CountryCode]float64 {
-	out := make(map[geo.CountryCode]float64, len(a.perRegionPattern))
-	for region, patterns := range a.perRegionPattern {
-		var rates []float64
-		for _, c := range patterns {
-			if c.completed >= minPerPattern {
-				rates = append(rates, float64(c.success)/float64(c.completed))
-			}
-		}
-		if len(rates) == 0 {
-			continue
-		}
-		sort.Float64s(rates)
-		// The median per-pattern rate is robust to a minority of genuinely
-		// filtered patterns dragging the estimate down.
-		out[region] = rates[len(rates)/2]
 	}
 	return out
 }

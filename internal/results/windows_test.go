@@ -24,7 +24,7 @@ func measurementAt(id string, pattern string, region string, success bool, at ti
 	}
 }
 
-func TestAggregateWindowed(t *testing.T) {
+func TestAggregateWindowedAt(t *testing.T) {
 	start := time.Date(2014, 5, 1, 0, 0, 0, 0, time.UTC)
 	var ms []Measurement
 	// First week: successes; third week: failures.
@@ -34,7 +34,7 @@ func TestAggregateWindowed(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		ms = append(ms, measurementAt(fmt.Sprintf("b%d", i), "domain:x.com", "TR", false, start.Add(15*24*time.Hour).Add(time.Duration(i)*time.Hour)))
 	}
-	windows := AggregateWindowed(ms, 7*24*time.Hour)
+	windows := AggregateWindowedAt(ms, 7*24*time.Hour, start)
 	if len(windows) != 3 {
 		t.Fatalf("got %d windows, want 3", len(windows))
 	}
@@ -53,73 +53,16 @@ func TestAggregateWindowed(t *testing.T) {
 }
 
 func TestAggregateWindowedEdgeCases(t *testing.T) {
-	if got := AggregateWindowed(nil, time.Hour); got != nil {
+	var epoch time.Time
+	if got := AggregateWindowedAt(nil, time.Hour, epoch); got != nil {
 		t.Fatal("empty input should return nil")
 	}
 	ms := []Measurement{{MeasurementID: "1", PatternKey: "k", State: core.StateSuccess}}
-	if got := AggregateWindowed(ms, 0); got != nil {
+	if got := AggregateWindowedAt(ms, 0, epoch); got != nil {
 		t.Fatal("zero window should return nil")
 	}
 	// Measurements without timestamps are ignored entirely.
-	if got := AggregateWindowed(ms, time.Hour); got != nil {
+	if got := AggregateWindowedAt(ms, time.Hour, epoch); got != nil {
 		t.Fatal("timestampless measurements should produce no windows")
-	}
-}
-
-func TestSuccessRateByRegion(t *testing.T) {
-	start := time.Date(2014, 5, 1, 0, 0, 0, 0, time.UTC)
-	var ms []Measurement
-	for i := 0; i < 8; i++ {
-		ms = append(ms, measurementAt(fmt.Sprintf("s%d", i), "domain:x.com", "US", true, start))
-	}
-	for i := 0; i < 2; i++ {
-		ms = append(ms, measurementAt(fmt.Sprintf("f%d", i), "domain:x.com", "US", false, start))
-	}
-	ms = append(ms, measurementAt("other", "domain:y.com", "US", false, start))
-	rates := SuccessRateByRegion(ms, "domain:x.com")
-	if got := rates["US"]; got != 0.8 {
-		t.Fatalf("US rate=%v, want 0.8", got)
-	}
-	if _, ok := rates["CN"]; ok {
-		t.Fatal("regions without measurements should be absent")
-	}
-}
-
-func TestRegionBaselines(t *testing.T) {
-	start := time.Date(2014, 5, 1, 0, 0, 0, 0, time.UTC)
-	var ms []Measurement
-	id := 0
-	add := func(pattern, region string, success bool) {
-		id++
-		ms = append(ms, measurementAt(fmt.Sprintf("m%d", id), pattern, region, success, start))
-	}
-	// India: lossy but uncensored — ~80% success on three patterns.
-	for _, p := range []string{"domain:a.com", "domain:b.com", "domain:c.com"} {
-		for i := 0; i < 8; i++ {
-			add(p, "IN", true)
-		}
-		for i := 0; i < 2; i++ {
-			add(p, "IN", false)
-		}
-	}
-	// China: one pattern fully censored, two healthy — the median must
-	// ignore the censored one.
-	for i := 0; i < 10; i++ {
-		add("domain:a.com", "CN", false)
-	}
-	for _, p := range []string{"domain:b.com", "domain:c.com"} {
-		for i := 0; i < 10; i++ {
-			add(p, "CN", true)
-		}
-	}
-	baselines := RegionBaselines(ms, 5)
-	if got := baselines["IN"]; got < 0.75 || got > 0.85 {
-		t.Fatalf("IN baseline=%v, want ~0.8", got)
-	}
-	if got := baselines["CN"]; got != 1.0 {
-		t.Fatalf("CN baseline=%v, want 1.0 (median ignores the censored pattern)", got)
-	}
-	if _, ok := baselines["US"]; ok {
-		t.Fatal("regions without data should be absent")
 	}
 }

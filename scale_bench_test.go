@@ -33,8 +33,8 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Detection cost vs store size. DetectStore rescans (and defensively copies)
-// the whole store every pass, so its latency grows linearly with stored
+// Detection cost vs store size. A batch rescan (and defensive copy) of the
+// whole store every pass has latency that grows linearly with stored
 // measurements; DetectIncremental reads the group counters the collector
 // maintained at ingest and recomputes only dirtied patterns, so its latency
 // tracks the number of groups — which is fixed here — no matter how many
@@ -111,7 +111,7 @@ func BenchmarkDetectionBatchRescan(b *testing.B) {
 			var verdicts []inference.Verdict
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				verdicts = detector.DetectStore(f.store)
+				verdicts = detector.Detect(results.Aggregate(f.store.All()))
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(len(verdicts)), "groups")

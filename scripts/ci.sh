@@ -58,15 +58,17 @@ go test -run '^$' -bench BenchmarkAdmit -benchtime 1x ./internal/collectserver
 echo "== bench module =="
 (cd bench && go vet ./... && go test ./...)
 
-# Short fuzz smoke over the untrusted wire surfaces: the record payload
-# decoder, the full streaming frame path and the coordinator gossip decoder.
-# Ten seconds each — enough to shake out regressions around the seeded
-# adversarial corpus on every CI run; longer exploratory runs stay manual.
-# (go test accepts one -fuzz pattern per invocation, hence three runs.)
-echo "== fuzz smoke (internal/wire) =="
+# Short fuzz smoke over the untrusted decode surfaces: the record payload
+# decoder, the full streaming frame path, the coordinator gossip decoder and
+# the campaign journal replay. Ten seconds each — enough to shake out
+# regressions around the seeded adversarial corpus on every CI run; longer
+# exploratory runs stay manual. (go test accepts one -fuzz pattern per
+# invocation, hence four runs.)
+echo "== fuzz smoke (internal/wire, internal/campaign) =="
 go test ./internal/wire -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime 10s
 go test ./internal/wire -run '^$' -fuzz '^FuzzDecodeBatchStream$' -fuzztime 10s
 go test ./internal/wire -run '^$' -fuzz '^FuzzDecodeGossip$' -fuzztime 10s
+go test ./internal/campaign -run '^$' -fuzz '^FuzzReplayJournal$' -fuzztime 10s
 
 echo "== chaos suite =="
 make chaos
