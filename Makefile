@@ -13,7 +13,8 @@
 #   make bench-module - vet and test the separate bench/ module against this
 #                      checkout's product API (part of make ci)
 #   make fuzz        - the CI fuzz smoke: 10s on each fuzz target (the three
-#                      internal/wire decoders and the campaign journal replay)
+#                      internal/wire decoders, the campaign journal replay and
+#                      the results ID index against a map model)
 #   make docs-check  - verify the docs suite: README/architecture/example
 #                      docs exist, every package carries a package comment,
 #                      and the commands the README names actually build
@@ -62,6 +63,7 @@ fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeBatchStream$$' -fuzztime 10s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeGossip$$' -fuzztime 10s
 	$(GO) test ./internal/campaign -run '^$$' -fuzz '^FuzzReplayJournal$$' -fuzztime 10s
+	$(GO) test ./internal/results -run '^$$' -fuzz '^FuzzIDIndex$$' -fuzztime 10s
 
 bench-paper:
 	$(GO) test -bench=. -benchmem .

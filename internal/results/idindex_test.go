@@ -1,0 +1,206 @@
+package results
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"encore/internal/core"
+)
+
+// checkIDIndex drives an idIndex, over IDs held in a table the way a store
+// shard holds them, against a map. Each op byte picks an ID from a pool of 64
+// and whether a miss inserts it; mask narrows the ID's hash, so with a narrow
+// mask nearly every ID clashes and absent IDs share present IDs' hashes.
+func checkIDIndex(t *testing.T, mask uint32, ops []byte) {
+	t.Helper()
+	var (
+		x     idIndex
+		ids   []string
+		model = make(map[string]uint32)
+	)
+	idAt := func(i uint32) string { return ids[i] }
+	get := func(id string) {
+		t.Helper()
+		h := ShardHash(id) & mask
+		want, wantOK := model[id]
+		if got, ok := lookupID(&x, h, id, idAt); ok != wantOK || got != want {
+			t.Fatalf("mask %#x: lookupID(%s) = %d, %v; model %d, %v", mask, id, got, ok, want, wantOK)
+		}
+		if got, ok := lookupID(&x, h, []byte(id), idAt); ok != wantOK || got != want {
+			t.Fatalf("mask %#x: lookupID([]byte %s) = %d, %v; model %d, %v", mask, id, got, ok, want, wantOK)
+		}
+	}
+	for _, op := range ops {
+		id := fmt.Sprintf("id-%d", op&63)
+		get(id)
+		if _, ok := model[id]; !ok && op&64 == 0 {
+			ids = append(ids, id)
+			x.put(ShardHash(id)&mask, id, uint32(len(ids)-1))
+			model[id] = uint32(len(ids) - 1)
+		}
+	}
+	for i := 0; i < 64; i++ {
+		get(fmt.Sprintf("id-%d", i))
+	}
+}
+
+// TestIDIndexMatchesMap narrows the hash to 3 bits and then to a constant, so
+// the clash map does nearly all the work, and also runs the full hash.
+func TestIDIndexMatchesMap(t *testing.T) {
+	for _, mask := range []uint32{7, 0, ^uint32(0)} {
+		for seed := int64(1); seed <= 20; seed++ {
+			ops := make([]byte, 1+rand.New(rand.NewSource(seed)).Intn(300))
+			rand.New(rand.NewSource(seed)).Read(ops)
+			checkIDIndex(t, mask, ops)
+		}
+	}
+}
+
+// FuzzIDIndex runs operation sequences decoded from the input, under a
+// fuzz-chosen hash mask, against the map model.
+func FuzzIDIndex(f *testing.F) {
+	f.Add(uint32(7), []byte{0, 1, 2, 3, 64 | 4, 1, 2, 64 | 5, 5})
+	f.Add(uint32(0), []byte{1, 2, 3, 64 | 4, 3, 2, 1})
+	f.Add(^uint32(0), []byte{9, 9, 73, 10})
+	f.Fuzz(checkIDIndex)
+}
+
+// collidingIDs returns pairs of distinct IDs whose full FNV-1a hashes are
+// equal, and so share a shard in every store and index: a birthday search
+// over 32-bit hashes, which finds three pairs of these IDs among the first
+// 2^18 candidates.
+func collidingIDs(t *testing.T, pairs int) [][2]string {
+	t.Helper()
+	seen := make(map[uint32]string)
+	var out [][2]string
+	for i := 0; len(out) < pairs; i++ {
+		if i == 1<<20 {
+			t.Fatalf("found %d colliding pairs in 2^20 candidates, want %d", len(out), pairs)
+		}
+		id := fmt.Sprintf("m-%08d", i)
+		if other, ok := seen[ShardHash(id)]; ok {
+			out = append(out, [2]string{other, id})
+		} else {
+			seen[ShardHash(id)] = id
+		}
+	}
+	return out
+}
+
+// TestCollidingIDs holds the Store, its WAL recovery and the TaskIndex to
+// their contracts when IDs share a full hash: the second of each pair lives in
+// the clash map, and the last pair's second ID is never added, so a lookup of
+// it meets its partner's hash.
+func TestCollidingIDs(t *testing.T) {
+	pairs := collidingIDs(t, 3)
+	absent := pairs[len(pairs)-1][1]
+	var present []string
+	for _, p := range pairs {
+		present = append(present, p[0])
+		if p[1] != absent {
+			present = append(present, p[1])
+		}
+	}
+	record := func(k int, id string, state core.State) Measurement {
+		m := walTestMeasurement(k, state)
+		m.MeasurementID = id
+		return m
+	}
+
+	t.Run("Store", func(t *testing.T) {
+		dir := t.TempDir()
+		rec := &eventRecorder{}
+		model := newNaiveStore()
+		add := func(s *Store, m Measurement) {
+			if got, want := s.Add(m), model.add(m); (got == nil) != (want == nil) {
+				t.Fatalf("Add(%s) = %v, model %v", m.MeasurementID, got, want)
+			}
+		}
+		check := func(s *Store, what string) {
+			t.Helper()
+			if s.Len() != len(model.order) || !slices.Equal(s.All(), model.all()) {
+				t.Fatalf("%s: %d records, model %d, or All() diverged", what, s.Len(), len(model.order))
+			}
+			for _, id := range append(present, absent) {
+				got, ok := s.Get(id)
+				want, wantOK := model.recs[id]
+				if ok != wantOK || got != want {
+					t.Fatalf("%s: Get(%s) = %+v, %v; model %+v, %v", what, id, got, ok, want, wantOK)
+				}
+			}
+			if !bytes.Equal(storeWire(t, s), model.wire(t)) {
+				t.Fatalf("%s: WriteWire bytes diverged from the model", what)
+			}
+		}
+		live := buildWALStore(t, dir, WALConfig{Policy: SyncNone}, func(s *Store) {
+			s.AddObserver(rec)
+			for k, id := range present { // inserts, the clashing ones second
+				add(s, record(k, id, core.StateInit))
+			}
+			for k, id := range present { // upgrades, in place
+				add(s, record(100+k, id, []core.State{core.StateSuccess, core.StateFailure}[k%2]))
+			}
+			for k, id := range present { // ignored downgrades
+				add(s, record(200+k, id, core.StateInit))
+			}
+			batch := []Measurement{record(300, pairs[0][1], core.StateFailure), record(301, pairs[0][0], core.StateSuccess)}
+			got, gotErr := s.AddBatch(batch)
+			want, wantErr := model.addBatch(batch)
+			if got != want || gotErr != nil || wantErr != nil {
+				t.Fatalf("AddBatch = %d, %v; model %d, %v", got, gotErr, want, wantErr)
+			}
+		})
+		check(live, "live store")
+		if len(rec.events) != len(model.events) {
+			t.Fatalf("observer saw %d commits, model %d", len(rec.events), len(model.events))
+		}
+		for i := range rec.events {
+			if !rec.events[i].equal(model.events[i]) {
+				t.Fatalf("commit %d:\nstore: %v\nmodel: %v", i, rec.events[i], model.events[i])
+			}
+		}
+
+		recovered, _, err := OpenStoreFromWAL(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(recovered, "recovered store")
+		for k, id := range present { // the index replay built finds every ID
+			add(recovered, record(400+k, id, core.StateSuccess))
+		}
+		add(recovered, record(500, absent, core.StateInit))
+		check(recovered, "recovered store after further commits")
+	})
+
+	t.Run("TaskIndex", func(t *testing.T) {
+		ti := NewTaskIndex()
+		task := func(id string, k int) core.Task {
+			return core.Task{MeasurementID: id, PatternKey: fmt.Sprintf("domain:site%d.com", k), TimeoutMillis: k}
+		}
+		for k, id := range present {
+			ti.Register(task(id, k))
+		}
+		for k, id := range present {
+			if got, ok := ti.Lookup(id); !ok || got != task(id, k) {
+				t.Fatalf("Lookup(%s) = %+v, %v; want %+v", id, got, ok, task(id, k))
+			}
+		}
+		if got, ok := ti.Lookup(absent); ok {
+			t.Fatalf("Lookup(%s) of an unregistered ID = %+v, want a miss", absent, got)
+		}
+		for k, id := range present { // re-registration overwrites in place
+			ti.Register(task(id, 100+k))
+		}
+		if ti.Len() != len(present) {
+			t.Fatalf("Len = %d after re-registering, want %d", ti.Len(), len(present))
+		}
+		for k, id := range present {
+			if got, ok := ti.Lookup(id); !ok || got != task(id, 100+k) {
+				t.Fatalf("Lookup(%s) after re-registering = %+v, %v; want %+v", id, got, ok, task(id, 100+k))
+			}
+		}
+	})
+}

@@ -11,7 +11,9 @@ import (
 // — lives once, in an append-only valueTable, and the ID's record holds a
 // uint32 handle. Nothing in a table is moved or overwritten: a handle, once
 // issued, resolves to the same strings for the life of the process, and
-// resolving one allocates nothing.
+// resolving one allocates nothing. The per-ID records are themselves a
+// chunked table, found by an idIndex (idindex.go) that keeps a handle under
+// the ID's hash, so the ID string is held once, in its record.
 
 // chunkLen is the number of elements per chunk of a chunked vector.
 const chunkLen = 256

@@ -68,10 +68,11 @@ func (e *storeEntry) measurement(tasks *chunked[taskBody], clients *chunked[clie
 // storeShard holds the measurements whose IDs hash to it and the two tables
 // their entries point into. Tables are per shard so the lock a commit already
 // holds is all the synchronization they need; a value used in several shards
-// is stored once in each.
+// is stored once in each. ids finds an entry by its ID's hash, checked against
+// the entry's own ID string, so the ID is held once.
 type storeShard struct {
 	mu      sync.RWMutex
-	byID    map[string]int // measurement ID -> index into entries
+	ids     idIndex // measurement ID -> index into entries
 	entries chunked[storeEntry]
 	tasks   valueTable[taskBody]
 	clients valueTable[clientCtx]
@@ -82,6 +83,9 @@ type storeShard struct {
 func (sh *storeShard) at(i int) Measurement {
 	return sh.entries.at(i).measurement(&sh.tasks.vals, &sh.clients.vals)
 }
+
+// idAt returns the ID stored at index i; sh.mu must be held.
+func (sh *storeShard) idAt(i uint32) string { return sh.entries.at(int(i)).id }
 
 // each calls fn for the shard's measurements in insertion order until fn
 // returns false, reporting whether it ran to the end; sh.mu must be held.
@@ -183,11 +187,7 @@ func NewStoreWithShards(n int) *Store {
 	for size < n {
 		size <<= 1
 	}
-	s := &Store{shards: make([]storeShard, size), mask: uint32(size - 1)}
-	for i := range s.shards {
-		s.shards[i].byID = make(map[string]int)
-	}
-	return s
+	return &Store{shards: make([]storeShard, size), mask: uint32(size - 1)}
 }
 
 // ShardHash returns the FNV-1a hash of key used to pick lock shards. It is
@@ -205,11 +205,6 @@ func fnv1a[S text](h uint32, key S) uint32 {
 
 const fnvOffset = 2166136261
 
-// shardFor hashes a measurement ID to its shard.
-func (s *Store) shardFor(id string) *storeShard {
-	return &s.shards[ShardHash(id)&s.mask]
-}
-
 // Add appends a measurement. If a measurement with the same ID already
 // exists, the terminal state wins over init (clients submit init first and a
 // terminal state later); otherwise the later record replaces the earlier one
@@ -218,10 +213,11 @@ func (s *Store) Add(m Measurement) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	sh := s.shardFor(m.MeasurementID)
+	h := ShardHash(m.MeasurementID)
+	sh := &s.shards[h&s.mask]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	s.addLocked(sh, &m)
+	s.addLocked(sh, h, &m)
 	return nil
 }
 
@@ -253,16 +249,16 @@ func (s *Store) notify(commitSeq, seq uint64, prev *Measurement, cur Measurement
 	}
 }
 
-// addLocked inserts or upgrades one measurement; sh.mu must be held. The
-// commit-stream position is assigned here, inside the critical section and
-// immediately before notification, so within one shard positions increase in
-// exactly the order observers see the commits.
-func (s *Store) addLocked(sh *storeShard, m *Measurement) {
+// addLocked inserts or upgrades one measurement whose ID hashes to h; sh.mu
+// must be held. The commit-stream position is assigned here, inside the
+// critical section and immediately before notification, so within one shard
+// positions increase in exactly the order observers see the commits.
+func (s *Store) addLocked(sh *storeShard, h uint32, m *Measurement) {
 	e := storeEntry{id: m.MeasurementID, duration: m.DurationMillis, received: m.Received, state: stateCode(m.State)}
-	idx, exists := sh.byID[m.MeasurementID]
+	idx, exists := lookupID(&sh.ids, h, m.MeasurementID, sh.idAt)
 	var old *storeEntry
 	if exists {
-		old = sh.entries.at(idx)
+		old = sh.entries.at(int(idx))
 		if old.completed() && !e.completed() {
 			return // never downgrade a terminal state
 		}
@@ -275,7 +271,7 @@ func (s *Store) addLocked(sh *storeShard, m *Measurement) {
 		// observer interface, so a local would be heap-allocated per upgrade.
 		var prevp *Measurement
 		if len(s.observers) > 0 {
-			sh.prev = sh.at(idx)
+			sh.prev = sh.at(int(idx))
 			prevp = &sh.prev
 		}
 		e.id, e.seq = old.id, old.seq
@@ -284,7 +280,7 @@ func (s *Store) addLocked(sh *storeShard, m *Measurement) {
 		return
 	}
 	e.seq = s.seq.Add(1)
-	sh.byID[e.id] = sh.entries.push(e)
+	sh.ids.put(h, e.id, uint32(sh.entries.push(e)))
 	s.count.Add(1)
 	s.notify(s.commits.Add(1), e.seq, nil, *m)
 }
@@ -306,19 +302,20 @@ func (s *Store) replay(seq uint64, v *wire.RecordView) error {
 	if e.state == 0 {
 		return fmt.Errorf("results: replaying %q: invalid state %q", v.MeasurementID, v.State)
 	}
-	sh := &s.shards[fnv1a(fnvOffset, v.MeasurementID)&s.mask]
+	h := fnv1a(fnvOffset, v.MeasurementID)
+	sh := &s.shards[h&s.mask]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e.task = intern(&sh.tasks, taskKey[[]byte]{pattern: v.PatternKey, url: v.TargetURL, typ: v.TaskType, control: v.Control})
 	e.client = intern(&sh.clients, clientKey[[]byte]{ip: v.ClientIP, region: v.Region, origin: v.OriginSite, browser: v.Browser})
-	if idx, ok := sh.byID[string(v.MeasurementID)]; ok {
-		old := sh.entries.at(idx)
+	if idx, ok := lookupID(&sh.ids, h, v.MeasurementID, sh.idAt); ok {
+		old := sh.entries.at(int(idx))
 		e.id, e.seq = old.id, old.seq // upgrades keep the insert's sequence number
 		*old = e
 		return nil
 	}
 	e.id = string(v.MeasurementID)
-	sh.byID[e.id] = sh.entries.push(e)
+	sh.ids.put(h, e.id, uint32(sh.entries.push(e)))
 	s.count.Add(1)
 	return nil
 }
@@ -353,25 +350,26 @@ func (s *Store) addBatchValidated(ms []Measurement) {
 	if len(ms) == 0 {
 		return
 	}
-	// Group by shard through one index slice instead of a map of slices: the
-	// map and its per-shard append chains cost O(shards) allocations per
-	// batch on the ingest hot path, where this single slice costs one.
-	shardIdx := make([]uint32, len(ms))
+	// Group by shard through one slice of ID hashes instead of a map of
+	// slices: the map and its per-shard append chains cost O(shards)
+	// allocations per batch on the ingest hot path, where this single slice
+	// costs one.
+	hashes := make([]uint32, len(ms))
 	for i := range ms {
-		shardIdx[i] = ShardHash(ms[i].MeasurementID) & s.mask
+		hashes[i] = ShardHash(ms[i].MeasurementID)
 	}
 	for shard := range s.shards {
 		sh := &s.shards[shard]
 		locked := false
 		for i := range ms {
-			if shardIdx[i] != uint32(shard) {
+			if hashes[i]&s.mask != uint32(shard) {
 				continue
 			}
 			if !locked {
 				sh.mu.Lock()
 				locked = true
 			}
-			s.addLocked(sh, &ms[i])
+			s.addLocked(sh, hashes[i], &ms[i])
 		}
 		if locked {
 			sh.mu.Unlock()
@@ -443,14 +441,15 @@ func (s *Store) All() []Measurement {
 
 // Get returns the measurement with the given ID.
 func (s *Store) Get(id string) (Measurement, bool) {
-	sh := s.shardFor(id)
+	h := ShardHash(id)
+	sh := &s.shards[h&s.mask]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	idx, ok := sh.byID[id]
+	idx, ok := lookupID(&sh.ids, h, id, sh.idAt)
 	if !ok {
 		return Measurement{}, false
 	}
-	return sh.at(idx), true
+	return sh.at(int(idx)), true
 }
 
 // Filter returns measurements matching pred, preserving insertion order. Like

@@ -1,9 +1,13 @@
 package results
 
 import (
+	"fmt"
+	"math/rand"
 	"strconv"
 	"testing"
 	"time"
+
+	"encore/internal/core"
 )
 
 // BenchmarkStoreAddBatch measures what committing one request's 256 fresh IDs
@@ -44,4 +48,54 @@ func BenchmarkStoreAddBatch(b *testing.B) {
 			b.ReportMetric(float64(committing.Nanoseconds())/float64(b.N*batch), "ns/record")
 		})
 	}
+}
+
+// BenchmarkTaskIndex measures the collector's attribution index per ID:
+// Register of 2^20 fresh IDs spread over a few hundred tasks into an empty
+// index, and Lookup of all of them, in a shuffled order and through strings a
+// decoder would have made, from the full index. An iteration is one pass over
+// the 2^20 IDs, so -benchmem's B/op and allocs/op are per pass.
+func BenchmarkTaskIndex(b *testing.B) {
+	const n = 1 << 20
+	tasks := make([]core.Task, n)
+	for i := range tasks {
+		tasks[i] = core.Task{
+			MeasurementID: fmt.Sprintf("m-%08d", i),
+			Type:          core.TaskTypes()[i%3],
+			PatternKey:    fmt.Sprintf("domain:site%d.com", i%300),
+			TargetURL:     fmt.Sprintf("http://site%d.com/favicon.ico", i%300),
+			Created:       time.Unix(1398902400+int64(i), 0),
+		}
+	}
+	perID := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/ID")
+	}
+	b.Run("Register", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			ti := NewTaskIndex()
+			for j := range tasks {
+				ti.Register(tasks[j])
+			}
+		}
+		perID(b)
+	})
+	b.Run("Lookup", func(b *testing.B) {
+		ti := NewTaskIndex()
+		for j := range tasks {
+			ti.Register(tasks[j])
+		}
+		probes := make([]string, n)
+		for i, j := range rand.New(rand.NewSource(1)).Perm(n) {
+			probes[i] = string([]byte(tasks[j].MeasurementID))
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for _, id := range probes {
+				if _, ok := ti.Lookup(id); !ok {
+					b.Fatalf("Lookup(%s) missed", id)
+				}
+			}
+		}
+		perID(b)
+	})
 }

@@ -19,7 +19,10 @@ import (
 // out a few hundred distinct tasks under millions of IDs, so an ID keeps a
 // handle into its shard's table of distinct task bodies, the creation instant,
 // and the ID string Lookup returns — which a collector storing the measurement
-// shares instead of the copy it decoded. It is safe for concurrent use.
+// shares instead of the copy it decoded. Like a Store shard, a shard keeps
+// these in a chunked table found through an idIndex, which holds a handle
+// under the ID's hash rather than a second copy of the ID. It is safe for
+// concurrent use.
 type TaskIndex struct {
 	shards []taskIndexShard
 	mask   uint32
@@ -29,13 +32,17 @@ type TaskIndex struct {
 // taskIndexShard holds the tasks whose measurement IDs hash to it.
 type taskIndexShard struct {
 	mu     sync.RWMutex
-	tasks  map[string]taskRef
+	ids    idIndex // measurement ID -> index into refs
+	refs   chunked[taskRef]
 	bodies valueTable[indexedTask]
 }
 
+// idAt returns the ID stored at index i; sh.mu must be held.
+func (sh *taskIndexShard) idAt(i uint32) string { return sh.refs.at(int(i)).id }
+
 // taskRef is what the index keeps per measurement ID.
 type taskRef struct {
-	id          string // the map key's own string
+	id          string // the ID Register was given, shared with Lookup's results
 	createdSec  int64  // Task.Created as time.Unix arguments: exact over time.Time's
 	createdNsec uint32 // whole range, the zero value included
 	body        uint32 // handle into taskIndexShard.bodies
@@ -43,16 +50,7 @@ type taskRef struct {
 
 // NewTaskIndex returns an empty index with the default shard count.
 func NewTaskIndex() *TaskIndex {
-	ti := &TaskIndex{shards: make([]taskIndexShard, defaultShardCount), mask: defaultShardCount - 1}
-	for i := range ti.shards {
-		ti.shards[i].tasks = make(map[string]taskRef)
-	}
-	return ti
-}
-
-// shardFor hashes a measurement ID to its shard.
-func (ti *TaskIndex) shardFor(id string) *taskIndexShard {
-	return &ti.shards[ShardHash(id)&ti.mask]
+	return &TaskIndex{shards: make([]taskIndexShard, defaultShardCount), mask: defaultShardCount - 1}
 }
 
 // Register records a task under its measurement ID. Registering a task with
@@ -61,17 +59,20 @@ func (ti *TaskIndex) Register(t core.Task) {
 	if t.MeasurementID == "" {
 		return
 	}
-	sh := ti.shardFor(t.MeasurementID)
+	h := ShardHash(t.MeasurementID)
+	sh := &ti.shards[h&ti.mask]
 	sh.mu.Lock()
-	ref, exists := sh.tasks[t.MeasurementID]
-	if !exists {
-		ti.count.Add(1)
-		ref.id = t.MeasurementID
-	}
-	ref.createdSec, ref.createdNsec = t.Created.Unix(), uint32(t.Created.Nanosecond())
+	ref := taskRef{id: t.MeasurementID, createdSec: t.Created.Unix(), createdNsec: uint32(t.Created.Nanosecond())}
 	t.MeasurementID, t.Created = "", time.Time{}
 	ref.body = intern(&sh.bodies, indexedTask(t))
-	sh.tasks[ref.id] = ref
+	if i, exists := lookupID(&sh.ids, h, ref.id, sh.idAt); exists {
+		old := sh.refs.at(int(i))
+		ref.id = old.id
+		*old = ref
+	} else {
+		sh.ids.put(h, ref.id, uint32(sh.refs.push(ref)))
+		ti.count.Add(1)
+	}
 	sh.mu.Unlock()
 }
 
@@ -79,13 +80,15 @@ func (ti *TaskIndex) Register(t core.Task) {
 // task Register was given (Created by time.Time.Equal, in UTC), with the
 // index's own ID string.
 func (ti *TaskIndex) Lookup(measurementID string) (core.Task, bool) {
-	sh := ti.shardFor(measurementID)
+	h := ShardHash(measurementID)
+	sh := &ti.shards[h&ti.mask]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	ref, ok := sh.tasks[measurementID]
+	i, ok := lookupID(&sh.ids, h, measurementID, sh.idAt)
 	if !ok {
 		return core.Task{}, false
 	}
+	ref := sh.refs.at(int(i))
 	t := core.Task(*sh.bodies.vals.at(int(ref.body)))
 	t.MeasurementID, t.Created = ref.id, time.Unix(ref.createdSec, int64(ref.createdNsec)).UTC()
 	return t, true

@@ -6,9 +6,9 @@
 # the federation soak — concurrent edge commits against a flapping upstream
 # with a WAL-backed forwarder) under the race detector, one iteration of every
 # root-package benchmark (the paper's evaluation, E1-E16), of the forwarder's
-# catch-up and drain benchmarks and of the store-commit and admit benchmarks,
-# a -count=20 race run of the forwarder's in-flight and cursor tests, the separate
-# bench/ module's vet and tests, the
+# catch-up and drain benchmarks and of the store-commit, task-index and admit
+# benchmarks, a -count=20 race run of the forwarder's in-flight and cursor
+# tests, the separate bench/ module's vet and tests, the
 # deterministic chaos suite at fixed seeds (make chaos), and the
 # campaign-tier smoke
 # (scripts/campaign_smoke.sh: grid/dispatcher property tests under -race plus
@@ -47,9 +47,11 @@ go test -run '^$' -bench . -benchtime 1x .
 # Likewise the forwarder's catch-up benchmark (the 1M log is ~200 MB of
 # segments) and its drain of a backlog to a real upstream.
 go test -run '^$' -bench 'BenchmarkForwarder(CatchUp|Drain)' -benchtime 1x ./internal/api/federation
-# And the store-commit benchmark (its 4M-record store peaks near 1 GB) and the
-# per-record admit benchmark.
+# And the store-commit benchmark (its 4M-record store peaks near 1 GB), the
+# task index's Register and Lookup over 2^20 IDs and the per-record admit
+# benchmark.
 go test -run '^$' -bench BenchmarkStoreAddBatch -benchtime 1x ./internal/results
+go test -run '^$' -bench BenchmarkTaskIndex -benchtime 1x -benchmem ./internal/results
 go test -run '^$' -bench BenchmarkAdmit -benchtime 1x ./internal/collectserver
 
 # bench/ is its own module (replace encore => ../), so ./... above never
@@ -58,17 +60,19 @@ go test -run '^$' -bench BenchmarkAdmit -benchtime 1x ./internal/collectserver
 echo "== bench module =="
 (cd bench && go vet ./... && go test ./...)
 
-# Short fuzz smoke over the untrusted decode surfaces: the record payload
+# Short fuzz smoke over the untrusted decode surfaces — the record payload
 # decoder, the full streaming frame path, the coordinator gossip decoder and
-# the campaign journal replay. Ten seconds each — enough to shake out
-# regressions around the seeded adversarial corpus on every CI run; longer
-# exploratory runs stay manual. (go test accepts one -fuzz pattern per
-# invocation, hence four runs.)
-echo "== fuzz smoke (internal/wire, internal/campaign) =="
+# the campaign journal replay — and over the results ID index, whose clash
+# path only colliding hashes reach. Ten seconds each — enough to shake out
+# regressions around the seeded corpus on every CI run; longer exploratory
+# runs stay manual. (go test accepts one -fuzz pattern per invocation, hence
+# five runs.)
+echo "== fuzz smoke (internal/wire, internal/campaign, internal/results) =="
 go test ./internal/wire -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime 10s
 go test ./internal/wire -run '^$' -fuzz '^FuzzDecodeBatchStream$' -fuzztime 10s
 go test ./internal/wire -run '^$' -fuzz '^FuzzDecodeGossip$' -fuzztime 10s
 go test ./internal/campaign -run '^$' -fuzz '^FuzzReplayJournal$' -fuzztime 10s
+go test ./internal/results -run '^$' -fuzz '^FuzzIDIndex$' -fuzztime 10s
 
 echo "== chaos suite =="
 make chaos
