@@ -101,7 +101,7 @@ func main() {
 	fmt.Print(inference.Report(verdicts))
 
 	if *confounds {
-		warnings := inference.CheckConfounds(store, verdicts)
+		warnings := inference.CheckConfounds(agg.Groups(), verdicts)
 		fmt.Println()
 		fmt.Print(inference.ConfoundReport(warnings))
 	}

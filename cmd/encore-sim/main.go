@@ -149,7 +149,7 @@ func main() {
 		len(verdicts), time.Since(incStart).Round(time.Microsecond))
 	fmt.Println()
 	fmt.Print(inference.Report(verdicts))
-	fmt.Print(inference.ConfoundReport(inference.CheckConfounds(stack.Store, verdicts)))
+	fmt.Print(inference.ConfoundReport(inference.CheckConfounds(stack.Aggregator.Groups(), verdicts)))
 
 	conf := inference.Score(verdicts, stack.GroundTruth(), inference.DefaultConfig().MinMeasurements)
 	fmt.Printf("\nscoring against ground truth: TP=%d FP=%d FN=%d TN=%d precision=%.2f recall=%.2f\n",

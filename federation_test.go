@@ -207,7 +207,7 @@ func TestFederationSurvivesCollectorLoss(t *testing.T) {
 	}
 	// Every record either edge committed is upstream, final state intact.
 	for _, edgeStore := range []*results.Store{edge1.Store, edge2.Store} {
-		edgeStore.Range(nil, func(m results.Measurement) bool {
+		edgeStore.Range(func(m results.Measurement) bool {
 			up, ok := upStore.Get(m.MeasurementID)
 			if !ok {
 				t.Errorf("measurement %s missing upstream", m.MeasurementID)

@@ -417,15 +417,23 @@ func TestV2BatchAttributedLane(t *testing.T) {
 		t.Fatal("refused records were stored")
 	}
 
-	// An upstream instance accepts the same batch, including one invalid
-	// record rejected per-member.
+	// An upstream instance accepts the same batch. Invalid records — no ID,
+	// or a browser family or task type outside its enum — are rejected
+	// per-member while the records around them commit.
 	up, upStore, _, _ := testServer(t)
 	up.AllowAttributed = true
 	upSrv := httptest.NewServer(up)
 	defer upSrv.Close()
+	badBrowser, badTaskType, last := rec, rec, rec
+	badBrowser.MeasurementID, badBrowser.Browser = "edge-browser", 42
+	badTaskType.MeasurementID, badTaskType.TaskType = "edge-task-type", 9
+	last.MeasurementID = "edge-2"
 	body, _ = json.Marshal(api.BatchSubmitRequest{Measurements: []results.Measurement{
 		rec,
 		{MeasurementID: "", PatternKey: "domain:x", State: core.StateSuccess},
+		badBrowser,
+		badTaskType,
+		last,
 	}})
 	resp, err = http.Post(upSrv.URL+api.V2SubmissionsPath, "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -436,12 +444,21 @@ func TestV2BatchAttributedLane(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || out.Accepted != 1 || len(out.Rejected) != 1 {
+	if resp.StatusCode != http.StatusOK || out.Accepted != 2 || len(out.Rejected) != 3 {
 		t.Fatalf("upstream batch: %d %+v", resp.StatusCode, out)
 	}
-	got, ok := upStore.Get("edge-1")
-	if !ok || got != rec {
-		t.Fatalf("attributed record mutated in flight:\n got %+v\nwant %+v", got, rec)
+	for i, rej := range out.Rejected {
+		if rej.Index != i+1 || rej.Code != api.CodeInvalidSubmission {
+			t.Fatalf("rejection %d: %+v", i, rej)
+		}
+	}
+	for _, want := range []results.Measurement{rec, last} {
+		if got, ok := upStore.Get(want.MeasurementID); !ok || got != want {
+			t.Fatalf("attributed record mutated in flight:\n got %+v\nwant %+v", got, want)
+		}
+	}
+	if upStore.Len() != 2 {
+		t.Fatalf("upstream holds %d records, want 2", upStore.Len())
 	}
 }
 

@@ -203,21 +203,39 @@ func TestV2BinaryAttributedLane(t *testing.T) {
 		t.Fatalf("bad token: status %d", resp.StatusCode)
 	}
 
-	bad := results.Measurement{MeasurementID: "", PatternKey: "domain:x", State: core.StateSuccess}
-	frames, err := wire.AppendRecordFrame(bytes.Clone(frame), 0, 0, (*wire.Record)(&bad))
-	if err != nil {
-		t.Fatal(err)
+	// Records with no ID, or with a browser family or task type outside its
+	// enum, reject at their own index; the frames around them commit.
+	badBrowser, badTaskType, last := rec, rec, rec
+	badBrowser.MeasurementID, badBrowser.Browser = "edge-browser", 42
+	badTaskType.MeasurementID, badTaskType.TaskType = "edge-task-type", 9
+	last.MeasurementID = "edge-2"
+	frames := bytes.Clone(frame)
+	for _, m := range []results.Measurement{
+		{MeasurementID: "", PatternKey: "domain:x", State: core.StateSuccess},
+		badBrowser,
+		badTaskType,
+		last,
+	} {
+		if frames, err = wire.AppendRecordFrame(frames, 0, 0, (*wire.Record)(&m)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	out := decodeBatchResponse(t, postRecords(t, upSrv.URL, frames, "sekrit"))
-	if out.Accepted != 1 || len(out.Rejected) != 1 {
+	if out.Accepted != 2 || len(out.Rejected) != 3 {
 		t.Fatalf("upstream binary batch: %+v", out)
 	}
-	if rej := out.Rejected[0]; rej.Index != 1 || rej.Code != api.CodeInvalidSubmission {
-		t.Fatalf("rejection %+v", rej)
+	for i, rej := range out.Rejected {
+		if rej.Index != i+1 || rej.Code != api.CodeInvalidSubmission {
+			t.Fatalf("rejection %d: %+v", i, rej)
+		}
 	}
-	got, ok := upStore.Get("edge-1")
-	if !ok || got != rec {
-		t.Fatalf("attributed record mutated in flight:\n got %+v\nwant %+v", got, rec)
+	for _, want := range []results.Measurement{rec, last} {
+		if got, ok := upStore.Get(want.MeasurementID); !ok || got != want {
+			t.Fatalf("attributed record mutated in flight:\n got %+v\nwant %+v", got, want)
+		}
+	}
+	if upStore.Len() != 2 {
+		t.Fatalf("upstream holds %d records, want 2", upStore.Len())
 	}
 }
 

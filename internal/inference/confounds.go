@@ -2,7 +2,6 @@ package inference
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"encore/internal/core"
@@ -15,58 +14,10 @@ import (
 // fail the binomial test because one browser family mis-executes a task type
 // (or one task type is systematically unreliable) rather than because a
 // censor interferes. This file implements that check: for each flagged
-// verdict it breaks the cell's measurements down by browser family and by
-// task type and warns when the failures are concentrated in a single slice
-// while the other slices succeed.
-
-// Breakdown is the success/failure tally of one slice (one browser family or
-// one task type) of a detection cell.
-type Breakdown struct {
-	Label     string
-	Successes int
-	Failures  int
-}
-
-// Completed returns the number of completed measurements in the slice.
-func (b Breakdown) Completed() int { return b.Successes + b.Failures }
-
-// SuccessRate returns the slice's success rate (1 when empty).
-func (b Breakdown) SuccessRate() float64 {
-	if b.Completed() == 0 {
-		return 1
-	}
-	return float64(b.Successes) / float64(b.Completed())
-}
-
-// CellBreakdown computes per-browser and per-task-type breakdowns for one
-// pattern × region cell, excluding control and incomplete measurements.
-func CellBreakdown(ms []results.Measurement, patternKey string, region geo.CountryCode) (byBrowser, byTaskType []Breakdown) {
-	browsers := make(map[core.BrowserFamily]*Breakdown)
-	taskTypes := make(map[core.TaskType]*Breakdown)
-	for _, m := range ms {
-		if m.Control || !m.Completed() || m.PatternKey != patternKey || m.Region != region {
-			continue
-		}
-		bb, ok := browsers[m.Browser]
-		if !ok {
-			bb = &Breakdown{Label: m.Browser.String()}
-			browsers[m.Browser] = bb
-		}
-		tb, ok := taskTypes[m.TaskType]
-		if !ok {
-			tb = &Breakdown{Label: m.TaskType.String()}
-			taskTypes[m.TaskType] = tb
-		}
-		if m.Success() {
-			bb.Successes++
-			tb.Successes++
-		} else {
-			bb.Failures++
-			tb.Failures++
-		}
-	}
-	return sortedBreakdowns(browsers), sortedBreakdowns(taskTypes)
-}
+// verdict it reads the cell's per-browser and per-task-type tallies, which
+// the aggregation tier keeps beside the cell's counters (results.Group), and
+// warns when the failures are concentrated in a single slice while the other
+// slices succeed.
 
 // ConfoundWarning flags a detection whose failures look attributable to a
 // client-side factor rather than network filtering.
@@ -103,68 +54,41 @@ const (
 // CheckConfounds inspects every filtered verdict and returns warnings for
 // cells whose failures are concentrated in a single browser family or task
 // type while the rest of the cell looks healthy. Such cells deserve manual
-// review before being reported as censorship. The breakdowns for all flagged
-// cells are tallied in one streaming pass over the store (Store.Range) —
-// no defensive copy, and no per-verdict rescans.
-func CheckConfounds(store *results.Store, verdicts []Verdict) []ConfoundWarning {
+// review before being reported as censorship. groups is the aggregation the
+// verdicts were computed from (Aggregator.Groups or results.Aggregate): each
+// group's Browsers and TaskTypes tallies are the breakdowns, so no
+// measurement is read again.
+func CheckConfounds(groups []results.Group, verdicts []Verdict) []ConfoundWarning {
 	flagged := Filtered(verdicts)
 	if len(flagged) == 0 {
 		return nil
 	}
-	type cellTally struct {
-		browsers  map[core.BrowserFamily]*Breakdown
-		taskTypes map[core.TaskType]*Breakdown
+	cells := make(map[results.GroupKey]*results.Group, len(groups))
+	for i := range groups {
+		cells[groups[i].Key] = &groups[i]
 	}
-	cells := make(map[results.GroupKey]*cellTally, len(flagged))
-	for _, v := range flagged {
-		cells[results.GroupKey{PatternKey: v.PatternKey, Region: v.Region}] = &cellTally{
-			browsers:  make(map[core.BrowserFamily]*Breakdown),
-			taskTypes: make(map[core.TaskType]*Breakdown),
-		}
-	}
-	store.Range(func(m results.Measurement) bool {
-		return !m.Control && m.Completed()
-	}, func(m results.Measurement) bool {
-		tally, ok := cells[results.GroupKey{PatternKey: m.PatternKey, Region: m.Region}]
-		if !ok {
-			return true
-		}
-		bb, ok := tally.browsers[m.Browser]
-		if !ok {
-			bb = &Breakdown{Label: m.Browser.String()}
-			tally.browsers[m.Browser] = bb
-		}
-		tb, ok := tally.taskTypes[m.TaskType]
-		if !ok {
-			tb = &Breakdown{Label: m.TaskType.String()}
-			tally.taskTypes[m.TaskType] = tb
-		}
-		if m.Success() {
-			bb.Successes++
-			tb.Successes++
-		} else {
-			bb.Failures++
-			tb.Failures++
-		}
-		return true
-	})
 	var warnings []ConfoundWarning
 	for _, v := range flagged {
-		tally := cells[results.GroupKey{PatternKey: v.PatternKey, Region: v.Region}]
-		byBrowser := sortedBreakdowns(tally.browsers)
-		byTaskType := sortedBreakdowns(tally.taskTypes)
+		g, ok := cells[results.GroupKey{PatternKey: v.PatternKey, Region: v.Region}]
+		if !ok {
+			continue
+		}
 		for _, dim := range []struct {
 			name   string
-			slices []Breakdown
-		}{{"browser", byBrowser}, {"task-type", byTaskType}} {
-			if w, ok := findConfound(dim.slices); ok {
+			slices []results.Tally
+			label  func(int) string
+		}{
+			{"browser", g.Browsers[:], func(i int) string { return core.BrowserFamily(i).String() }},
+			{"task-type", g.TaskTypes[:], func(i int) string { return core.TaskType(i).String() }},
+		} {
+			if c, ok := findConfound(dim.slices); ok {
 				warnings = append(warnings, ConfoundWarning{
 					PatternKey:               v.PatternKey,
 					Region:                   v.Region,
 					Dimension:                dim.name,
-					Slice:                    w.Label,
-					FailureShare:             w.failureShare,
-					ObservedSuccessElsewhere: w.elsewhereSuccess,
+					Slice:                    dim.label(c.slice),
+					FailureShare:             c.failureShare,
+					ObservedSuccessElsewhere: c.elsewhereSuccess,
 				})
 			}
 		}
@@ -172,55 +96,40 @@ func CheckConfounds(store *results.Store, verdicts []Verdict) []ConfoundWarning 
 	return warnings
 }
 
-// sortedBreakdowns flattens a breakdown map into the label-sorted slice shape
-// CellBreakdown returns.
-func sortedBreakdowns[K comparable](m map[K]*Breakdown) []Breakdown {
-	out := make([]Breakdown, 0, len(m))
-	for _, b := range m {
-		out = append(out, *b)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Label < out[j].Label })
-	return out
-}
-
 type confoundCandidate struct {
-	Label            string
+	slice            int
 	failureShare     float64
 	elsewhereSuccess float64
 }
 
 // findConfound looks for a slice concentrating the failures while the other
-// slices succeed.
-func findConfound(slices []Breakdown) (confoundCandidate, bool) {
-	if len(slices) < 2 {
-		return confoundCandidate{}, false
-	}
-	totalFailures := 0
+// slices succeed. A cell with fewer than two slices holding a completed
+// measurement cannot be attributed either way.
+func findConfound(slices []results.Tally) (confoundCandidate, bool) {
+	occupied, successes, failures := 0, 0, 0
 	for _, s := range slices {
-		totalFailures += s.Failures
+		if s.Successes+s.Failures > 0 {
+			occupied++
+		}
+		successes += s.Successes
+		failures += s.Failures
 	}
-	if totalFailures == 0 {
+	if occupied < 2 || failures == 0 {
 		return confoundCandidate{}, false
 	}
-	for _, suspect := range slices {
-		share := float64(suspect.Failures) / float64(totalFailures)
+	for i, suspect := range slices {
+		share := float64(suspect.Failures) / float64(failures)
 		if share < minFailureShare {
 			continue
 		}
-		var otherSuccess, otherCompleted int
-		for _, s := range slices {
-			if s.Label == suspect.Label {
-				continue
-			}
-			otherSuccess += s.Successes
-			otherCompleted += s.Completed()
-		}
+		otherSuccess := successes - suspect.Successes
+		otherCompleted := otherSuccess + failures - suspect.Failures
 		if otherCompleted < minElsewhereCompleted {
 			continue
 		}
 		elsewhereRate := float64(otherSuccess) / float64(otherCompleted)
 		if elsewhereRate >= minElsewhereSuccess {
-			return confoundCandidate{Label: suspect.Label, failureShare: share, elsewhereSuccess: elsewhereRate}, true
+			return confoundCandidate{slice: i, failureShare: share, elsewhereSuccess: elsewhereRate}, true
 		}
 	}
 	return confoundCandidate{}, false

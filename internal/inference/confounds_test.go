@@ -30,35 +30,6 @@ func addCell(store *results.Store, pattern string, region geo.CountryCode, brows
 	}
 }
 
-func TestCellBreakdown(t *testing.T) {
-	store := results.NewStore()
-	addCell(store, "domain:x.com", "IN", core.BrowserChrome, core.TaskImage, 8, 2)
-	addCell(store, "domain:x.com", "IN", core.BrowserFirefox, core.TaskStylesheet, 4, 6)
-	addCell(store, "domain:x.com", "US", core.BrowserChrome, core.TaskImage, 5, 0) // other region excluded
-	byBrowser, byTaskType := CellBreakdown(store.All(), "domain:x.com", "IN")
-	if len(byBrowser) != 2 || len(byTaskType) != 2 {
-		t.Fatalf("breakdown sizes: %d browsers, %d task types", len(byBrowser), len(byTaskType))
-	}
-	for _, b := range byBrowser {
-		switch b.Label {
-		case "chrome":
-			if b.Successes != 8 || b.Failures != 2 {
-				t.Fatalf("chrome breakdown wrong: %+v", b)
-			}
-		case "firefox":
-			if b.SuccessRate() != 0.4 {
-				t.Fatalf("firefox success rate=%v", b.SuccessRate())
-			}
-		default:
-			t.Fatalf("unexpected browser %q", b.Label)
-		}
-	}
-	empty := Breakdown{}
-	if empty.SuccessRate() != 1 || empty.Completed() != 0 {
-		t.Fatal("empty breakdown should be neutral")
-	}
-}
-
 func TestCheckConfoundsFlagsBrowserConcentration(t *testing.T) {
 	// youtube.com "fails" in India, but only from IE clients running the
 	// stylesheet task; Chrome and Firefox load it fine. The cell still
@@ -74,7 +45,7 @@ func TestCheckConfoundsFlagsBrowserConcentration(t *testing.T) {
 	if !FilteredSet(verdicts)["domain:youtube.com|IN"] {
 		t.Fatal("sanity: the cell should be flagged by the plain detector")
 	}
-	warnings := CheckConfounds(store, verdicts)
+	warnings := CheckConfounds(results.Aggregate(store.All()), verdicts)
 	if len(warnings) == 0 {
 		t.Fatal("expected a confound warning")
 	}
@@ -109,7 +80,7 @@ func TestCheckConfoundsQuietOnGenuineFiltering(t *testing.T) {
 	if !FilteredSet(verdicts)["domain:twitter.com|CN"] {
 		t.Fatal("sanity: genuine filtering should be flagged")
 	}
-	warnings := CheckConfounds(store, verdicts)
+	warnings := CheckConfounds(results.Aggregate(store.All()), verdicts)
 	if len(warnings) != 0 {
 		t.Fatalf("genuine filtering should not warn: %+v", warnings)
 	}
@@ -125,7 +96,7 @@ func TestCheckConfoundsZeroConfigUsesDefaults(t *testing.T) {
 	d := New(DefaultConfig())
 	verdicts := d.Detect(results.Aggregate(store.All()))
 	// Single-browser cells cannot be attributed either way: no warnings.
-	if got := CheckConfounds(store, verdicts); len(got) != 0 {
+	if got := CheckConfounds(results.Aggregate(store.All()), verdicts); len(got) != 0 {
 		t.Fatalf("unexpected warnings: %+v", got)
 	}
 }

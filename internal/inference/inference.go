@@ -17,9 +17,11 @@
 // DetectWindows, the longitudinal view over the aggregator's time buckets.
 // NewTuned builds an ordinary Detector whose null probability is tuned per
 // region (the §7.2 enhancement). CheckConfounds flags detections whose
-// failures concentrate in one browser or task type. The tests hold every
-// entry point equal to a reference detector written straight from §7
-// (reference_test.go), computed from raw final-state measurements.
+// failures concentrate in one browser or task type; it reads the same
+// groups, whose per-browser and per-task-type tallies the aggregator keeps.
+// The tests hold every entry point, the groups and the confound check equal
+// to a reference written straight from §7 (reference_test.go), computed from
+// raw final-state measurements.
 package inference
 
 import (

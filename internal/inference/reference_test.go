@@ -119,6 +119,88 @@ func referenceNullP(final map[string]results.Measurement, margin float64) map[ge
 	return out
 }
 
+// referenceGroups is the aggregate computed straight from final-state
+// measurements: per (pattern, region) cell, excluding control traffic, the
+// records by state, and the completed ones split by browser family and by
+// task type. Sorted by pattern then region.
+func referenceGroups(final map[string]results.Measurement) []results.Group {
+	cells := make(map[results.GroupKey]*results.Group)
+	for _, m := range final {
+		if m.Control {
+			continue
+		}
+		key := results.GroupKey{PatternKey: m.PatternKey, Region: m.Region}
+		g := cells[key]
+		if g == nil {
+			g = &results.Group{Key: key}
+			cells[key] = g
+		}
+		g.Total++
+		switch m.State {
+		case core.StateSuccess:
+			g.Successes++
+			g.Browsers[m.Browser].Successes++
+			g.TaskTypes[m.TaskType].Successes++
+		case core.StateFailure:
+			g.Failures++
+			g.Browsers[m.Browser].Failures++
+			g.TaskTypes[m.TaskType].Failures++
+		default:
+			g.InitOnly++
+		}
+	}
+	out := make([]results.Group, 0, len(cells))
+	for _, g := range cells {
+		out = append(out, *g)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Key.PatternKey != out[j].Key.PatternKey {
+			return out[i].Key.PatternKey < out[j].Key.PatternKey
+		}
+		return out[i].Key.Region < out[j].Key.Region
+	})
+	return out
+}
+
+// referenceConfounds is the §7.2 confound check computed straight from
+// final-state measurements: for each filtered verdict, in order, it tallies
+// the cell's completed non-control measurements by browser family and by
+// task type, and runs findConfound over each breakdown.
+func referenceConfounds(final map[string]results.Measurement, verdicts []Verdict) []ConfoundWarning {
+	var out []ConfoundWarning
+	for _, v := range verdicts {
+		if !v.Filtered {
+			continue
+		}
+		var browsers [core.BrowserOther + 1]results.Tally
+		var taskTypes [core.TaskScript + 1]results.Tally
+		for _, m := range final {
+			if m.Control || m.PatternKey != v.PatternKey || m.Region != v.Region {
+				continue
+			}
+			switch m.State {
+			case core.StateSuccess:
+				browsers[m.Browser].Successes++
+				taskTypes[m.TaskType].Successes++
+			case core.StateFailure:
+				browsers[m.Browser].Failures++
+				taskTypes[m.TaskType].Failures++
+			}
+		}
+		warn := func(dimension, slice string, c confoundCandidate) {
+			out = append(out, ConfoundWarning{PatternKey: v.PatternKey, Region: v.Region, Dimension: dimension,
+				Slice: slice, FailureShare: c.failureShare, ObservedSuccessElsewhere: c.elsewhereSuccess})
+		}
+		if c, ok := findConfound(browsers[:]); ok {
+			warn("browser", core.BrowserFamily(c.slice).String(), c)
+		}
+		if c, ok := findConfound(taskTypes[:]); ok {
+			warn("task-type", core.TaskType(c.slice).String(), c)
+		}
+	}
+	return out
+}
+
 // referenceRegions and their success rates absent filtering: NG is the
 // chronically lossy region per-country tuning exists for.
 var referenceRegions = []struct {
@@ -134,10 +216,17 @@ var referenceRegions = []struct {
 // below paperMinN; some cells are filtered, some patterns are down
 // everywhere, some cells never fail. An ID may commit an init record before
 // its terminal one (an upgrade the aggregator must retract), sometimes from
-// a different region; some IDs are abandoned at init, some terminal records
-// are delivered twice, and 5 % of IDs are control traffic.
+// a different region, browser family or task type; some IDs are abandoned at
+// init, some terminal records are delivered twice, and 5 % of IDs are control
+// traffic. Browser families and task types are drawn from their own stream,
+// so the outcomes above do not depend on them. Six more patterns plant a
+// client-side confound in IN: their failures there all come from one browser
+// family (three patterns) or one task type (three).
 func newReferenceCampaign(seed uint64, base time.Time) []results.Measurement {
 	rng := stats.NewRNG(seed)
+	kinds := stats.NewRNG(seed + 200)
+	browser := func() core.BrowserFamily { return core.BrowserFamily(kinds.Intn(int(core.BrowserOther) + 1)) }
+	taskType := func() core.TaskType { return core.TaskType(kinds.Intn(int(core.TaskScript) + 1)) }
 	type timed struct {
 		at time.Duration
 		m  results.Measurement
@@ -168,7 +257,8 @@ func newReferenceCampaign(seed uint64, base time.Time) []results.Measurement {
 					MeasurementID: fmt.Sprintf("ref%d", id),
 					PatternKey:    pattern,
 					Region:        region.code,
-					Browser:       core.BrowserChrome,
+					Browser:       browser(),
+					TaskType:      taskType(),
 					Control:       rng.Bool(0.05),
 				}
 				at := time.Duration(rng.Int63n(int64(50 * 24 * time.Hour)))
@@ -177,6 +267,9 @@ func newReferenceCampaign(seed uint64, base time.Time) []results.Measurement {
 					init.State = core.StateInit
 					if rng.Bool(0.1) {
 						init.Region = referenceRegions[rng.Intn(len(referenceRegions))].code
+					}
+					if kinds.Bool(0.2) {
+						init.Browser, init.TaskType = browser(), taskType()
 					}
 					init.Received = base.Add(at)
 					events = append(events, timed{at, init})
@@ -194,6 +287,33 @@ func newReferenceCampaign(seed uint64, base time.Time) []results.Measurement {
 				if rng.Bool(0.05) {
 					events = append(events, timed{at + time.Minute, m})
 				}
+			}
+		}
+	}
+	for p := 0; p < 6; p++ {
+		pattern := fmt.Sprintf("domain:confound%d.com", p)
+		for _, region := range []geo.CountryCode{"US", "DE", "GB", "IN"} {
+			for n := 0; n < 27; n++ {
+				id++
+				m := results.Measurement{
+					MeasurementID: fmt.Sprintf("ref%d", id),
+					PatternKey:    pattern,
+					Region:        region,
+					Browser:       browser(),
+					TaskType:      taskType(),
+					State:         core.StateSuccess,
+				}
+				if region == "IN" && n < 15 {
+					m.State = core.StateFailure
+					if p < 3 {
+						m.Browser = core.BrowserIE
+					} else {
+						m.TaskType = core.TaskStylesheet
+					}
+				}
+				at := time.Duration(kinds.Int63n(int64(50 * 24 * time.Hour)))
+				m.Received = base.Add(at)
+				events = append(events, timed{at, m})
 			}
 		}
 	}
@@ -218,17 +338,24 @@ func commitFinal(final map[string]results.Measurement, m results.Measurement) {
 // TestReferenceDetectorMatchesEntryPoints holds DetectIncremental (called at
 // random points mid-stream), DetectWindows over one window spanning the
 // campaign, and NewTuned(...).Detect equal, field for field, to the §7.2
-// reference detector, over three randomized campaigns.
+// reference detector, over three randomized campaigns. It also holds the
+// aggregate (Groups, and every weekly bucket DetectWindows reads) equal to
+// the groups tallied from raw measurements, breakdowns included, each weekly
+// bucket's verdicts equal to the reference's, and CheckConfounds equal to
+// the confound check run over raw tallies.
 func TestReferenceDetectorMatchesEntryPoints(t *testing.T) {
 	base := time.Date(2014, 5, 1, 0, 0, 0, 0, time.UTC)
 	const window = 60 * 24 * time.Hour
+	const week = 7 * 24 * time.Hour
 	for _, seed := range []uint64{1, 2, 3} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := stats.NewRNG(seed + 100)
 			events := newReferenceCampaign(seed, base)
 			store := results.NewStore()
 			agg := results.NewAggregator(results.AggregatorConfig{Window: window, Epoch: base})
+			weekly := results.NewAggregator(results.AggregatorConfig{Window: week, Epoch: base})
 			store.AddObserver(agg)
+			store.AddObserver(weekly)
 			d := New(DefaultConfig())
 			final := make(map[string]results.Measurement)
 			checks := 0
@@ -276,7 +403,66 @@ func TestReferenceDetectorMatchesEntryPoints(t *testing.T) {
 			if reflect.DeepEqual(tunedWant, want) {
 				t.Fatal("tuning changed no verdict: the campaign does not exercise it")
 			}
+
+			requireGroups(t, "Aggregator.Groups", groups, referenceGroups(final))
+			byWeek := make(map[int64]map[string]results.Measurement)
+			for id, m := range final {
+				idx := int64(m.Received.Sub(base) / week)
+				if byWeek[idx] == nil {
+					byWeek[idx] = make(map[string]results.Measurement)
+				}
+				byWeek[idx][id] = m
+			}
+			buckets := weekly.Windowed(week)
+			weekVerdicts := d.DetectWindows(weekly, week)
+			if len(buckets) < 7 || len(weekVerdicts) != len(buckets) {
+				t.Fatalf("%d weekly buckets, %d windows of verdicts", len(buckets), len(weekVerdicts))
+			}
+			for i, b := range buckets {
+				idx := int64(b.Window.Start.Sub(base) / week)
+				what := fmt.Sprintf("week %d", idx)
+				requireGroups(t, what+" groups", b.Groups, referenceGroups(byWeek[idx]))
+				requireVerdicts(t, what+" verdicts", weekVerdicts[i].Verdicts, referenceDetect(byWeek[idx], nil))
+				delete(byWeek, idx)
+			}
+			for idx, rest := range byWeek {
+				if len(referenceGroups(rest)) > 0 {
+					t.Fatalf("week %d holds measurements but no bucket", idx)
+				}
+			}
+
+			warnings := CheckConfounds(groups, want)
+			wantWarnings := referenceConfounds(final, want)
+			if !reflect.DeepEqual(warnings, wantWarnings) {
+				t.Fatalf("CheckConfounds:\n got: %+v\nwant: %+v", warnings, wantWarnings)
+			}
+			planted := make(map[string]bool)
+			for _, w := range wantWarnings {
+				planted[w.PatternKey+"|"+w.Dimension+"|"+w.Slice] = true
+			}
+			for p := 0; p < 6; p++ {
+				key := fmt.Sprintf("domain:confound%d.com|browser|%s", p, core.BrowserIE)
+				if p >= 3 {
+					key = fmt.Sprintf("domain:confound%d.com|task-type|%s", p, core.TaskStylesheet)
+				}
+				if !planted[key] {
+					t.Fatalf("planted confound %s not reported: %+v", key, wantWarnings)
+				}
+			}
 		})
+	}
+}
+
+// requireGroups fails on the first group that differs from the reference.
+func requireGroups(t *testing.T, what string, got, want []results.Group) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d groups, reference %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: group %d\n got: %+v\nwant: %+v", what, i, got[i], want[i])
+		}
 	}
 }
 
@@ -332,18 +518,36 @@ func requireEdgeCells(t *testing.T, verdicts []Verdict, events []results.Measure
 			if prev.Region != m.Region {
 				counts["upgrade moving region"]++
 			}
+			if prev.Browser != m.Browser {
+				counts["upgrade changing browser"]++
+			}
+			if prev.TaskType != m.TaskType {
+				counts["upgrade changing task type"]++
+			}
 		}
 		if m.Control {
 			counts["control record"]++
+		}
+		if m.Completed() {
+			counts["completed by "+m.Browser.String()]++
+			counts["completed by "+m.TaskType.String()]++
 		}
 		seen[m.MeasurementID] = m
 	}
 	if len(verdicts) < 1000 {
 		t.Fatalf("campaign has %d cells, want at least 1000", len(verdicts))
 	}
-	for _, edge := range []string{"init-only cell", "cell below MinMeasurements", "all-success cell",
+	edges := []string{"init-only cell", "cell below MinMeasurements", "all-success cell",
 		"all-failure cell", "filtered cell", "rejected cell with no accessible region", "single-region pattern",
-		"init→terminal upgrade", "upgrade moving region", "control record"} {
+		"init→terminal upgrade", "upgrade moving region", "upgrade changing browser",
+		"upgrade changing task type", "control record"}
+	for _, b := range core.BrowserFamilies() {
+		edges = append(edges, "completed by "+b.String())
+	}
+	for _, tt := range core.TaskTypes() {
+		edges = append(edges, "completed by "+tt.String())
+	}
+	for _, edge := range edges {
 		if counts[edge] == 0 {
 			t.Fatalf("campaign has no %s", edge)
 		}

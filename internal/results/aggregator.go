@@ -214,7 +214,7 @@ func (a *Aggregator) internKey(m Measurement) (key uint64, patternKey string) {
 func (a *Aggregator) cellLocked(sh *aggShard, key uint64, m Measurement) *aggCell {
 	cell, ok := sh.cells[key]
 	if !ok {
-		cell = &aggCell{group: *newGroup(GroupKey{PatternKey: m.PatternKey, Region: m.Region})}
+		cell = &aggCell{group: Group{Key: GroupKey{PatternKey: m.PatternKey, Region: m.Region}}}
 		if a.cfg.Window > 0 {
 			cell.buckets = make(map[int64]*Group)
 		}
@@ -231,7 +231,7 @@ func (a *Aggregator) applyBucketLocked(cell *aggCell, m Measurement, sign int) {
 	idx := windowIndex(m.Received, a.epoch(), a.cfg.Window)
 	b, ok := cell.buckets[idx]
 	if !ok {
-		b = newGroup(cell.group.Key)
+		b = &Group{Key: cell.group.Key}
 		cell.buckets[idx] = b
 	}
 	b.apply(m, sign)
@@ -240,7 +240,7 @@ func (a *Aggregator) applyBucketLocked(cell *aggCell, m Measurement, sign int) {
 	}
 }
 
-// Groups returns the current aggregation, deep-copied and sorted by pattern
+// Groups returns the current aggregation, copied and sorted by pattern
 // then region — the same shape and order Aggregate returns from a snapshot.
 // Cost is O(groups), independent of how many measurements built them.
 func (a *Aggregator) Groups() []Group {
@@ -271,7 +271,7 @@ func (a *Aggregator) groupsWhere(want map[string]bool) []Group {
 			if want != nil && !want[cell.group.Key.PatternKey] {
 				continue
 			}
-			out = append(out, cell.group.clone())
+			out = append(out, cell.group)
 		}
 		sh.mu.Unlock()
 	}
@@ -341,7 +341,7 @@ func (a *Aggregator) Windowed(window time.Duration) []WindowedGroups {
 					maxIdx = idx
 				}
 				seen = true
-				occupied[idx] = append(occupied[idx], b.clone())
+				occupied[idx] = append(occupied[idx], *b)
 			}
 		}
 		sh.mu.Unlock()

@@ -292,33 +292,23 @@ func TestAggregatorWindowedDisabledOrMismatched(t *testing.T) {
 	}
 }
 
-// TestStoreRange pins Range's streaming contract: pred filtering, early
-// stop, and full coverage without a defensive copy.
+// TestStoreRange pins Range's streaming contract: early stop, and full
+// coverage without a defensive copy.
 func TestStoreRange(t *testing.T) {
 	store := NewStore()
 	for i := 0; i < 100; i++ {
-		state := core.StateSuccess
-		if i%2 == 1 {
-			state = core.StateFailure
-		}
 		if err := store.Add(Measurement{MeasurementID: fmt.Sprintf("r%d", i),
-			PatternKey: "k", State: state}); err != nil {
+			PatternKey: "k", State: core.StateSuccess}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	total := 0
-	store.Range(nil, func(Measurement) bool { total++; return true })
+	store.Range(func(Measurement) bool { total++; return true })
 	if total != 100 {
 		t.Fatalf("Range visited %d measurements, want 100", total)
 	}
-	failures := 0
-	store.Range(func(m Measurement) bool { return m.State == core.StateFailure },
-		func(Measurement) bool { failures++; return true })
-	if failures != 50 {
-		t.Fatalf("Range(pred) visited %d failures, want 50", failures)
-	}
 	visited := 0
-	store.Range(nil, func(Measurement) bool { visited++; return visited < 7 })
+	store.Range(func(Measurement) bool { visited++; return visited < 7 })
 	if visited != 7 {
 		t.Fatalf("early-stopped Range visited %d, want 7", visited)
 	}

@@ -80,6 +80,18 @@ func (m Measurement) Validate() error {
 	if !core.ValidState(m.State) {
 		return fmt.Errorf("results: invalid state %q", m.State)
 	}
+	return validKinds(m.TaskType, m.Browser)
+}
+
+// validKinds refuses a task type or browser family outside the ranges a
+// Group's tallies are indexed by.
+func validKinds(t core.TaskType, b core.BrowserFamily) error {
+	if t < 0 || t > core.TaskScript {
+		return fmt.Errorf("results: invalid task type %d", t)
+	}
+	if b < 0 || b > core.BrowserOther {
+		return fmt.Errorf("results: invalid browser family %d", b)
+	}
 	return nil
 }
 
@@ -89,7 +101,14 @@ type GroupKey struct {
 	Region     geo.CountryCode
 }
 
-// Group is the aggregated outcome of all measurements in one cell.
+// Tally counts the completed measurements of one slice of a cell.
+type Tally struct {
+	Successes int
+	Failures  int
+}
+
+// Group is the aggregated outcome of all measurements in one cell. It holds
+// no references, so a copy is independent of the original.
 type Group struct {
 	Key       GroupKey
 	Total     int
@@ -98,9 +117,11 @@ type Group struct {
 	// InitOnly counts abandoned measurements (init with no terminal state);
 	// they are excluded from the hypothesis test denominators.
 	InitOnly int
-	// Browsers/TaskTypes record the diversity of contributing measurements.
-	Browsers  map[core.BrowserFamily]int
-	TaskTypes map[core.TaskType]int
+	// Browsers and TaskTypes split Successes and Failures by the client's
+	// browser family and by the task mechanism, indexed by the enum value;
+	// the confound check reads them (inference.CheckConfounds).
+	Browsers  [core.BrowserOther + 1]Tally
+	TaskTypes [core.TaskScript + 1]Tally
 }
 
 // SuccessRate returns successes / (successes+failures), or 1 when no
@@ -113,50 +134,23 @@ func (g Group) SuccessRate() float64 {
 	return float64(g.Successes) / float64(done)
 }
 
-// newGroup returns an empty group for the cell.
-func newGroup(key GroupKey) *Group {
-	return &Group{Key: key, Browsers: make(map[core.BrowserFamily]int), TaskTypes: make(map[core.TaskType]int)}
-}
-
 // apply adds (sign=+1) or retracts (sign=-1) one measurement's contribution.
 // Retraction is what lets the incremental Aggregator replace a measurement's
 // old contribution when the store upgrades it in place (init → terminal).
 func (g *Group) apply(m Measurement, sign int) {
 	g.Total += sign
-	applyCount(g.Browsers, m.Browser, sign)
-	applyCount(g.TaskTypes, m.TaskType, sign)
 	switch m.State {
 	case core.StateSuccess:
 		g.Successes += sign
+		g.Browsers[m.Browser].Successes += sign
+		g.TaskTypes[m.TaskType].Successes += sign
 	case core.StateFailure:
 		g.Failures += sign
+		g.Browsers[m.Browser].Failures += sign
+		g.TaskTypes[m.TaskType].Failures += sign
 	default:
 		g.InitOnly += sign
 	}
-}
-
-// applyCount adjusts a diversity counter, dropping the key at zero so an
-// incrementally-maintained group is indistinguishable from a batch-built one.
-func applyCount[K comparable](counts map[K]int, key K, sign int) {
-	counts[key] += sign
-	if counts[key] == 0 {
-		delete(counts, key)
-	}
-}
-
-// clone deep-copies the group so callers can hold it beyond the lock that
-// protected the original.
-func (g *Group) clone() Group {
-	out := *g
-	out.Browsers = make(map[core.BrowserFamily]int, len(g.Browsers))
-	for k, v := range g.Browsers {
-		out.Browsers[k] = v
-	}
-	out.TaskTypes = make(map[core.TaskType]int, len(g.TaskTypes))
-	for k, v := range g.TaskTypes {
-		out.TaskTypes[k] = v
-	}
-	return out
 }
 
 // sortGroups orders groups by pattern then region, the deterministic order
@@ -182,7 +176,7 @@ func Aggregate(ms []Measurement) []Group {
 		key := GroupKey{PatternKey: m.PatternKey, Region: m.Region}
 		g, ok := cells[key]
 		if !ok {
-			g = newGroup(key)
+			g = &Group{Key: key}
 			cells[key] = g
 		}
 		g.apply(m, 1)

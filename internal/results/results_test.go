@@ -27,6 +27,19 @@ func TestMeasurementValidate(t *testing.T) {
 	if err := (Measurement{MeasurementID: "a", PatternKey: "k", State: "bogus"}).Validate(); err == nil {
 		t.Fatal("bad state accepted")
 	}
+	if err := (Measurement{MeasurementID: "a", PatternKey: "k", State: core.StateSuccess, Browser: 42}).Validate(); err == nil {
+		t.Fatal("out-of-range browser family accepted")
+	}
+	if err := (Measurement{MeasurementID: "a", PatternKey: "k", State: core.StateSuccess, TaskType: 9}).Validate(); err == nil {
+		t.Fatal("out-of-range task type accepted")
+	}
+	if err := (Measurement{MeasurementID: "a", PatternKey: "k", State: core.StateSuccess, TaskType: -1}).Validate(); err == nil {
+		t.Fatal("negative task type accepted")
+	}
+	m.Browser, m.TaskType = core.BrowserOther, core.TaskScript
+	if err := m.Validate(); err != nil {
+		t.Fatalf("last browser family and task type refused: %v", err)
+	}
 }
 
 func TestMeasurementStateHelpers(t *testing.T) {
@@ -223,8 +236,12 @@ func TestAggregate(t *testing.T) {
 	if empty.SuccessRate() != 1 {
 		t.Fatal("empty group should default to success rate 1")
 	}
-	if pk.Browsers[core.BrowserChrome] != 10 {
-		t.Fatalf("browser counts wrong: %v", pk.Browsers)
+	if pk.Browsers[core.BrowserChrome] != (Tally{Successes: 2, Failures: 8}) || pk.TaskTypes[core.TaskImage] != pk.Browsers[core.BrowserChrome] {
+		t.Fatalf("PK tallies wrong: %+v %+v", pk.Browsers, pk.TaskTypes)
+	}
+	// The init-only record is not tallied.
+	if us.Browsers[core.BrowserChrome] != (Tally{Successes: 20}) || us.TaskTypes[core.TaskImage] != us.Browsers[core.BrowserChrome] {
+		t.Fatalf("US tallies wrong: %+v %+v", us.Browsers, us.TaskTypes)
 	}
 }
 

@@ -290,8 +290,8 @@ func (s *Store) addLocked(sh *storeShard, h uint32, m *Measurement) {
 // that wrote the log. It is the recovery path's insert primitive: observers
 // are not notified (recovery attaches them afterwards, and the analysis tier
 // cold-starts via Aggregator.Backfill), validation is skipped (the records
-// were validated before they were committed and logged; only a state no live
-// store can hold is refused), and the caller is responsible for advancing the
+// were validated before they were committed and logged; only a state, task type or
+// browser family no live store can hold is refused), and the caller is responsible for advancing the
 // store's sequence counter past every replayed seq (see OpenStoreFromWAL).
 // The record is read in place: only its ID, and what the shard's tables had
 // not seen, is copied out of the decode buffer. Safe for concurrent use by
@@ -301,6 +301,9 @@ func (s *Store) replay(seq uint64, v *wire.RecordView) error {
 	e := storeEntry{seq: seq, duration: v.DurationMillis, received: v.Received, state: stateCode(v.State)}
 	if e.state == 0 {
 		return fmt.Errorf("results: replaying %q: invalid state %q", v.MeasurementID, v.State)
+	}
+	if err := validKinds(v.TaskType, v.Browser); err != nil {
+		return fmt.Errorf("replaying %q: %w", v.MeasurementID, err)
 	}
 	h := fnv1a(fnvOffset, v.MeasurementID)
 	sh := &s.shards[h&s.mask]
@@ -465,20 +468,19 @@ func (s *Store) Filter(pred func(Measurement) bool) []Measurement {
 	return out
 }
 
-// Range streams every measurement matching pred to fn without the defensive
-// copy All and Filter make, so read-only consumers (backfill, baseline
-// estimation, confound checks) can walk an arbitrarily large store in O(1)
-// extra memory. A nil pred matches everything; fn returning false stops the
-// iteration early. Iteration visits shards one at a time under their read
+// Range streams every measurement to fn without the defensive copy All and
+// Filter make, so a read-only consumer such as Stats can walk
+// an arbitrarily large store in O(1) extra memory. fn returning false stops
+// the iteration early. Iteration visits shards one at a time under their read
 // locks — within a shard measurements appear in insertion order, but the
 // order across shards is unspecified (use All/WriteJSONL when global
 // insertion order matters). fn is invoked under a shard read lock and must
 // not call back into the store or block.
-func (s *Store) Range(pred func(Measurement) bool, fn func(Measurement) bool) {
+func (s *Store) Range(fn func(Measurement) bool) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		more := sh.each(func(m Measurement) bool { return (pred != nil && !pred(m)) || fn(m) })
+		more := sh.each(fn)
 		sh.mu.RUnlock()
 		if !more {
 			return
@@ -530,7 +532,7 @@ func (s *Store) Stats() CampaignStats {
 	regions := make(map[geo.CountryCode]bool)
 	byCountry := make(map[geo.CountryCode]int)
 	total := 0
-	s.Range(nil, func(m Measurement) bool {
+	s.Range(func(m Measurement) bool {
 		total++
 		if m.ClientIP != "" {
 			clients[m.ClientIP] = true

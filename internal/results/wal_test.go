@@ -141,6 +141,29 @@ func TestWALRecoverEmptyAndMissingDir(t *testing.T) {
 	}
 }
 
+// TestWALReplayRefusesOutOfRangeEnums: a logged record whose browser family
+// or task type no live store accepts fails recovery, as an invalid state
+// does, instead of reaching the aggregator's tallies.
+func TestWALReplayRefusesOutOfRangeEnums(t *testing.T) {
+	for name, m := range map[string]Measurement{
+		"browser":   {MeasurementID: "b", PatternKey: "k", State: core.StateSuccess, Browser: 42},
+		"task type": {MeasurementID: "t", PatternKey: "k", State: core.StateSuccess, TaskType: 9},
+	} {
+		dir := t.TempDir()
+		w, err := OpenWAL(WALConfig{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.CommitStream(1, 1, nil, m) // as a log written before the gate would hold it
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := OpenStoreFromWAL(dir); err == nil {
+			t.Fatalf("out-of-range %s replayed", name)
+		}
+	}
+}
+
 func TestWALUpgradeRetractionOnReplay(t *testing.T) {
 	dir := t.TempDir()
 	live := buildWALStore(t, dir, WALConfig{}, func(s *Store) {

@@ -77,7 +77,7 @@ func AggregateWindowedAt(ms []Measurement, window time.Duration, epoch time.Time
 		key := GroupKey{PatternKey: m.PatternKey, Region: m.Region}
 		g, ok := b.cells[key]
 		if !ok {
-			g = newGroup(key)
+			g = &Group{Key: key}
 			b.cells[key] = g
 		}
 		g.apply(m, 1)

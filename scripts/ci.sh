@@ -6,9 +6,9 @@
 # the federation soak — concurrent edge commits against a flapping upstream
 # with a WAL-backed forwarder) under the race detector, one iteration of every
 # root-package benchmark (the paper's evaluation, E1-E16), of the forwarder's
-# catch-up and drain benchmarks and of the store-commit, task-index and admit
-# benchmarks, a -count=20 race run of the forwarder's in-flight and cursor
-# tests, the separate bench/ module's vet and tests, the
+# catch-up and drain benchmarks and of the store-commit, task-index,
+# aggregator and admit benchmarks, a -count=20 race run of the forwarder's
+# in-flight and cursor tests, the separate bench/ module's vet and tests, the
 # deterministic chaos suite at fixed seeds (make chaos), and the
 # campaign-tier smoke
 # (scripts/campaign_smoke.sh: grid/dispatcher property tests under -race plus
@@ -48,10 +48,11 @@ go test -run '^$' -bench . -benchtime 1x .
 # segments) and its drain of a backlog to a real upstream.
 go test -run '^$' -bench 'BenchmarkForwarder(CatchUp|Drain)' -benchtime 1x ./internal/api/federation
 # And the store-commit benchmark (its 4M-record store peaks near 1 GB), the
-# task index's Register and Lookup over 2^20 IDs and the per-record admit
-# benchmark.
+# task index's Register and Lookup over 2^20 IDs, the aggregator's commit
+# (init plus terminal upgrade) and its Groups/Windowed read over 2,000 cells,
+# and the per-record admit benchmark.
 go test -run '^$' -bench BenchmarkStoreAddBatch -benchtime 1x ./internal/results
-go test -run '^$' -bench BenchmarkTaskIndex -benchtime 1x -benchmem ./internal/results
+go test -run '^$' -bench 'BenchmarkTaskIndex|BenchmarkAggregator' -benchtime 1x -benchmem ./internal/results
 go test -run '^$' -bench BenchmarkAdmit -benchtime 1x ./internal/collectserver
 
 # bench/ is its own module (replace encore => ../), so ./... above never
