@@ -56,17 +56,12 @@ var (
 // Generator) over the Herdict-style high-value list once.
 func feasibility() *pipeline.Report {
 	feasibilityOnce.Do(func() {
-		web := webgen.Generate(webgen.DefaultConfig(61))
-		g := geo.NewRegistry(61)
-		net := netsim.New(netsim.Config{Web: web, Censor: censor.NewEngine(), Geo: g, Seed: 61})
-		client, err := net.NewClient("US")
+		gen, err := pipeline.Generate(pipeline.GenerateConfig{Web: webgen.DefaultConfig(61), Targets: targets.HerdictHighValue(),
+			GeoSeed: 61, NetSeed: 61, FetcherSeed: 61})
 		if err != nil {
 			panic(err)
 		}
-		client.Unreliability = 0
-		fetcher := browser.New(core.BrowserChrome, client, net, 61)
-		pl := pipeline.New(web, fetcher)
-		feasibilityReport = pl.Run(targets.HerdictHighValue(), time.Date(2014, 2, 26, 0, 0, 0, 0, time.UTC))
+		feasibilityReport = gen.Report
 	})
 	return feasibilityReport
 }

@@ -12,9 +12,6 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	apiclient "encore/internal/api/client"
@@ -87,10 +84,8 @@ func main() {
 		handler = acceptAny(n.Server, cfg.Index)
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	log.Printf("collection server listening on %s", ln.Addr())
-	if err := n.Serve(ctx, ln, handler); err != nil {
+	if err := n.Serve(context.Background(), ln, handler); err != nil {
 		log.Printf("shutdown: %v", err)
 	}
 	if n.Forwarder != nil {

@@ -5,14 +5,11 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"log"
-	"net/http"
-	"os"
-	"os/signal"
-	"time"
+	"net"
 
+	"encore/internal/api"
 	"encore/internal/core"
 	"encore/internal/originserver"
 )
@@ -36,17 +33,12 @@ func main() {
 	overhead := server.PageOverheadBytes(server.Pages()["/"])
 	log.Printf("origin site %q: Encore adds %d bytes per page", *siteName, overhead)
 
-	srv := &http.Server{Addr: *addr, Handler: server, ReadHeaderTimeout: 10 * time.Second}
-	go func() {
-		log.Printf("origin site listening on %s", *addr)
-		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatalf("origin: %v", err)
-		}
-	}()
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	<-ctx.Done()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_ = srv.Shutdown(shutdownCtx)
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("origin site listening on %s", ln.Addr())
+	if err := api.Serve(context.Background(), ln, server); err != nil {
+		log.Fatal(err)
+	}
 }

@@ -8,14 +8,8 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"time"
 
-	"encore/internal/browser"
-	"encore/internal/censor"
-	"encore/internal/core"
-	"encore/internal/geo"
-	"encore/internal/netsim"
 	"encore/internal/pipeline"
 	"encore/internal/stats"
 	"encore/internal/targets"
@@ -32,32 +26,20 @@ func main() {
 
 	list := targets.HerdictHighValue()
 	if *targetsPath != "" {
-		f, err := os.Open(*targetsPath)
-		if err != nil {
-			log.Fatalf("opening target list: %v", err)
+		var err error
+		if list, err = targets.ReadFile(*targetsPath, "file"); err != nil {
+			log.Fatalf("reading target list: %v", err)
 		}
-		parsed, err := targets.ReadFrom(f, "file")
-		f.Close()
-		if err != nil {
-			log.Fatalf("parsing target list: %v", err)
-		}
-		list = parsed
 	}
 	fmt.Print(list.Summary())
 
-	web := webgen.Generate(webgen.DefaultConfig(*seed))
-	g := geo.NewRegistry(*seed)
-	net := netsim.New(netsim.Config{Web: web, Censor: censor.NewEngine(), Geo: g, Seed: *seed})
-	client, err := net.NewClient("US")
+	start := time.Now()
+	gen, err := pipeline.Generate(pipeline.GenerateConfig{Web: webgen.DefaultConfig(*seed), Targets: list,
+		GeoSeed: *seed, NetSeed: *seed, FetcherSeed: *seed})
 	if err != nil {
 		log.Fatal(err)
 	}
-	client.Unreliability = 0
-	fetcher := browser.New(core.BrowserChrome, client, net, *seed)
-
-	pl := pipeline.New(web, fetcher)
-	start := time.Now()
-	report := pl.Run(list, time.Date(2014, 2, 26, 0, 0, 0, 0, time.UTC))
+	report := gen.Report
 	fmt.Printf("pipeline finished in %v: %s\n\n", time.Since(start).Round(time.Millisecond), report.Summary())
 
 	// Figure 4.

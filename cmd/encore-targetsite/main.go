@@ -8,16 +8,13 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	"os"
-	"os/signal"
+	"net"
 	"sort"
-	"time"
 
+	"encore/internal/api"
 	"encore/internal/webgen"
 )
 
@@ -48,17 +45,12 @@ func main() {
 		log.Printf("serving %s; favicon at %s (%d bytes) is a good image-task target", *domain, fav.URL, fav.SizeBytes)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: 10 * time.Second}
-	go func() {
-		log.Printf("target site %s listening on %s", *domain, *addr)
-		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatalf("target site: %v", err)
-		}
-	}()
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	<-ctx.Done()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_ = srv.Shutdown(shutdownCtx)
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("target site %s listening on %s", *domain, ln.Addr())
+	if err := api.Serve(context.Background(), ln, handler); err != nil {
+		log.Fatal(err)
+	}
 }

@@ -7,15 +7,12 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"log"
-	"net/http"
-	"os"
-	"os/signal"
-	"time"
+	"net"
 
+	"encore/internal/api"
 	"encore/internal/censor"
 	"encore/internal/testbed"
 )
@@ -35,17 +32,12 @@ func main() {
 	}
 	fmt.Printf("  %-40s must not resolve (DNS control)\n", tb.MissingDomain())
 
-	srv := &http.Server{Addr: *addr, Handler: tb.Handler(), ReadHeaderTimeout: 10 * time.Second}
-	go func() {
-		log.Printf("testbed content server listening on %s", *addr)
-		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			log.Fatalf("testbed: %v", err)
-		}
-	}()
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	<-ctx.Done()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	_ = srv.Shutdown(shutdownCtx)
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("testbed content server listening on %s", ln.Addr())
+	if err := api.Serve(context.Background(), ln, tb.Handler()); err != nil {
+		log.Fatal(err)
+	}
 }

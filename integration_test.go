@@ -43,18 +43,21 @@ func TestWireFormatEndToEnd(t *testing.T) {
 	}
 	index := results.NewTaskIndex()
 	store := results.NewStore()
-	sched := scheduler.New(ts, scheduler.DefaultConfig())
 
 	collector := collectserver.New(store, index, g)
 	collectorSrv := httptest.NewServer(collector)
 	defer collectorSrv.Close()
 
-	snippet := core.SnippetOptions{CollectorURL: collectorSrv.URL}
-	coordinator := coordserver.New(sched, index, g, snippet)
-	coordinatorSrv := httptest.NewServer(coordinator)
+	coordinatorSrv := httptest.NewUnstartedServer(nil)
+	snippet := core.SnippetOptions{CoordinatorURL: "http://" + coordinatorSrv.Listener.Addr().String(), CollectorURL: collectorSrv.URL}
+	coordinator, err := coordserver.Open(coordserver.Config{Tasks: ts, Scheduler: scheduler.DefaultConfig(),
+		Index: index, Geo: g, Snippet: snippet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coordinatorSrv.Config.Handler = coordinator
+	coordinatorSrv.Start()
 	defer coordinatorSrv.Close()
-	snippet.CoordinatorURL = coordinatorSrv.URL
-	coordinator.Snippet = snippet
 
 	origin := originserver.New("professor.example.edu", snippet)
 	originSrv := httptest.NewServer(origin)

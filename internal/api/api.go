@@ -18,6 +18,7 @@ package api
 import (
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
@@ -247,6 +248,21 @@ func ParseTaskRequest(r *http.Request) TaskRequest {
 		req.IncludeScript = true
 	}
 	return req
+}
+
+// ClientIP is the address a request came from: the first X-Forwarded-For hop
+// when a reverse proxy set one, the host of RemoteAddr otherwise, and
+// RemoteAddr itself when it carries no port.
+func ClientIP(r *http.Request) string {
+	if xff := r.Header.Get("X-Forwarded-For"); xff != "" {
+		first, _, _ := strings.Cut(xff, ",")
+		return strings.TrimSpace(first)
+	}
+	host, _, err := net.SplitHostPort(r.RemoteAddr)
+	if err != nil {
+		return r.RemoteAddr
+	}
+	return host
 }
 
 // Task is the structured form of one assigned measurement task — the same

@@ -116,3 +116,24 @@ func TestBatchSubmitRequestJSONShape(t *testing.T) {
 		}
 	}
 }
+
+func TestClientIP(t *testing.T) {
+	for _, tc := range []struct {
+		name, xff, remote, want string
+	}{
+		{"ipv6 remote", "", "[2001:db8::1]:443", "2001:db8::1"},
+		{"one proxy hop", "198.51.100.2", "10.0.0.1:80", "198.51.100.2"},
+		{"multi-hop with spaces", "  198.51.100.2 , 10.1.1.1,  10.2.2.2", "10.0.0.1:80", "198.51.100.2"},
+		{"empty forwarded-for", "", "203.0.113.7:51544", "203.0.113.7"},
+		{"remote without port", "", "192.0.2.9", "192.0.2.9"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := httptest.NewRequest(http.MethodGet, "/v2/tasks", nil)
+			r.RemoteAddr = tc.remote
+			r.Header.Set("X-Forwarded-For", tc.xff) // an empty value is the same as none
+			if got := ClientIP(r); got != tc.want {
+				t.Fatalf("ClientIP(xff=%q, remote=%q) = %q, want %q", tc.xff, tc.remote, got, tc.want)
+			}
+		})
+	}
+}

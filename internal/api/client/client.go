@@ -92,9 +92,6 @@ func NewWithConfig(base string, cfg Config) *Client {
 	return &Client{base: strings.TrimSuffix(base, "/"), cfg: cfg}
 }
 
-// BaseURL returns the server base URL the client targets.
-func (c *Client) BaseURL() string { return c.base }
-
 // ClientMeta optionally impersonates a measurement client on a per-call
 // basis: the simulators drive many synthetic clients through one SDK
 // instance, and the collection server attributes identity from transport

@@ -207,13 +207,15 @@ func TestTasksEndToEnd(t *testing.T) {
 		TargetURL:  "http://youtube.com/favicon.ico",
 		Strict:     true,
 	})
-	sched := scheduler.New(ts, scheduler.DefaultConfig())
 	index := results.NewTaskIndex()
-	g := geo.NewRegistry(2)
-	coord := coordserver.New(sched, index, g, core.SnippetOptions{
-		CoordinatorURL: "//coordinator.example.org",
-		CollectorURL:   "//collector.example.org",
-	})
+	coord, err := coordserver.Open(coordserver.Config{Tasks: ts, Scheduler: scheduler.DefaultConfig(), Index: index,
+		Geo: geo.NewRegistry(2), Snippet: core.SnippetOptions{
+			CoordinatorURL: "//coordinator.example.org",
+			CollectorURL:   "//collector.example.org",
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	srv := httptest.NewServer(coord)
 	defer srv.Close()
 

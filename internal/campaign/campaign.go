@@ -396,14 +396,9 @@ func (s *Spec) ResolveTargets() (*targets.List, error) {
 		lists = append(lists, l)
 	}
 	for _, path := range s.Targets.Files {
-		f, err := os.Open(path)
+		l, err := targets.ReadFile(path, "spec:"+path)
 		if err != nil {
-			return nil, fmt.Errorf("%w: targets file: %v", ErrSpec, err)
-		}
-		l, rerr := targets.ReadFrom(f, "spec:"+path)
-		f.Close()
-		if rerr != nil {
-			return nil, fmt.Errorf("%w: targets file %s: %v", ErrSpec, path, rerr)
+			return nil, fmt.Errorf("%w: targets file %s: %v", ErrSpec, path, err)
 		}
 		lists = append(lists, l)
 	}

@@ -3,7 +3,6 @@ package clientsim
 import (
 	"time"
 
-	"encore/internal/browser"
 	"encore/internal/censor"
 	"encore/internal/collectserver"
 	"encore/internal/coordserver"
@@ -28,7 +27,6 @@ type Stack struct {
 	Geo       *geo.Registry
 	Censor    *censor.Engine
 	Net       *netsim.Network
-	Pipeline  *pipeline.Pipeline
 	Report    *pipeline.Report
 	Scheduler *scheduler.Scheduler
 	TaskIndex *results.TaskIndex
@@ -81,40 +79,35 @@ func BuildStack(cfg StackConfig) *Stack {
 	if cfg.Targets == nil {
 		cfg.Targets = targets.MeasurementStudyList()
 	}
-	// pipelineStarted is the nominal time of the task-generation crawl.
+	// pipelineStarted is the crawl date pipeline.Generate runs at.
 	pipelineStarted := time.Date(2014, 2, 26, 0, 0, 0, 0, time.UTC)
 
-	// A medium-sized web suitable for campaigns.
-	web := webgen.Generate(webgen.Config{
-		Seed:           cfg.Seed,
-		TargetDomains:  webgen.HighValueTargets(),
-		GenericDomains: 20,
-		CDNDomains:     3,
-		PagesPerDomain: 15,
+	// A medium-sized web suitable for campaigns, crawled by a Target Fetcher
+	// at an unfiltered academic vantage point.
+	gen, err := pipeline.Generate(pipeline.GenerateConfig{
+		Web: webgen.Config{
+			Seed:           cfg.Seed,
+			TargetDomains:  webgen.HighValueTargets(),
+			GenericDomains: 20,
+			CDNDomains:     3,
+			PagesPerDomain: 15,
+		},
+		Censor:      cfg.Censor,
+		Targets:     cfg.Targets,
+		GeoSeed:     cfg.Seed + 2,
+		NetSeed:     cfg.Seed + 3,
+		FetcherSeed: cfg.Seed + 4,
 	})
-	g := geo.NewRegistry(cfg.Seed + 2)
-	net := netsim.New(netsim.Config{Web: web, Censor: cfg.Censor, Geo: g, Seed: cfg.Seed + 3})
-
-	// The Target Fetcher runs from an unfiltered academic vantage point.
-	fetcherClient, err := net.NewClient("US")
 	if err != nil {
-		panic("clientsim: building fetcher client: " + err.Error())
+		panic("clientsim: " + err.Error())
 	}
-	fetcherClient.Unreliability = 0
-	fetcher := browser.New(core.BrowserChrome, fetcherClient, net, cfg.Seed+4)
 
-	pl := pipeline.New(web, fetcher)
-	report := pl.Run(cfg.Targets, pipelineStarted)
-
-	schedCfg := scheduler.DefaultConfig()
-	schedCfg.Seed = cfg.Seed + 1
-	sched := scheduler.New(report.Tasks, schedCfg)
 	index := results.NewTaskIndex()
 	// The aggregator keeps week buckets, the window the examples' and
 	// reports' longitudinal analyses run at.
 	collector, err := node.Open(node.Config{
 		Index:      index,
-		Geo:        g,
+		Geo:        gen.Geo,
 		Aggregator: results.AggregatorConfig{Window: 7 * 24 * time.Hour, Epoch: pipelineStarted},
 		WAL:        cfg.WAL,
 	})
@@ -126,21 +119,30 @@ func BuildStack(cfg StackConfig) *Stack {
 	if cfg.Infra != nil {
 		infra = *cfg.Infra
 	}
-	snippet := core.SnippetOptions{
-		CoordinatorURL: "//" + infra.CoordinatorDomain,
-		CollectorURL:   "//" + infra.CollectorDomain,
+	schedCfg := scheduler.DefaultConfig()
+	schedCfg.Seed = cfg.Seed + 1
+	coord, err := coordserver.Open(coordserver.Config{
+		Tasks:     gen.Report.Tasks,
+		Scheduler: schedCfg,
+		Index:     index,
+		Geo:       gen.Geo,
+		Snippet: core.SnippetOptions{
+			CoordinatorURL: "//" + infra.CoordinatorDomain,
+			CollectorURL:   "//" + infra.CollectorDomain,
+		},
+	})
+	if err != nil {
+		panic("clientsim: opening the coordinator: " + err.Error())
 	}
-	coord := coordserver.New(sched, index, g, snippet)
-	pop := New(net, g, coord, collector.Server, infra, cfg.Seed+5)
+	pop := New(gen.Net, gen.Geo, coord, collector.Server, infra, cfg.Seed+5)
 
 	return &Stack{
-		Web:         web,
-		Geo:         g,
+		Web:         gen.Web,
+		Geo:         gen.Geo,
 		Censor:      cfg.Censor,
-		Net:         net,
-		Pipeline:    pl,
-		Report:      report,
-		Scheduler:   sched,
+		Net:         gen.Net,
+		Report:      gen.Report,
+		Scheduler:   coord.Scheduler,
 		TaskIndex:   index,
 		Store:       collector.Server.Store,
 		Aggregator:  collector.Aggregator,

@@ -22,10 +22,8 @@ package collectserver
 import (
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -169,7 +167,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	sub := core.Submission{
 		MeasurementID: q.Get("cmh-id"),
 		State:         core.State(q.Get("cmh-result")),
-		ClientIP:      clientIP(r),
+		ClientIP:      api.ClientIP(r),
 		UserAgent:     r.UserAgent(),
 		OriginSite:    urlpattern.DomainOf(r.Referer()),
 		Received:      s.Now(),
@@ -260,20 +258,6 @@ func (s *Server) Accept(sub core.Submission) error {
 		return err
 	}
 	return s.Store.Add(m)
-}
-
-// clientIP extracts the submitting client's address, honouring
-// X-Forwarded-For when the collector sits behind a reverse proxy.
-func clientIP(r *http.Request) string {
-	if xff := r.Header.Get("X-Forwarded-For"); xff != "" {
-		parts := strings.Split(xff, ",")
-		return strings.TrimSpace(parts[0])
-	}
-	host, _, err := net.SplitHostPort(r.RemoteAddr)
-	if err != nil {
-		return r.RemoteAddr
-	}
-	return host
 }
 
 // ParseBrowserFamily maps a User-Agent string to a browser family, mirroring

@@ -124,7 +124,7 @@ func (s *Server) ingestBatch(r *http.Request) (api.BatchSubmitResponse, *api.Err
 	}
 	chunk := chunkPool.Get().(*[commitChunk]results.Measurement)
 	k := batchSink{s: s, r: r, pending: chunk[:0],
-		from: s.newTransport(clientIP(r), r.UserAgent(), urlpattern.DomainOf(r.Referer()), s.Now())}
+		from: s.newTransport(api.ClientIP(r), r.UserAgent(), urlpattern.DomainOf(r.Referer()), s.Now())}
 	defer func() {
 		clear(k.pending) // an aborted request's uncommitted tail
 		chunkPool.Put(chunk)

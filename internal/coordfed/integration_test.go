@@ -41,11 +41,11 @@ func integrationTaskSet() *pipeline.TaskSet {
 	return ts
 }
 
-func newIntegrationScheduler(seed uint64) *scheduler.Scheduler {
+func integrationSchedulerConfig(seed uint64) scheduler.Config {
 	cfg := scheduler.DefaultConfig()
 	cfg.QuorumWindow = fedWindow
 	cfg.Seed = seed
-	return scheduler.New(integrationTaskSet(), cfg)
+	return cfg
 }
 
 // fedNode is one live coordinator: full coordserver on a real listener with
@@ -60,21 +60,24 @@ type fedNode struct {
 
 func startNode(t *testing.T, ln net.Listener, origin string, peers []string, seed uint64) *fedNode {
 	t.Helper()
-	sched := newIntegrationScheduler(seed)
-	coord := coordserver.New(sched, results.NewTaskIndex(), geo.NewRegistry(1), core.SnippetOptions{})
-	fed, err := coordfed.New(coordfed.Config{
-		Origin:     origin,
-		Scheduler:  sched,
-		Peers:      peers,
-		Interval:   20 * time.Millisecond,
-		MaxBackoff: 500 * time.Millisecond,
-		Timeout:    2 * time.Second,
-		Seed:       seed,
+	coord, err := coordserver.Open(coordserver.Config{
+		Tasks:     integrationTaskSet(),
+		Scheduler: integrationSchedulerConfig(seed),
+		Index:     results.NewTaskIndex(),
+		Geo:       geo.NewRegistry(1),
+		Federation: &coordfed.Config{
+			Origin:     origin,
+			Peers:      peers,
+			Interval:   20 * time.Millisecond,
+			MaxBackoff: 500 * time.Millisecond,
+			Timeout:    2 * time.Second,
+			Seed:       seed,
+		},
 	})
 	if err != nil {
-		t.Fatalf("coordfed.New(%s): %v", origin, err)
+		t.Fatalf("coordserver.Open(%s): %v", origin, err)
 	}
-	coord.Federation = fed
+	sched, fed := coord.Scheduler, coord.Federation
 	n := &fedNode{origin: origin, addr: ln.Addr().String(), sched: sched, fed: fed,
 		hs: &http.Server{Handler: coord}}
 	go n.hs.Serve(ln)
@@ -274,7 +277,7 @@ func TestThreeCoordinatorsKillRestartConverge(t *testing.T) {
 	// Phase 5: the focus schedule across every coordinator is bit-identical
 	// to a single-coordinator baseline anchored at the same first
 	// assignment.
-	baseline := newIntegrationScheduler(424242)
+	baseline := scheduler.New(integrationTaskSet(), integrationSchedulerConfig(424242))
 	// Pin the baseline's rotation anchor by issuing its first assignment
 	// at exactly the cluster's first-assignment instant.
 	baseline.Assign(fedClient("US"), t0)

@@ -5,9 +5,14 @@
 // the address), asks the scheduler for one or more measurement tasks suited
 // to that client, registers the tasks so the collection server can attribute
 // results, and returns the generated JavaScript.
+//
+// Open is the only code that knows how a coordinator is wired (scheduler,
+// server, optional federation), and Serve and Close the only code that
+// knows how it comes down.
 package coordserver
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -22,11 +27,17 @@ import (
 	"encore/internal/coordfed"
 	"encore/internal/core"
 	"encore/internal/geo"
+	"encore/internal/pipeline"
 	"encore/internal/results"
 	"encore/internal/scheduler"
 )
 
-// Server is the coordination server. It implements http.Handler.
+// defaultDwellSeconds is assumed when the client gives no hint about how
+// long it will stay on the origin page.
+const defaultDwellSeconds = 15
+
+// Server is the coordination server. It implements http.Handler; Open
+// builds one.
 type Server struct {
 	Scheduler *scheduler.Scheduler
 	Tasks     *results.TaskIndex
@@ -36,18 +47,15 @@ type Server struct {
 	// Now is overridable for tests and simulation. Set it before the server
 	// starts handling requests: handlers read it without synchronization.
 	Now func() time.Time
-	// DefaultDwellSeconds is assumed when the client gives no hint about
-	// how long it will stay on the origin page.
-	DefaultDwellSeconds float64
 	// Obfuscate controls whether served task JavaScript is minified and
 	// obfuscated per client, as the paper's coordination server does
 	// (Appendix A, §8) to resist DPI-based blocking.
 	Obfuscate bool
-	// Federation, when set, makes this a replicated coordinator: the
-	// router mounts POST /v2/gossip and /v2/healthz reports the federation
-	// origin, per-peer gossip health, and status "degraded" while a quorum
-	// of the coordinator set is unreachable. Set it before the first
-	// request, like every other configuration field.
+	// Federation is the replicated coordinator's gossip plane, built by Open
+	// when Config.Federation is set: the router mounts POST /v2/gossip and
+	// /v2/healthz reports the federation origin, per-peer gossip health, and
+	// status "degraded" while a quorum of the coordinator set is
+	// unreachable.
 	Federation *coordfed.Federation
 
 	served uint64
@@ -66,15 +74,64 @@ type Server struct {
 	router     *api.Router
 }
 
-// New creates a coordination server.
-func New(sched *scheduler.Scheduler, tasks *results.TaskIndex, g *geo.Registry, snippet core.SnippetOptions) *Server {
-	return &Server{
-		Scheduler:           sched,
-		Tasks:               tasks,
-		Geo:                 g,
-		Snippet:             snippet,
-		Now:                 time.Now,
-		DefaultDwellSeconds: 15,
+// Config names what a coordinator is built from.
+type Config struct {
+	// Tasks is the compiled task set the scheduler assigns from (required).
+	Tasks *pipeline.TaskSet
+	// Scheduler configures the scheduler built over Tasks.
+	Scheduler scheduler.Config
+	// Index registers every assigned task for attribution (required); the
+	// collector shares it in a single-process deployment.
+	Index *results.TaskIndex
+	// Geo geolocates requesting clients; nil leaves their region empty.
+	Geo *geo.Registry
+	// Snippet tells generated tasks where to submit results.
+	Snippet core.SnippetOptions
+	// Federation, when set, makes this a replicated coordinator gossiping
+	// coverage with its peers; its Scheduler field is filled in by Open.
+	Federation *coordfed.Config
+}
+
+// Open builds a coordinator: the scheduler over cfg.Tasks, the Server, and
+// the federation when cfg names one. It starts nothing; Serve starts the
+// gossip loops, and a caller that never calls Serve may step
+// Federation.RunRound itself.
+func Open(cfg Config) (*Server, error) {
+	s := &Server{
+		Scheduler: scheduler.New(cfg.Tasks, cfg.Scheduler),
+		Tasks:     cfg.Index,
+		Geo:       cfg.Geo,
+		Snippet:   cfg.Snippet,
+		Now:       time.Now,
+	}
+	if cfg.Federation != nil {
+		fc := *cfg.Federation
+		fc.Scheduler = s.Scheduler
+		fed, err := coordfed.New(fc)
+		if err != nil {
+			return nil, fmt.Errorf("coordserver: building the federation: %w", err)
+		}
+		s.Federation = fed
+	}
+	return s, nil
+}
+
+// Serve starts the federation's gossip loops, answers HTTP on ln until ctx
+// is cancelled or the process receives SIGINT or SIGTERM (api.Serve), and
+// closes the federation on the way out, whichever way serving ended.
+func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
+	if s.Federation != nil {
+		s.Federation.Start()
+	}
+	defer s.Close()
+	return api.Serve(ctx, ln, s)
+}
+
+// Close stops the federation's gossip loops and waits for them. The
+// scheduler keeps its last merged view. Safe to call more than once.
+func (s *Server) Close() {
+	if s.Federation != nil {
+		s.Federation.Close()
 	}
 }
 
@@ -215,9 +272,9 @@ func (s *Server) handleCoverage(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) ClientFromRequest(r *http.Request) scheduler.ClientInfo {
 	info := scheduler.ClientInfo{
 		Browser:              collectserver.ParseBrowserFamily(r.UserAgent()),
-		ExpectedDwellSeconds: s.DefaultDwellSeconds,
+		ExpectedDwellSeconds: defaultDwellSeconds,
 	}
-	ip := remoteIP(r)
+	ip := api.ClientIP(r)
 	if s.Geo != nil && ip != "" {
 		if code, err := s.Geo.LookupString(ip); err == nil {
 			info.Region = code
@@ -292,16 +349,4 @@ func (s *Server) handleFrame(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/html")
 	fmt.Fprintf(w, "<!DOCTYPE html><html><head><title>encore</title></head><body>%s</body></html>\n",
 		core.EmbedSnippet(s.Snippet))
-}
-
-func remoteIP(r *http.Request) string {
-	if xff := r.Header.Get("X-Forwarded-For"); xff != "" {
-		parts := strings.Split(xff, ",")
-		return strings.TrimSpace(parts[0])
-	}
-	host, _, err := net.SplitHostPort(r.RemoteAddr)
-	if err != nil {
-		return r.RemoteAddr
-	}
-	return host
 }

@@ -33,16 +33,32 @@ func testCoordinator(t *testing.T) (*Server, *results.TaskIndex, *geo.Registry) 
 			Strict:     true,
 		})
 	}
-	sched := scheduler.New(ts, scheduler.DefaultConfig())
 	index := results.NewTaskIndex()
 	g := geo.NewRegistry(2)
-	snippet := core.SnippetOptions{
-		CoordinatorURL: "//coordinator.encore-test.org",
-		CollectorURL:   "//collector.encore-test.org",
-	}
-	s := New(sched, index, g, snippet)
+	s := mustOpen(t, Config{Tasks: ts, Scheduler: scheduler.DefaultConfig(), Index: index, Geo: g,
+		Snippet: core.SnippetOptions{
+			CoordinatorURL: "//coordinator.encore-test.org",
+			CollectorURL:   "//collector.encore-test.org",
+		}})
 	s.Now = func() time.Time { return time.Date(2014, 9, 1, 0, 0, 0, 0, time.UTC) }
 	return s, index, g
+}
+
+// mustOpen opens a coordinator and closes it when the test ends.
+func mustOpen(t *testing.T, cfg Config) *Server {
+	t.Helper()
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(s.Close)
+	return s
+}
+
+// emptyConfig is a coordinator with nothing to assign.
+func emptyConfig() Config {
+	return Config{Tasks: pipeline.NewTaskSet(), Scheduler: scheduler.DefaultConfig(), Index: results.NewTaskIndex(),
+		Geo: geo.NewRegistry(1), Snippet: core.SnippetOptions{CoordinatorURL: "//c", CollectorURL: "//d"}}
 }
 
 func TestServeTaskJS(t *testing.T) {
@@ -204,16 +220,14 @@ func TestInlineTaskJS(t *testing.T) {
 		t.Fatal("inline tasks were not registered")
 	}
 	// Empty scheduler yields a harmless comment.
-	empty := New(scheduler.New(pipeline.NewTaskSet(), scheduler.DefaultConfig()), results.NewTaskIndex(), g,
-		core.SnippetOptions{CoordinatorURL: "//c", CollectorURL: "//d"})
+	empty := mustOpen(t, emptyConfig())
 	if js := empty.InlineTaskJS(req); !strings.Contains(js, "no measurement tasks") {
 		t.Fatalf("empty inline JS=%q", js)
 	}
 }
 
 func TestTaskJSWithEmptyScheduler(t *testing.T) {
-	sched := scheduler.New(pipeline.NewTaskSet(), scheduler.DefaultConfig())
-	s := New(sched, results.NewTaskIndex(), geo.NewRegistry(1), core.SnippetOptions{CoordinatorURL: "//c", CollectorURL: "//d"})
+	s := mustOpen(t, emptyConfig())
 	srv := httptest.NewServer(s)
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/task.js")

@@ -40,9 +40,11 @@ type Config struct {
 	// Test is the hypothesis test; defaults to the paper's parameters
 	// (p=0.7, α=0.05).
 	Test stats.BinomialTest
-	// MinMeasurements is the minimum number of completed measurements a
-	// region must contribute before the detector will consider flagging it;
-	// prevents single-client regions from generating verdicts.
+	// MinMeasurements is the minimum number of completed (success or
+	// failure) measurements a pattern×region group needs before the detector
+	// will consider flagging it. It counts measurements, not clients: one
+	// client that submits this many results from a region meets it on its
+	// own. A per-client bound is ROADMAP item 2.
 	MinMeasurements int
 }
 

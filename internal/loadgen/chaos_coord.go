@@ -25,10 +25,12 @@ import (
 
 	"encore/internal/api"
 	"encore/internal/coordfed"
+	"encore/internal/coordserver"
 	"encore/internal/core"
 	"encore/internal/faultinject"
 	"encore/internal/geo"
 	"encore/internal/pipeline"
+	"encore/internal/results"
 	"encore/internal/scheduler"
 	"encore/internal/wire"
 )
@@ -55,60 +57,67 @@ func coordTaskSet() *pipeline.TaskSet {
 	return ts
 }
 
-func newCoordScheduler(seed uint64) *scheduler.Scheduler {
+func coordSchedulerConfig(seed uint64) scheduler.Config {
 	cfg := scheduler.DefaultConfig()
 	cfg.QuorumWindow = coordWindow
 	cfg.Seed = seed
-	return scheduler.New(coordTaskSet(), cfg)
+	return cfg
 }
 
-// coordNode is one coordinator in a chaos cluster: scheduler, federation,
-// and the loopback server peers gossip with.
+// coordNode is one coordinator in a chaos cluster: built by
+// coordserver.Open and served on its own loopback listener. The scenarios
+// step its gossip rounds by hand (RunRound) instead of starting Serve's
+// wall-clock loops, so a replayed seed reproduces the exchange order.
 type coordNode struct {
 	origin string
 	host   string
+	coord  *coordserver.Server
 	sched  *scheduler.Scheduler
 	fed    *coordfed.Federation
 	srv    *httptest.Server
 }
 
 func (n *coordNode) stop() {
-	if n.fed != nil {
-		n.fed.Close()
+	if n.coord != nil {
+		n.coord.Close()
 	}
-	if n.srv != nil {
-		n.srv.Close()
-	}
+	n.srv.Close()
 }
 
-// newCoordNode serves one coordinator's gossip handler on ln (a fresh
-// loopback port when nil); join attaches its federation once the peer URLs
-// are known.
-func newCoordNode(origin string, sched *scheduler.Scheduler, ln net.Listener) *coordNode {
-	n := &coordNode{origin: origin, sched: sched}
-	n.srv = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		n.fed.Handler()(w, r)
-	}))
+// listenCoordNode binds one coordinator's listener (ln, or a fresh loopback
+// port when nil) so its URL is known before its peers are opened.
+func listenCoordNode(origin string, ln net.Listener) *coordNode {
+	n := &coordNode{origin: origin, srv: httptest.NewUnstartedServer(nil)}
 	if ln != nil {
 		n.srv.Listener.Close()
 		n.srv.Listener = ln
 	}
-	n.srv.Start()
 	n.host = n.srv.Listener.Addr().String()
 	return n
 }
 
-func (n *coordNode) join(peers []string, transport http.RoundTripper, seed uint64) error {
-	fed, err := coordfed.New(coordfed.Config{
-		Origin:    n.origin,
-		Scheduler: n.sched,
-		Peers:     peers,
-		Transport: transport,
-		Timeout:   2 * time.Second,
-		Seed:      seed,
+// open builds the node's coordinator, federated with peers over transport,
+// and starts answering on its listener.
+func (n *coordNode) open(schedSeed uint64, peers []string, transport http.RoundTripper, fedSeed uint64) error {
+	coord, err := coordserver.Open(coordserver.Config{
+		Tasks:     coordTaskSet(),
+		Scheduler: coordSchedulerConfig(schedSeed),
+		Index:     results.NewTaskIndex(),
+		Federation: &coordfed.Config{
+			Origin:    n.origin,
+			Peers:     peers,
+			Transport: transport,
+			Timeout:   2 * time.Second,
+			Seed:      fedSeed,
+		},
 	})
-	n.fed = fed
-	return err
+	if err != nil {
+		return err
+	}
+	n.coord, n.sched, n.fed = coord, coord.Scheduler, coord.Federation
+	n.srv.Config.Handler = coord
+	n.srv.Start()
+	return nil
 }
 
 // newCoordCluster builds k fully-meshed coordinators. transportFor (optional)
@@ -117,20 +126,20 @@ func (n *coordNode) join(peers []string, transport http.RoundTripper, seed uint6
 func newCoordCluster(seed uint64, k int, transportFor func(i int, host string) http.RoundTripper) ([]*coordNode, error) {
 	nodes := make([]*coordNode, k)
 	for i := range nodes {
-		nodes[i] = newCoordNode(fmt.Sprintf("c%d", i), newCoordScheduler(seed+uint64(i)), nil)
+		nodes[i] = listenCoordNode(fmt.Sprintf("c%d", i), nil)
 	}
 	for i, n := range nodes {
 		var peers []string
 		for j, p := range nodes {
 			if j != i {
-				peers = append(peers, p.srv.URL)
+				peers = append(peers, "http://"+p.host)
 			}
 		}
 		var transport http.RoundTripper
 		if transportFor != nil {
 			transport = transportFor(i, n.host)
 		}
-		if err := n.join(peers, transport, seed^uint64(i+1)); err != nil {
+		if err := n.open(seed+uint64(i), peers, transport, seed^uint64(i+1)); err != nil {
 			stopCoordCluster(nodes)
 			return nil, err
 		}
@@ -262,7 +271,7 @@ func coordCheckFocusSchedule(nodes []*coordNode, anchor time.Time) error {
 			return fmt.Errorf("%s anchor %d, want the cluster minimum %d", n.origin, a, anchor.UnixNano())
 		}
 	}
-	baseline := newCoordScheduler(424242)
+	baseline := scheduler.New(coordTaskSet(), coordSchedulerConfig(424242))
 	baseline.Assign(scheduler.ClientInfo{Region: "US", Browser: core.BrowserFirefox, ExpectedDwellSeconds: 5}, anchor)
 	keys := baseline.PatternKeys()
 	for i := 0; i < 3*len(keys); i++ {
@@ -387,9 +396,9 @@ func scenarioCoordCrashRestart(ctx *chaosCtx) error {
 	if err != nil {
 		return err
 	}
-	restarted := newCoordNode("c1b", newCoordScheduler(ctx.seed+99), ln)
+	restarted := listenCoordNode("c1b", ln)
 	nodes[1] = restarted // stopped with the cluster
-	if err := restarted.join(crashedPeers, nil, ctx.seed^0xbeef); err != nil {
+	if err := restarted.open(ctx.seed+99, crashedPeers, nil, ctx.seed^0xbeef); err != nil {
 		return err
 	}
 

@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"encore/internal/api"
 	"encore/internal/api/federation"
 	"encore/internal/collectserver"
 	"encore/internal/geo"
@@ -26,8 +27,6 @@ const (
 	// compactEvery is how often Serve compacts the WAL. Appends to a shard
 	// stall while it compacts, so this stays much coarser than maintainEvery.
 	compactEvery = 10 * time.Minute
-	// shutdownGrace bounds how long Serve waits for in-flight requests.
-	shutdownGrace = 5 * time.Second
 )
 
 // Config names what a node is built from.
@@ -131,17 +130,29 @@ func (n *Node) Close() error {
 }
 
 // Serve answers HTTP on ln with h (nil means the node's Server) until ctx is
-// cancelled or ln fails, syncing the WAL and pruning the guard every minute
-// and compacting the WAL every ten. It shuts HTTP down before it closes the
+// cancelled, the process receives SIGINT or SIGTERM, or ln fails
+// (api.Serve), syncing the WAL and pruning the guard every minute and
+// compacting the WAL every ten. It shuts HTTP down before it closes the
 // node, so every submission acknowledged over HTTP has committed, and
 // reached the forwarder, before the log is closed.
 func (n *Node) Serve(ctx context.Context, ln net.Listener, h http.Handler) error {
 	if h == nil {
 		h = n.Server
 	}
-	srv := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
-	served := make(chan error, 1)
-	go func() { served <- srv.Serve(ln) }()
+	ctx, stop := context.WithCancel(ctx)
+	maintained := make(chan struct{})
+	go func() {
+		defer close(maintained)
+		n.maintain(ctx)
+	}()
+	err := api.Serve(ctx, ln, h)
+	stop()
+	<-maintained
+	return errors.Join(err, n.Close())
+}
+
+// maintain runs the periodic WAL and guard upkeep until ctx is done.
+func (n *Node) maintain(ctx context.Context) {
 	maintain := time.NewTicker(maintainEvery)
 	defer maintain.Stop()
 	compact := time.NewTicker(compactEvery)
@@ -169,12 +180,8 @@ func (n *Node) Serve(ctx context.Context, ln net.Listener, h http.Handler) error
 				st := n.WAL.Stats()
 				log.Printf("WAL: %d records, %d segments on disk after compaction", st.Records, st.Segments)
 			}
-		case err := <-served:
-			return errors.Join(err, n.Close())
 		case <-ctx.Done():
-			shutdownCtx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
-			defer cancel()
-			return errors.Join(srv.Shutdown(shutdownCtx), n.Close())
+			return
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package results
 
 import (
+	"math"
 	"sync"
 	"time"
 )
@@ -23,10 +24,10 @@ import (
 // use Backfill.
 //
 // Consistency: each commit updates its group atomically under that group's
-// shard lock, so Groups and Windowed always see internally-consistent cells.
-// Cross-cell reads taken while writers are running reflect a moment that may
-// interleave with in-flight commits; quiesce the ingest path (stop the
-// submitters) for reads that must match a batch recomputation bit-for-bit.
+// shard lock, and Groups and Windowed hold every shard lock while they copy,
+// so each returns one cut of the counters. A batch recomputation over a
+// store snapshot is taken at another moment; quiesce the ingest path (stop
+// the submitters) for reads that must match one bit-for-bit.
 //
 // Dirty-group contract: every commit marks the affected pattern dirty.
 // DrainDirtyPatterns atomically hands the accumulated dirty set to the caller
@@ -261,22 +262,48 @@ func (a *Aggregator) GroupsForPatterns(patterns []string) []Group {
 	return a.groupsWhere(want)
 }
 
-// groupsWhere collects cells whose pattern is in want (nil means all).
+// groupsWhere collects cells whose pattern is in want (nil means all),
+// counting them first under the same locks so the result is allocated once.
 func (a *Aggregator) groupsWhere(want map[string]bool) []Group {
-	var out []Group
-	for i := range a.shards {
-		sh := &a.shards[i]
-		sh.mu.Lock()
-		for _, cell := range sh.cells {
-			if want != nil && !want[cell.group.Key.PatternKey] {
-				continue
-			}
-			out = append(out, cell.group)
+	match := func(c *aggCell) bool { return want == nil || want[c.group.Key.PatternKey] }
+	a.lockShards()
+	n := 0
+	a.eachCell(func(c *aggCell) {
+		if match(c) {
+			n++
 		}
-		sh.mu.Unlock()
-	}
+	})
+	out := make([]Group, 0, n)
+	a.eachCell(func(c *aggCell) {
+		if match(c) {
+			out = append(out, c.group)
+		}
+	})
+	a.unlockShards()
 	sortGroups(out)
 	return out
+}
+
+// lockShards takes every shard lock, in index order, for a read that sizes
+// its result before it fills it; eachCell then visits every cell.
+func (a *Aggregator) lockShards() {
+	for i := range a.shards {
+		a.shards[i].mu.Lock()
+	}
+}
+
+func (a *Aggregator) unlockShards() {
+	for i := range a.shards {
+		a.shards[i].mu.Unlock()
+	}
+}
+
+func (a *Aggregator) eachCell(fn func(*aggCell)) {
+	for i := range a.shards {
+		for _, c := range a.shards[i].cells {
+			fn(c)
+		}
+	}
 }
 
 // GroupCount returns the number of live pattern×region cells.
@@ -326,38 +353,50 @@ func (a *Aggregator) Windowed(window time.Duration) []WindowedGroups {
 	if window <= 0 || window != a.cfg.Window {
 		return nil
 	}
-	occupied := make(map[int64][]Group)
-	var minIdx, maxIdx int64
-	seen := false
-	for i := range a.shards {
-		sh := &a.shards[i]
-		sh.mu.Lock()
-		for _, cell := range sh.cells {
-			for idx, b := range cell.buckets {
-				if !seen || idx < minIdx {
-					minIdx = idx
-				}
-				if !seen || idx > maxIdx {
-					maxIdx = idx
-				}
-				seen = true
-				occupied[idx] = append(occupied[idx], *b)
-			}
+	// Find the occupied range, count each window's groups, then copy every
+	// bucket into one array laid out window by window, all under the same
+	// locks. ends[k] is where window k's next group goes, and finally where
+	// it ends.
+	a.lockShards()
+	minIdx, maxIdx := int64(math.MaxInt64), int64(math.MinInt64)
+	a.eachCell(func(c *aggCell) {
+		for idx := range c.buckets {
+			minIdx, maxIdx = min(minIdx, idx), max(maxIdx, idx)
 		}
-		sh.mu.Unlock()
-	}
-	if !seen {
+	})
+	if minIdx > maxIdx {
+		a.unlockShards()
 		return nil
 	}
-	out := make([]WindowedGroups, 0, maxIdx-minIdx+1)
-	for idx := minIdx; idx <= maxIdx; idx++ {
-		start := a.epoch().Add(time.Duration(idx) * window)
-		wg := WindowedGroups{Window: Window{Start: start, End: start.Add(window)}}
-		if groups, ok := occupied[idx]; ok {
-			sortGroups(groups)
-			wg.Groups = groups
+	ends := make([]int, maxIdx-minIdx+1)
+	a.eachCell(func(c *aggCell) {
+		for idx := range c.buckets {
+			ends[idx-minIdx]++
 		}
-		out = append(out, wg)
+	})
+	total := 0
+	for k, n := range ends {
+		ends[k], total = total, total+n
+	}
+	flat := make([]Group, total)
+	a.eachCell(func(c *aggCell) {
+		for idx, b := range c.buckets {
+			flat[ends[idx-minIdx]] = *b
+			ends[idx-minIdx]++
+		}
+	})
+	a.unlockShards()
+
+	out := make([]WindowedGroups, len(ends))
+	from := 0
+	for k, to := range ends {
+		start := a.epoch().Add(time.Duration(minIdx+int64(k)) * window)
+		out[k].Window = Window{Start: start, End: start.Add(window)}
+		if to > from {
+			out[k].Groups = flat[from:to:to]
+			sortGroups(out[k].Groups)
+		}
+		from = to
 	}
 	return out
 }

@@ -282,3 +282,23 @@ func TestConcurrentStoreAccess(t *testing.T) {
 		t.Fatalf("Len=%d, want 800", s.Len())
 	}
 }
+
+// Test-only store queries: the product reads a store through Stats, Range
+// and the aggregator.
+
+// Filter returns measurements matching pred, preserving insertion order. Like
+// All, the result is a defensive copy safe for concurrent mutation.
+func (s *Store) Filter(pred func(Measurement) bool) []Measurement {
+	var out []Measurement
+	_ = s.ordered(func(_ uint64, m Measurement) error {
+		if pred(m) {
+			out = append(out, m)
+		}
+		return nil
+	})
+	return out
+}
+
+// DistinctRegions returns the number of distinct regions reporting at least
+// one measurement.
+func (s *Store) DistinctRegions() int { return s.Stats().Countries }

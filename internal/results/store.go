@@ -455,21 +455,8 @@ func (s *Store) Get(id string) (Measurement, bool) {
 	return sh.at(int(idx)), true
 }
 
-// Filter returns measurements matching pred, preserving insertion order. Like
-// All, the result is a defensive copy safe for concurrent mutation.
-func (s *Store) Filter(pred func(Measurement) bool) []Measurement {
-	var out []Measurement
-	_ = s.ordered(func(_ uint64, m Measurement) error {
-		if pred(m) {
-			out = append(out, m)
-		}
-		return nil
-	})
-	return out
-}
-
-// Range streams every measurement to fn without the defensive copy All and
-// Filter make, so a read-only consumer such as Stats can walk
+// Range streams every measurement to fn without the defensive copy All
+// makes, so a read-only consumer such as Stats can walk
 // an arbitrarily large store in O(1) extra memory. fn returning false stops
 // the iteration early. Iteration visits shards one at a time under their read
 // locks — within a shard measurements appear in insertion order, but the
@@ -490,10 +477,6 @@ func (s *Store) Range(fn func(Measurement) bool) {
 
 // DistinctClients returns the number of distinct client IPs.
 func (s *Store) DistinctClients() int { return s.Stats().DistinctClients }
-
-// DistinctRegions returns the number of distinct regions reporting at least
-// one measurement.
-func (s *Store) DistinctRegions() int { return s.Stats().Countries }
 
 // CountByRegion returns the number of measurements per region.
 func (s *Store) CountByRegion() map[geo.CountryCode]int { return s.Stats().ByCountry }

@@ -858,18 +858,6 @@ func OpenStoreFromWALFS(dir string, fs faultinject.FS) (*Store, WALRecoveryStats
 	return store, stats, nil
 }
 
-// ReadRecords is ReadRecordFrames with each record decoded; a frame that
-// passes its CRC but does not decode is a format error and aborts the pass.
-func (w *WAL) ReadRecords(after uint64, fn func(commitSeq uint64, m Measurement) error) error {
-	return w.ReadRecordFrames(after, func(cseq uint64, frame []byte) error {
-		_, _, r, err := wire.DecodeRecord(frame[wire.FrameHeaderLen:])
-		if err != nil {
-			return fmt.Errorf("results: WAL record at position %d: %w", cseq, err)
-		}
-		return fn(cseq, Measurement(r))
-	})
-}
-
 // ReadRecordFrames streams every raw validated frame (header + payload,
 // byte-for-byte as the WAL stores it — the disk encoding IS the wire encoding)
 // with a commit-stream position strictly greater than after to fn, without

@@ -8,6 +8,7 @@ package results
 
 import (
 	"encoding/binary"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -209,4 +210,16 @@ func TestWALRecoveryRestoresCommitCounter(t *testing.T) {
 	if len(rec.cseqs) != 1 || rec.cseqs[0] != n+1 {
 		t.Fatalf("post-recovery commit got position %v, want [%d]", rec.cseqs, n+1)
 	}
+}
+
+// ReadRecords is ReadRecordFrames with each record decoded; a frame that
+// passes its CRC but does not decode is a format error and aborts the pass.
+func (w *WAL) ReadRecords(after uint64, fn func(commitSeq uint64, m Measurement) error) error {
+	return w.ReadRecordFrames(after, func(cseq uint64, frame []byte) error {
+		_, _, r, err := wire.DecodeRecord(frame[wire.FrameHeaderLen:])
+		if err != nil {
+			return fmt.Errorf("results: WAL record at position %d: %w", cseq, err)
+		}
+		return fn(cseq, Measurement(r))
+	})
 }

@@ -95,13 +95,6 @@ func (r *RNG) Normal(mean, stddev float64) float64 {
 	return mean + stddev*r.NormFloat64()
 }
 
-// LogNormal returns a log-normally distributed value whose underlying normal
-// has parameters mu and sigma. Log-normal distributions approximate many Web
-// object and page size distributions well.
-func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.Normal(mu, sigma))
-}
-
 // Exponential returns an exponentially distributed value with the given mean.
 func (r *RNG) Exponential(mean float64) float64 {
 	u := r.Float64()
@@ -109,17 +102,6 @@ func (r *RNG) Exponential(mean float64) float64 {
 		u = math.Nextafter(1, 0)
 	}
 	return -mean * math.Log(1-u)
-}
-
-// Pareto returns a Pareto-distributed value with scale xm and shape alpha.
-// Heavy-tailed Pareto distributions model Web page popularity and long-tail
-// object sizes.
-func (r *RNG) Pareto(xm, alpha float64) float64 {
-	u := r.Float64()
-	if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	return xm / math.Pow(1-u, 1/alpha)
 }
 
 // Poisson returns a Poisson-distributed integer with the given mean, using
@@ -180,15 +162,6 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Choice returns a uniformly chosen index into a collection of size n, or -1
-// if n <= 0.
-func (r *RNG) Choice(n int) int {
-	if n <= 0 {
-		return -1
-	}
-	return r.Intn(n)
 }
 
 // WeightedChoice returns an index chosen with probability proportional to

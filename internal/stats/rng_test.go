@@ -284,3 +284,25 @@ func TestQuickPermProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Test-only draws: nothing in the simulation samples these.
+
+// Pareto returns a Pareto-distributed value with scale xm and shape alpha.
+// Heavy-tailed Pareto distributions model Web page popularity and long-tail
+// object sizes.
+func (r *RNG) Pareto(xm, alpha float64) float64 {
+	u := r.Float64()
+	if u >= 1 {
+		u = math.Nextafter(1, 0)
+	}
+	return xm / math.Pow(1-u, 1/alpha)
+}
+
+// Choice returns a uniformly chosen index into a collection of size n, or -1
+// if n <= 0.
+func (r *RNG) Choice(n int) int {
+	if n <= 0 {
+		return -1
+	}
+	return r.Intn(n)
+}

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strings"
 
@@ -142,25 +143,6 @@ func (l *List) FilterSensitivity(max Sensitivity) *List {
 	return out
 }
 
-// FilterRegion returns entries believed relevant to the region (entries with
-// no region annotation are always included).
-func (l *List) FilterRegion(region string) *List {
-	out := NewList()
-	for _, e := range l.entries {
-		if len(e.Regions) == 0 {
-			out.Add(e)
-			continue
-		}
-		for _, r := range e.Regions {
-			if strings.EqualFold(r, region) {
-				out.Add(e)
-				break
-			}
-		}
-	}
-	return out
-}
-
 // Merge combines multiple lists into one.
 func Merge(lists ...*List) *List {
 	out := NewList()
@@ -199,6 +181,16 @@ func (l *List) Summary() string {
 
 // ErrBadLine is returned when parsing a malformed list file line.
 var ErrBadLine = errors.New("targets: malformed list line")
+
+// ReadFile reads a target list file in the ReadFrom format.
+func ReadFile(path, defaultSource string) (*List, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return ReadFrom(f, defaultSource)
+}
 
 // ReadFrom parses a plain-text target list: one pattern per line, optionally
 // followed by whitespace-separated "key=value" annotations (source=, risk=,
@@ -377,21 +369,6 @@ func MeasurementStudyList() *List {
 		if err := l.AddPattern(raw, "paper-7.2", SensitivityLow); err != nil {
 			panic(err)
 		}
-	}
-	return l
-}
-
-// ControlList returns patterns for known-unfiltered control resources plus a
-// deliberately invalid domain, used by the §7.1 soundness experiments.
-func ControlList(testbedDomain string) *List {
-	l := NewList()
-	if testbedDomain != "" {
-		if err := l.AddPattern(testbedDomain, "testbed-control", SensitivityLow); err != nil {
-			panic(err)
-		}
-	}
-	if err := l.AddPattern("control-unfiltered.invalid-tld-for-dns-blocking.test", "testbed-control", SensitivityLow); err != nil {
-		panic(err)
 	}
 	return l
 }

@@ -217,3 +217,40 @@ func TestPatternsAccessor(t *testing.T) {
 		t.Fatal("Patterns() should mirror entries")
 	}
 }
+
+// Test-only list views: the product builds lists with the constructors
+// and ReadFrom and hands them to the pipeline whole.
+
+// FilterRegion returns entries believed relevant to the region (entries with
+// no region annotation are always included).
+func (l *List) FilterRegion(region string) *List {
+	out := NewList()
+	for _, e := range l.entries {
+		if len(e.Regions) == 0 {
+			out.Add(e)
+			continue
+		}
+		for _, r := range e.Regions {
+			if strings.EqualFold(r, region) {
+				out.Add(e)
+				break
+			}
+		}
+	}
+	return out
+}
+
+// ControlList returns patterns for known-unfiltered control resources plus a
+// deliberately invalid domain, used by the §7.1 soundness experiments.
+func ControlList(testbedDomain string) *List {
+	l := NewList()
+	if testbedDomain != "" {
+		if err := l.AddPattern(testbedDomain, "testbed-control", SensitivityLow); err != nil {
+			panic(err)
+		}
+	}
+	if err := l.AddPattern("control-unfiltered.invalid-tld-for-dns-blocking.test", "testbed-control", SensitivityLow); err != nil {
+		panic(err)
+	}
+	return l
+}

@@ -8,7 +8,9 @@
 # root-package benchmark (the paper's evaluation, E1-E16), of the forwarder's
 # catch-up and drain benchmarks and of the store-commit, task-index,
 # aggregator and admit benchmarks, a -count=20 race run of the forwarder's
-# in-flight and cursor tests, the separate bench/ module's vet and tests, the
+# in-flight and cursor tests, a -count=5 race run of the two-coordinator
+# lifecycle test, a guard that every cmd/*/main.go serves through the one
+# serve helper, the separate bench/ module's vet and tests, the
 # deterministic chaos suite at fixed seeds (make chaos), and the
 # campaign-tier smoke
 # (scripts/campaign_smoke.sh: grid/dispatcher property tests under -race plus
@@ -22,6 +24,15 @@ unformatted=$(gofmt -l .)
 if [ -n "$unformatted" ]; then
     echo "gofmt needed on:"
     echo "$unformatted"
+    exit 1
+fi
+
+# Every daemon serves through api.Serve (SIGINT/SIGTERM, the shutdown grace,
+# serve errors returned instead of exiting); a binary that builds its own
+# http.Server or calls ListenAndServe brings a hand-rolled lifecycle back.
+echo "== one serve helper =="
+if grep -nE 'http\.Server\b|ListenAndServe' cmd/*/main.go; then
+    echo "cmd/*/main.go must serve through api.Serve, not its own http.Server or ListenAndServe"
     exit 1
 fi
 
@@ -39,6 +50,9 @@ go test -race ./...
 # The forwarder's two POSTs in flight, its idle drain and its cursor, many
 # times over: interleavings the single run above may not hit.
 go test -race -count=20 -run 'InFlight|PerID|Idle|Cursor' ./internal/api/federation
+# Two federated coordinators opened, served, gossiping and closed, five
+# times over: no gossip loop or other goroutine may outlive Serve.
+go test -race -count=5 -run TestCoordinatorLifecycle ./internal/loadgen
 
 # The paper's reproduction is benchmarks, which go test alone never executes:
 # run each once so a b.Fatal in any experiment fails CI.
