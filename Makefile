@@ -3,7 +3,7 @@
 #   make ci          - everything CI runs (scripts/ci.sh): format check, vet,
 #                      build, docs check, race tests, the paper evaluation and
 #                      the retained scale families once each (-benchtime 1x),
-#                      bench-module, fuzz, chaos, campaign-smoke
+#                      bench-module, fuzz, chaos
 #   make test        - fast test run (no race detector)
 #   make race        - full test suite under the race detector
 #   make bench       - the end-to-end benchmark (bench/README.md): builds
@@ -13,8 +13,8 @@
 #   make bench-module - vet and test the separate bench/ module against this
 #                      checkout's product API (part of make ci)
 #   make fuzz        - the CI fuzz smoke: 10s on each fuzz target (the three
-#                      internal/wire decoders, the campaign journal replay and
-#                      the results ID index against a map model)
+#                      internal/wire decoders and the results ID index against
+#                      a map model)
 #   make docs-check  - verify the docs suite: README/architecture/example
 #                      docs exist, every package carries a package comment,
 #                      and the commands the README names actually build
@@ -23,16 +23,12 @@
 #                      of make ci); failures print the seed that replays them
 #   make chaos-soak  - the same suite plus one randomized seed, logged before
 #                      the run so any failure is replayable
-#   make campaign-smoke - the campaign-tier gate (part of make ci): the grid
-#                      and dispatcher property tests under the race detector,
-#                      then a fixed-seed 2x2 grid through the encore-campaign
-#                      binary with a mid-campaign kill and a journal resume
 #   make bench-paper - the paper's full evaluation benchmark suite (E1-E16 in
 #                      bench_test.go, plus the families in scale_bench_test.go)
 
 GO ?= go
 
-.PHONY: ci fmt vet build test race bench bench-module bench-paper fuzz docs-check chaos chaos-soak campaign-smoke
+.PHONY: ci fmt vet build test race bench bench-module bench-paper fuzz docs-check chaos chaos-soak
 
 ci:
 	./scripts/ci.sh
@@ -62,7 +58,6 @@ fuzz:
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeRecord$$' -fuzztime 10s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeBatchStream$$' -fuzztime 10s
 	$(GO) test ./internal/wire -run '^$$' -fuzz '^FuzzDecodeGossip$$' -fuzztime 10s
-	$(GO) test ./internal/campaign -run '^$$' -fuzz '^FuzzReplayJournal$$' -fuzztime 10s
 	$(GO) test ./internal/results -run '^$$' -fuzz '^FuzzIDIndex$$' -fuzztime 10s
 
 bench-paper:
@@ -85,6 +80,3 @@ chaos-soak: chaos
 	@seed=$$(od -An -N4 -tu4 /dev/urandom | tr -d ' '); \
 	echo "== chaos soak (randomized seed $$seed, -race) =="; \
 	$(GO) test ./internal/loadgen -race -run TestChaos -chaos-seed $$seed
-
-campaign-smoke:
-	./scripts/campaign_smoke.sh

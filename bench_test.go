@@ -14,7 +14,6 @@
 package encore
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -139,35 +138,18 @@ func BenchmarkTable1MechanismMatrix(b *testing.B) {
 // BenchmarkFigure4ImagesPerDomain reproduces the CDF of per-domain image
 // counts for <=1KB, <=5KB, and all images.
 func BenchmarkFigure4ImagesPerDomain(b *testing.B) {
-	var report *pipeline.Report
-	for i := 0; i < b.N; i++ {
-		report = feasibility()
-		all, under5, under1 := report.ImagesPerDomain()
-		_ = stats.NewCDFInts(all)
-		_ = stats.NewCDFInts(under5)
-		_ = stats.NewCDFInts(under1)
-	}
-	all, under5, under1 := report.ImagesPerDomain()
-	fig := stats.Figure{Title: "Figure 4: images per domain", XLabel: "images per domain", YLabel: "CDF"}
-	fig.AddSeries("<=1KB", stats.NewCDFInts(under1), 12)
-	fig.AddSeries("<=5KB", stats.NewCDFInts(under5), 12)
-	fig.AddSeries("all", stats.NewCDFInts(all), 12)
+	report, fig := feasibilityFigure(b, 0)
 	b.Logf("\n%s", fig.Render())
-	b.ReportMetric(float64(len(all)), "domains")
+	b.ReportMetric(float64(len(report.Domains)), "domains")
 	b.ReportMetric(100*report.FractionOfDomainsMeasurable(1024), "pct-domains-with-1KB-images")
 	b.ReportMetric(100*report.FractionOfDomainsMeasurable(100*1024), "pct-domains-with-any-images")
 }
 
 // BenchmarkFigure5PageSizes reproduces the CDF of total page sizes.
 func BenchmarkFigure5PageSizes(b *testing.B) {
-	var sizes []float64
-	for i := 0; i < b.N; i++ {
-		sizes = feasibility().PageSizesKB()
-		_ = stats.NewCDF(sizes)
-	}
-	fig := stats.Figure{Title: "Figure 5: total page size", XLabel: "page size (KB)", YLabel: "CDF"}
-	fig.AddSeries("pages", stats.NewCDF(sizes), 12)
+	report, fig := feasibilityFigure(b, 1)
 	b.Logf("\n%s", fig.Render())
+	sizes := report.PageSizesKB()
 	summary := stats.Summarize(sizes)
 	b.ReportMetric(float64(summary.Count), "pages")
 	b.ReportMetric(summary.Median, "median-page-KB")
@@ -177,20 +159,20 @@ func BenchmarkFigure5PageSizes(b *testing.B) {
 // BenchmarkFigure6CacheableImages reproduces the CDF of cacheable images per
 // page for <=100KB pages, <=500KB pages, and all pages.
 func BenchmarkFigure6CacheableImages(b *testing.B) {
-	var report *pipeline.Report
-	for i := 0; i < b.N; i++ {
-		report = feasibility()
-		_ = report.CacheableImagesPerPage(100)
-		_ = report.CacheableImagesPerPage(500)
-		_ = report.CacheableImagesPerPage(0)
-	}
-	fig := stats.Figure{Title: "Figure 6: cacheable images per page", XLabel: "cacheable images per page", YLabel: "CDF"}
-	fig.AddSeries("<=100KB", stats.NewCDFInts(report.CacheableImagesPerPage(100)), 12)
-	fig.AddSeries("<=500KB", stats.NewCDFInts(report.CacheableImagesPerPage(500)), 12)
-	fig.AddSeries("all", stats.NewCDFInts(report.CacheableImagesPerPage(0)), 12)
+	report, fig := feasibilityFigure(b, 2)
 	b.Logf("\n%s", fig.Render())
 	b.ReportMetric(100*report.FractionOfPagesIFrameMeasurable(100), "pct-pages-iframe-measurable-100KB")
 	b.ReportMetric(100*report.FractionOfPagesIFrameMeasurable(0), "pct-pages-iframe-measurable-any")
+}
+
+// feasibilityFigure times building Figures 4-6 from the §6.1 crawl and
+// returns the crawl with the figure at index i (0 is Figure 4).
+func feasibilityFigure(b *testing.B, i int) (*pipeline.Report, stats.Figure) {
+	var figs []stats.Figure
+	for n := 0; n < b.N; n++ {
+		figs = feasibility().Figures(12)
+	}
+	return feasibility(), figs[i]
 }
 
 // ---------------------------------------------------------------------------
@@ -252,51 +234,16 @@ func BenchmarkPilotStudyDemographics(b *testing.B) {
 // fraction of clients and reports the task error rates per mechanism,
 // including the image false-positive rate on unfiltered controls.
 func BenchmarkTestbedSoundness(b *testing.B) {
-	eng := censor.NewEngine()
-	tb := testbed.New("testbed.encore-bench.org")
-	tb.InstallPolicies(eng)
-	stack := clientsim.BuildStack(clientsim.StackConfig{Seed: 71, Censor: eng})
-	tb.RegisterHosts(stack.Net)
-	rng := stats.NewRNG(71)
 	regions := []geo.CountryCode{"US", "DE", "GB", "BR", "IN", "IN", "KR", "JP", "FR", "CA"}
-
-	var total, correct, controlImages, controlImageFailures int
-	b.ResetTimer()
+	var res testbed.Soundness
 	for i := 0; i < b.N; i++ {
-		total, correct, controlImages, controlImageFailures = 0, 0, 0, 0
-		for c := 0; c < 300; c++ {
-			region := regions[c%len(regions)]
-			client, err := stack.Net.NewClient(region)
-			if err != nil {
-				continue
-			}
-			br := browser.New(browser.SampleFamily(rng), client, stack.Net, rng.Uint64())
-			for _, target := range tb.Targets() {
-				if target.TaskType == core.TaskScript && br.Family != core.BrowserChrome {
-					continue
-				}
-				task := core.Task{MeasurementID: fmt.Sprintf("tb-%d-%d", c, total), Type: target.TaskType,
-					TargetURL: target.URL, PatternKey: "testbed"}
-				res := br.ExecuteTask(task)
-				total++
-				if res.Success == tb.ExpectedTaskSuccess(target) {
-					correct++
-				}
-				if target.Mechanism == censor.MechanismNone && target.TaskType == core.TaskImage {
-					controlImages++
-					if !res.Success {
-						controlImageFailures++
-					}
-				}
-			}
-		}
+		res = testbed.New("testbed.encore-bench.org").Validate(71, 300, regions)
 	}
-	b.StopTimer()
-	b.ReportMetric(float64(total), "measurements")
-	b.ReportMetric(100*float64(correct)/float64(total), "pct-correct")
-	b.ReportMetric(100*float64(controlImageFailures)/float64(controlImages), "pct-image-false-positives")
+	b.ReportMetric(float64(res.Measurements), "measurements")
+	b.ReportMetric(res.PctCorrect(), "pct-correct")
+	b.ReportMetric(res.PctImageFalsePositives(), "pct-image-false-positives")
 	b.Logf("§7.1 soundness: %d measurements, %.1f%% matching ground truth, image FP rate %.1f%% (paper: ~5%% driven by India)",
-		total, 100*float64(correct)/float64(total), 100*float64(controlImageFailures)/float64(controlImages))
+		res.Measurements, res.PctCorrect(), res.PctImageFalsePositives())
 }
 
 // ---------------------------------------------------------------------------
@@ -379,33 +326,20 @@ func BenchmarkWebmasterOverhead(b *testing.B) {
 // recruitment effort for Encore and the direct-prober baseline.
 func BenchmarkVantagePointCoverage(b *testing.B) {
 	stack := campaign()
-	g := stack.Geo
-	var encoreCoverage, directCoverage baseline.Coverage
-	var volunteers []baseline.Volunteer
+	var cmp baseline.Comparison
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var encoreRegions []geo.CountryCode
-		for region := range stack.Store.CountByRegion() {
-			encoreRegions = append(encoreRegions, region)
-		}
-		encoreCoverage = baseline.CoverageOf(encoreRegions, g)
-		model := baseline.DefaultRecruitmentModel(g)
-		rng := stats.NewRNG(uint64(i) + 1)
-		volunteers = model.Recruit(8000, rng)
-		var directRegions []geo.CountryCode
-		for _, v := range volunteers {
-			directRegions = append(directRegions, v.Region)
-		}
-		directCoverage = baseline.CoverageOf(directRegions, g)
+		st := stack.Store.Stats()
+		cmp = baseline.Compare(stack.Geo, st.ByCountry, st.DistinctClients, 8000, stats.NewRNG(uint64(i)+1))
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(len(encoreCoverage.Countries)), "encore-countries")
-	b.ReportMetric(float64(encoreCoverage.FilteringCountries), "encore-filtering-countries")
-	b.ReportMetric(float64(len(directCoverage.Countries)), "direct-countries")
-	b.ReportMetric(float64(directCoverage.FilteringCountries), "direct-filtering-countries")
+	b.ReportMetric(float64(len(cmp.EncoreCoverage.Countries)), "encore-countries")
+	b.ReportMetric(float64(cmp.EncoreCoverage.FilteringCountries), "encore-filtering-countries")
+	b.ReportMetric(float64(len(cmp.DirectCoverage.Countries)), "direct-countries")
+	b.ReportMetric(float64(cmp.DirectCoverage.FilteringCountries), "direct-filtering-countries")
 	b.Logf("coverage at equal effort: encore %d countries (%d filtering) vs direct probes %d volunteers in %d countries (%d filtering)",
-		len(encoreCoverage.Countries), encoreCoverage.FilteringCountries,
-		len(volunteers), len(directCoverage.Countries), directCoverage.FilteringCountries)
+		len(cmp.EncoreCoverage.Countries), cmp.EncoreCoverage.FilteringCountries,
+		cmp.DirectVolunteers, len(cmp.DirectCoverage.Countries), cmp.DirectCoverage.FilteringCountries)
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 // It generates a task set by running the task-generation pipeline over the
 // built-in measurement-study target list (or the -targets file, one pattern
 // per line, see internal/targets) against the synthetic Web, then serves
-// /task.js, /frame.html and the v2 API, scheduling tasks for each client.
+// /task.js, /frame.html and the v2 API, scheduling tasks for each client. A
+// list holding risk=high entries is refused at start-up (§8).
 package main
 
 import (
@@ -51,6 +52,7 @@ func main() {
 		list, err = targets.ReadFile(*targetsPath, "file")
 		check(err)
 	}
+	check(list.CheckSchedulable())
 	gen, err := pipeline.Generate(pipeline.GenerateConfig{Web: webgen.DefaultConfig(*seed), Targets: list,
 		GeoSeed: *seed, NetSeed: *seed, FetcherSeed: *seed})
 	check(err)

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"encore/internal/pipeline"
-	"encore/internal/stats"
 	"encore/internal/targets"
 	"encore/internal/webgen"
 )
@@ -42,25 +41,9 @@ func main() {
 	report := gen.Report
 	fmt.Printf("pipeline finished in %v: %s\n\n", time.Since(start).Round(time.Millisecond), report.Summary())
 
-	// Figure 4.
-	all, under5, under1 := report.ImagesPerDomain()
-	fig4 := stats.Figure{Title: "Figure 4: images per domain", XLabel: "images per domain", YLabel: "CDF"}
-	fig4.AddSeries("<=1KB", stats.NewCDFInts(under1), *points)
-	fig4.AddSeries("<=5KB", stats.NewCDFInts(under5), *points)
-	fig4.AddSeries("all", stats.NewCDFInts(all), *points)
-	fmt.Println(fig4.Render())
-
-	// Figure 5.
-	fig5 := stats.Figure{Title: "Figure 5: total page size", XLabel: "page size (KB)", YLabel: "CDF"}
-	fig5.AddSeries("pages", stats.NewCDF(report.PageSizesKB()), *points)
-	fmt.Println(fig5.Render())
-
-	// Figure 6.
-	fig6 := stats.Figure{Title: "Figure 6: cacheable images per page", XLabel: "cacheable images per page", YLabel: "CDF"}
-	fig6.AddSeries("<=100KB", stats.NewCDFInts(report.CacheableImagesPerPage(100)), *points)
-	fig6.AddSeries("<=500KB", stats.NewCDFInts(report.CacheableImagesPerPage(500)), *points)
-	fig6.AddSeries("all", stats.NewCDFInts(report.CacheableImagesPerPage(0)), *points)
-	fmt.Println(fig6.Render())
+	for _, fig := range report.Figures(*points) {
+		fmt.Println(fig.Render())
+	}
 
 	fmt.Printf("domains measurable with <=1KB images: %.0f%%\n", 100*report.FractionOfDomainsMeasurable(1024))
 	fmt.Printf("domains measurable with <=5KB images: %.0f%%\n", 100*report.FractionOfDomainsMeasurable(5*1024))

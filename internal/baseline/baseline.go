@@ -166,3 +166,26 @@ func (c Comparison) String() string {
 		c.RecruitmentContacts, c.DirectVolunteers, len(c.DirectCoverage.Countries), c.DirectCoverage.FilteringCountries,
 		c.EncoreClients, len(c.EncoreCoverage.Countries), c.EncoreCoverage.FilteringCountries)
 }
+
+// Compare contrasts the two approaches at equal recruitment effort. Encore's
+// coverage is that of the regions its measurements came from
+// (encoreByRegion, measurements per region); the baseline's is that of the
+// volunteers DefaultRecruitmentModel yields from contacts attempts.
+func Compare(g *geo.Registry, encoreByRegion map[geo.CountryCode]int, encoreClients, contacts int, rng *stats.RNG) Comparison {
+	var encoreRegions []geo.CountryCode
+	for region := range encoreByRegion {
+		encoreRegions = append(encoreRegions, region)
+	}
+	volunteers := DefaultRecruitmentModel(g).Recruit(contacts, rng)
+	directRegions := make([]geo.CountryCode, len(volunteers))
+	for i, v := range volunteers {
+		directRegions[i] = v.Region
+	}
+	return Comparison{
+		RecruitmentContacts: contacts,
+		DirectVolunteers:    len(volunteers),
+		DirectCoverage:      CoverageOf(directRegions, g),
+		EncoreClients:       encoreClients,
+		EncoreCoverage:      CoverageOf(encoreRegions, g),
+	}
+}

@@ -1,6 +1,6 @@
 // Package durable is the one way this repository replaces a file on disk: the
-// WAL's shard pin, its compacted segments and the forwarder and campaign
-// cursors all go through ReplaceFile.
+// WAL's shard pin, its compacted segments and the forwarder's cursor all go
+// through ReplaceFile.
 package durable
 
 import (

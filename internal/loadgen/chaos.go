@@ -150,8 +150,8 @@ func runChaos(seed uint64, scenarios []ChaosScenario, logf func(format string, a
 	return out
 }
 
-// FindChaosScenario looks one scenario up by name in the registry.
-func FindChaosScenario(name string) (ChaosScenario, bool) {
+// findChaosScenario looks one scenario up by name in the registry.
+func findChaosScenario(name string) (ChaosScenario, bool) {
 	for _, sc := range ChaosScenarios() {
 		if sc.Name == name {
 			return sc, true
@@ -161,13 +161,12 @@ func FindChaosScenario(name string) (ChaosScenario, bool) {
 }
 
 // RunChaosScenario executes a single named scenario with the given seed
-// used directly as the scenario sub-seed (no derivation: a campaign job's
-// sub-seed is already drawn from the spec's stream), including the
+// used directly as the scenario sub-seed (no derivation from a runner seed,
+// so a seed printed by a failed run replays that run), including the
 // goroutine-baseline check RunChaos applies between scenarios. An unknown
-// name is reported as a failed result rather than a panic — campaign specs
-// validate names up front, so this is a backstop.
+// name is reported as a failed result rather than a panic.
 func RunChaosScenario(name string, seed uint64, logf func(format string, args ...any)) ChaosResult {
-	sc, ok := FindChaosScenario(name)
+	sc, ok := findChaosScenario(name)
 	if !ok {
 		return ChaosResult{Name: name, Seed: seed, Err: fmt.Errorf("unknown chaos scenario %q", name)}
 	}

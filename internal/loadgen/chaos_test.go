@@ -84,16 +84,16 @@ func TestChaosSeedDerivationIsStable(t *testing.T) {
 	}
 }
 
-// TestFindChaosScenario pins the by-name lookup the campaign tier's spec
-// validation and encore-sim's -chaos-scenario flag rely on.
+// TestFindChaosScenario pins the by-name lookup encore-sim's -chaos-scenario
+// flag relies on.
 func TestFindChaosScenario(t *testing.T) {
 	for _, sc := range ChaosScenarios() {
-		got, ok := FindChaosScenario(sc.Name)
+		got, ok := findChaosScenario(sc.Name)
 		if !ok || got.Name != sc.Name || got.Surface != sc.Surface {
-			t.Fatalf("FindChaosScenario(%q) = %+v, %v", sc.Name, got, ok)
+			t.Fatalf("findChaosScenario(%q) = %+v, %v", sc.Name, got, ok)
 		}
 	}
-	if _, ok := FindChaosScenario("no-such-scenario"); ok {
+	if _, ok := findChaosScenario("no-such-scenario"); ok {
 		t.Fatal("unknown name should not resolve")
 	}
 }
@@ -107,8 +107,8 @@ func TestRunChaosScenarioUnknownName(t *testing.T) {
 	}
 }
 
-// TestRunChaosScenarioSingle runs one scenario standalone — the campaign
-// tier's chaos-arm path — and expects its invariants to hold.
+// TestRunChaosScenarioSingle runs one scenario standalone — the path
+// encore-sim -chaos-scenario takes — and expects its invariants to hold.
 func TestRunChaosScenarioSingle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos scenarios are not -short")

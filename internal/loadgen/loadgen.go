@@ -15,7 +15,6 @@ import (
 
 	apiclient "encore/internal/api/client"
 	"encore/internal/clientsim"
-	"encore/internal/geo"
 	"encore/internal/inference"
 	"encore/internal/results"
 )
@@ -68,10 +67,6 @@ type Config struct {
 	// http.RoundTripper the SDK client dials through — the seam chaos
 	// campaigns use to interpose fault injection on the submission path.
 	HTTPTransport http.RoundTripper
-	// Regions optionally fixes the client-region mix for the run
-	// (clientsim.CampaignConfig.Regions); empty samples by Internet
-	// population. Campaign region-mix cells set this.
-	Regions []geo.CountryCode
 }
 
 // Result reports what a load run achieved.
@@ -189,7 +184,6 @@ func Run(stack *clientsim.Stack, cfg Config) Result {
 		Visits:   cfg.Visits,
 		Start:    cfg.Start,
 		Duration: cfg.SimulatedDuration,
-		Regions:  cfg.Regions,
 	}, cfg.Clients)
 	var walErr error
 	if stack.WAL != nil {

@@ -18,6 +18,7 @@ import (
 	"encore/internal/browser"
 	"encore/internal/core"
 	"encore/internal/har"
+	"encore/internal/stats"
 	"encore/internal/targets"
 	"encore/internal/urlpattern"
 	"encore/internal/webgen"
@@ -364,6 +365,25 @@ func (r *Report) CacheableImagesPerPage(maxKB int) []int {
 		out = append(out, p.CacheableImages)
 	}
 	return out
+}
+
+// Figures renders the CDFs of Figures 4, 5 and 6, in that order, with the
+// given number of points per series.
+func (r *Report) Figures(points int) []stats.Figure {
+	all, under5, under1 := r.ImagesPerDomain()
+	figs := []stats.Figure{
+		{Title: "Figure 4: images per domain", XLabel: "images per domain", YLabel: "CDF"},
+		{Title: "Figure 5: total page size", XLabel: "page size (KB)", YLabel: "CDF"},
+		{Title: "Figure 6: cacheable images per page", XLabel: "cacheable images per page", YLabel: "CDF"},
+	}
+	figs[0].AddSeries("<=1KB", stats.NewCDFInts(under1), points)
+	figs[0].AddSeries("<=5KB", stats.NewCDFInts(under5), points)
+	figs[0].AddSeries("all", stats.NewCDFInts(all), points)
+	figs[1].AddSeries("pages", stats.NewCDF(r.PageSizesKB()), points)
+	figs[2].AddSeries("<=100KB", stats.NewCDFInts(r.CacheableImagesPerPage(100)), points)
+	figs[2].AddSeries("<=500KB", stats.NewCDFInts(r.CacheableImagesPerPage(500)), points)
+	figs[2].AddSeries("all", stats.NewCDFInts(r.CacheableImagesPerPage(0)), points)
+	return figs
 }
 
 // FractionOfDomainsMeasurable returns the fraction of crawled domains hosting

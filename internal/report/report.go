@@ -15,7 +15,6 @@ import (
 
 	"encore/internal/analytics"
 	"encore/internal/baseline"
-	"encore/internal/browser"
 	"encore/internal/censor"
 	"encore/internal/clientsim"
 	"encore/internal/core"
@@ -153,22 +152,9 @@ func feasibilitySection(opts Options) string {
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "Crawl: %s\n\n", rep.Summary())
-	all, under5, under1 := rep.ImagesPerDomain()
-	fig4 := stats.Figure{Title: "Figure 4: images per domain", XLabel: "images per domain", YLabel: "CDF"}
-	fig4.AddSeries("<=1KB", stats.NewCDFInts(under1), opts.FigurePoints)
-	fig4.AddSeries("<=5KB", stats.NewCDFInts(under5), opts.FigurePoints)
-	fig4.AddSeries("all", stats.NewCDFInts(all), opts.FigurePoints)
-	b.WriteString("```\n" + fig4.Render() + "```\n\n")
-
-	fig5 := stats.Figure{Title: "Figure 5: total page size", XLabel: "page size (KB)", YLabel: "CDF"}
-	fig5.AddSeries("pages", stats.NewCDF(rep.PageSizesKB()), opts.FigurePoints)
-	b.WriteString("```\n" + fig5.Render() + "```\n\n")
-
-	fig6 := stats.Figure{Title: "Figure 6: cacheable images per page", XLabel: "cacheable images per page", YLabel: "CDF"}
-	fig6.AddSeries("<=100KB", stats.NewCDFInts(rep.CacheableImagesPerPage(100)), opts.FigurePoints)
-	fig6.AddSeries("<=500KB", stats.NewCDFInts(rep.CacheableImagesPerPage(500)), opts.FigurePoints)
-	fig6.AddSeries("all", stats.NewCDFInts(rep.CacheableImagesPerPage(0)), opts.FigurePoints)
-	b.WriteString("```\n" + fig6.Render() + "```\n\n")
+	for _, fig := range rep.Figures(opts.FigurePoints) {
+		b.WriteString("```\n" + fig.Render() + "```\n\n")
+	}
 
 	fmt.Fprintf(&b, "- domains measurable with <=1 KB images: %.0f%% (paper: over half)\n", 100*rep.FractionOfDomainsMeasurable(1024))
 	fmt.Fprintf(&b, "- pages iframe-measurable at <=100 KB: %.0f%% (paper: fewer than 10%%)\n", 100*rep.FractionOfPagesIFrameMeasurable(100))
@@ -228,46 +214,13 @@ func overheadSection(stack *clientsim.Stack) string {
 }
 
 func testbedSection(opts Options) string {
-	eng := censor.NewEngine()
-	tb := testbed.New("testbed.encore-report.org")
-	tb.InstallPolicies(eng)
-	stack := clientsim.BuildStack(clientsim.StackConfig{Seed: opts.Seed + 30, Censor: eng})
-	tb.RegisterHosts(stack.Net)
-	rng := stats.NewRNG(opts.Seed + 30)
 	regions := []geo.CountryCode{"US", "DE", "GB", "BR", "IN", "IN", "KR", "JP"}
-
-	total, correct := 0, 0
-	controlImages, controlImageFailures := 0, 0
-	for c := 0; c < opts.TestbedClients; c++ {
-		client, err := stack.Net.NewClient(regions[c%len(regions)])
-		if err != nil {
-			continue
-		}
-		br := browser.New(browser.SampleFamily(rng), client, stack.Net, rng.Uint64())
-		for _, target := range tb.Targets() {
-			if target.TaskType == core.TaskScript && br.Family != core.BrowserChrome {
-				continue
-			}
-			task := core.Task{MeasurementID: fmt.Sprintf("tb-%d-%d", c, total), Type: target.TaskType,
-				TargetURL: target.URL, PatternKey: "testbed"}
-			res := br.ExecuteTask(task)
-			total++
-			if res.Success == tb.ExpectedTaskSuccess(target) {
-				correct++
-			}
-			if target.Mechanism == censor.MechanismNone && target.TaskType == core.TaskImage {
-				controlImages++
-				if !res.Success {
-					controlImageFailures++
-				}
-			}
-		}
-	}
+	res := testbed.New("testbed.encore-report.org").Validate(opts.Seed+30, opts.TestbedClients, regions)
 	var b strings.Builder
-	fmt.Fprintf(&b, "- %d validation measurements against the seven-mechanism testbed\n", total)
-	fmt.Fprintf(&b, "- %.1f%% of task verdicts match ground truth\n", 100*float64(correct)/float64(total))
+	fmt.Fprintf(&b, "- %d validation measurements against the seven-mechanism testbed\n", res.Measurements)
+	fmt.Fprintf(&b, "- %.1f%% of task verdicts match ground truth\n", res.PctCorrect())
 	fmt.Fprintf(&b, "- image-task false-positive rate on unfiltered controls: %.1f%% (paper: ~5%%, driven by India)\n",
-		100*float64(controlImageFailures)/float64(controlImages))
+		res.PctImageFalsePositives())
 	fmt.Fprintf(&b, "- known blind spot: the script mechanism reports success whenever the fetch returns HTTP 200, so block-page substitution is invisible to it\n")
 	return b.String()
 }
@@ -301,25 +254,7 @@ func campaignSection(opts Options, stack *clientsim.Stack) string {
 }
 
 func coverageSection(opts Options, stack *clientsim.Stack) string {
-	var encoreRegions []geo.CountryCode
-	for region := range stack.Store.CountByRegion() {
-		encoreRegions = append(encoreRegions, region)
-	}
-	encoreCoverage := baseline.CoverageOf(encoreRegions, stack.Geo)
-	model := baseline.DefaultRecruitmentModel(stack.Geo)
-	rng := stats.NewRNG(opts.Seed + 40)
-	volunteers := model.Recruit(opts.CampaignVisits, rng)
-	var directRegions []geo.CountryCode
-	for _, v := range volunteers {
-		directRegions = append(directRegions, v.Region)
-	}
-	directCoverage := baseline.CoverageOf(directRegions, stack.Geo)
-	cmp := baseline.Comparison{
-		RecruitmentContacts: opts.CampaignVisits,
-		DirectVolunteers:    len(volunteers),
-		DirectCoverage:      directCoverage,
-		EncoreClients:       stack.Store.DistinctClients(),
-		EncoreCoverage:      encoreCoverage,
-	}
+	st := stack.Store.Stats()
+	cmp := baseline.Compare(stack.Geo, st.ByCountry, st.DistinctClients, opts.CampaignVisits, stats.NewRNG(opts.Seed+40))
 	return cmp.String() + "\n"
 }

@@ -1,6 +1,8 @@
 package report
 
 import (
+	"crypto/md5"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -103,5 +105,17 @@ func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.Seed == 0 || o.CampaignVisits <= 0 || o.CacheTimingClients <= 0 || o.TestbedClients <= 0 || o.FigurePoints <= 0 {
 		t.Fatalf("defaults not applied: %+v", o)
+	}
+}
+
+// TestReportPinned pins the default report at seed 1 — exactly what
+// `encore-report -out - -seed 1` prints — byte for byte, so a refactor of
+// the experiments it runs cannot change a number unnoticed. A deliberate
+// change to the report's content updates the digest (md5sum of that output).
+func TestReportPinned(t *testing.T) {
+	const want = "8eef44ebc68a03e65c28587b0e9429d0"
+	md := Generate(Options{Seed: 1}).Markdown()
+	if got := fmt.Sprintf("%x", md5.Sum([]byte(md))); got != want {
+		t.Errorf("report at seed 1 (%d bytes) hashes to %s, want %s", len(md), got, want)
 	}
 }

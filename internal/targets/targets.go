@@ -143,6 +143,28 @@ func (l *List) FilterSensitivity(max Sensitivity) *List {
 	return out
 }
 
+// ErrHighSensitivity is returned by CheckSchedulable for a list that holds
+// SensitivityHigh entries.
+var ErrHighSensitivity = errors.New("targets: list holds high-sensitivity entries")
+
+// CheckSchedulable is the §8 gate on lists that are scheduled to real
+// browsers: it refuses a list holding any SensitivityHigh entry, since the
+// mere request for such content may incriminate an uninformed client. The
+// error names how many such entries the list holds. Analyses that schedule
+// nothing (the §6.1 feasibility crawl) do not need it.
+func (l *List) CheckSchedulable() error {
+	high := 0
+	for _, e := range l.entries {
+		if e.Sensitivity >= SensitivityHigh {
+			high++
+		}
+	}
+	if high > 0 {
+		return fmt.Errorf("%w: %d of %d entries are risk=high", ErrHighSensitivity, high, l.Len())
+	}
+	return nil
+}
+
 // Merge combines multiple lists into one.
 func Merge(lists ...*List) *List {
 	out := NewList()

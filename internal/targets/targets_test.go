@@ -2,6 +2,7 @@ package targets
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -253,4 +254,40 @@ func ControlList(testbedDomain string) *List {
 		panic(err)
 	}
 	return l
+}
+
+func TestCheckSchedulable(t *testing.T) {
+	read := func(text string) *List {
+		t.Helper()
+		l, err := ReadFrom(strings.NewReader(text), "file")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	cases := []struct {
+		name     string
+		list     *List
+		wantHigh string // "" when the list must pass
+	}{
+		{"measurement study", MeasurementStudyList(), ""},
+		{"unannotated lines are medium", read("example.com\nnews.example.org/politics\n"), ""},
+		{"low and medium", read("youtube.com risk=low\nbbc.co.uk risk=medium\n"), ""},
+		{"one high line", read("youtube.com\nhrw.org risk=high\n"), "1 of 2"},
+		{"herdict", HerdictHighValue(), "13 of "},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			err := c.list.CheckSchedulable()
+			if c.wantHigh == "" {
+				if err != nil {
+					t.Fatalf("refused: %v", err)
+				}
+				return
+			}
+			if !errors.Is(err, ErrHighSensitivity) || !strings.Contains(err.Error(), c.wantHigh) {
+				t.Fatalf("err = %v, want ErrHighSensitivity naming %q", err, c.wantHigh)
+			}
+		})
+	}
 }

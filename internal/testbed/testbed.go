@@ -20,10 +20,14 @@ import (
 	"strings"
 
 	"encore/internal/api"
+	"encore/internal/browser"
 	"encore/internal/censor"
+	"encore/internal/clientsim"
 	"encore/internal/core"
+	"encore/internal/geo"
 	"encore/internal/netsim"
 	"encore/internal/pipeline"
+	"encore/internal/stats"
 	"encore/internal/urlpattern"
 )
 
@@ -258,4 +262,67 @@ func (tb *Testbed) MechanismForPattern(patternKey string) censor.Mechanism {
 		}
 	}
 	return censor.MechanismNone
+}
+
+// Soundness is the outcome of the §7.1 validation experiment.
+type Soundness struct {
+	// Measurements is how many testbed tasks ran; Correct is how many of
+	// their verdicts matched ExpectedTaskSuccess.
+	Measurements, Correct int
+	// ControlImages counts image tasks against the unfiltered control and
+	// ControlImageFailures the ones that failed anyway: image false
+	// positives.
+	ControlImages, ControlImageFailures int
+}
+
+// PctCorrect is the percentage of verdicts that matched ground truth.
+func (s Soundness) PctCorrect() float64 {
+	return 100 * float64(s.Correct) / float64(s.Measurements)
+}
+
+// PctImageFalsePositives is the percentage of control image tasks that
+// failed.
+func (s Soundness) PctImageFalsePositives() float64 {
+	return 100 * float64(s.ControlImageFailures) / float64(s.ControlImages)
+}
+
+// Validate runs the §7.1 soundness experiment: it applies the testbed's
+// filtering to a fresh deployment built at seed, and has clients browsers,
+// spread round-robin over regions with families sampled from seed, measure
+// every testbed target. Script tasks go to Chrome only, as the scheduler
+// would assign them.
+func (tb *Testbed) Validate(seed uint64, clients int, regions []geo.CountryCode) Soundness {
+	eng := censor.NewEngine()
+	tb.InstallPolicies(eng)
+	stack := clientsim.BuildStack(clientsim.StackConfig{Seed: seed, Censor: eng})
+	tb.RegisterHosts(stack.Net)
+	rng := stats.NewRNG(seed)
+
+	var s Soundness
+	for c := 0; c < clients; c++ {
+		client, err := stack.Net.NewClient(regions[c%len(regions)])
+		if err != nil {
+			continue
+		}
+		br := browser.New(browser.SampleFamily(rng), client, stack.Net, rng.Uint64())
+		for _, target := range tb.Targets() {
+			if target.TaskType == core.TaskScript && br.Family != core.BrowserChrome {
+				continue
+			}
+			task := core.Task{MeasurementID: fmt.Sprintf("tb-%d-%d", c, s.Measurements), Type: target.TaskType,
+				TargetURL: target.URL, PatternKey: "testbed"}
+			res := br.ExecuteTask(task)
+			s.Measurements++
+			if res.Success == tb.ExpectedTaskSuccess(target) {
+				s.Correct++
+			}
+			if target.Mechanism == censor.MechanismNone && target.TaskType == core.TaskImage {
+				s.ControlImages++
+				if !res.Success {
+					s.ControlImageFailures++
+				}
+			}
+		}
+	}
+	return s
 }

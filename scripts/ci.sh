@@ -10,11 +10,8 @@
 # aggregator and admit benchmarks, a -count=20 race run of the forwarder's
 # in-flight and cursor tests, a -count=5 race run of the two-coordinator
 # lifecycle test, a guard that every cmd/*/main.go serves through the one
-# serve helper, the separate bench/ module's vet and tests, the
-# deterministic chaos suite at fixed seeds (make chaos), and the
-# campaign-tier smoke
-# (scripts/campaign_smoke.sh: grid/dispatcher property tests under -race plus
-# a fixed-seed kill-and-resume pass through the encore-campaign binary).
+# serve helper, the separate bench/ module's vet and tests, and the
+# deterministic chaos suite at fixed seeds (make chaos).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -76,23 +73,18 @@ echo "== bench module =="
 (cd bench && go vet ./... && go test ./...)
 
 # Short fuzz smoke over the untrusted decode surfaces — the record payload
-# decoder, the full streaming frame path, the coordinator gossip decoder and
-# the campaign journal replay — and over the results ID index, whose clash
-# path only colliding hashes reach. Ten seconds each — enough to shake out
-# regressions around the seeded corpus on every CI run; longer exploratory
-# runs stay manual. (go test accepts one -fuzz pattern per invocation, hence
-# five runs.)
-echo "== fuzz smoke (internal/wire, internal/campaign, internal/results) =="
+# decoder, the full streaming frame path and the coordinator gossip decoder —
+# and over the results ID index, whose clash path only colliding hashes
+# reach. Ten seconds each — enough to shake out regressions around the seeded
+# corpus on every CI run; longer exploratory runs stay manual. (go test
+# accepts one -fuzz pattern per invocation, hence four runs.)
+echo "== fuzz smoke (internal/wire, internal/results) =="
 go test ./internal/wire -run '^$' -fuzz '^FuzzDecodeRecord$' -fuzztime 10s
 go test ./internal/wire -run '^$' -fuzz '^FuzzDecodeBatchStream$' -fuzztime 10s
 go test ./internal/wire -run '^$' -fuzz '^FuzzDecodeGossip$' -fuzztime 10s
-go test ./internal/campaign -run '^$' -fuzz '^FuzzReplayJournal$' -fuzztime 10s
 go test ./internal/results -run '^$' -fuzz '^FuzzIDIndex$' -fuzztime 10s
 
 echo "== chaos suite =="
 make chaos
-
-echo "== campaign smoke =="
-./scripts/campaign_smoke.sh
 
 echo "CI OK"

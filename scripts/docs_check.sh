@@ -42,7 +42,7 @@ done
 
 echo "== README commands build =="
 # Every binary the README quickstart references must compile.
-for cmd in encore-sim encore-analyze encore-collector encore-coordinator encore-campaign; do
+for cmd in encore-sim encore-analyze encore-collector encore-coordinator; do
     if ! go build -o /dev/null "./cmd/$cmd"; then
         echo "README-referenced command does not build: cmd/$cmd"
         fail=1
