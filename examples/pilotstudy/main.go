@@ -77,7 +77,7 @@ func main() {
 		RecruitmentContacts: contacts,
 		DirectVolunteers:    len(volunteers),
 		DirectCoverage:      directCoverage,
-		EncoreClients:       stack.Store.DistinctClients(),
+		EncoreClients:       stack.Store.Stats().DistinctClients,
 		EncoreCoverage:      encoreCoverage,
 	}
 	fmt.Println("vantage-point coverage, Encore vs custom-software probes:")

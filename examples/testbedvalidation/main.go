@@ -13,95 +13,32 @@ package main
 
 import (
 	"fmt"
-	"time"
 
-	"encore/internal/browser"
 	"encore/internal/censor"
-	"encore/internal/clientsim"
 	"encore/internal/core"
 	"encore/internal/geo"
-	"encore/internal/stats"
 	"encore/internal/testbed"
 )
 
 func main() {
-	// Build the deployment and wire the testbed into it: content hosts on
-	// every testbed subdomain plus global filtering rules.
-	eng := censor.NewEngine()
-	tb := testbed.New("testbed.encore-test.org")
-	tb.InstallPolicies(eng)
-	stack := clientsim.BuildStack(clientsim.StackConfig{Seed: 71, Censor: eng})
-	tb.RegisterHosts(stack.Net)
-
-	type cell struct{ correct, total int }
-	outcomes := map[string]*cell{}
-	record := func(key string, correct bool) {
-		c, ok := outcomes[key]
-		if !ok {
-			c = &cell{}
-			outcomes[key] = c
-		}
-		c.total++
-		if correct {
-			c.correct++
-		}
-	}
-
 	// ~30% of clients were instructed to measure testbed resources; here we
 	// dedicate the whole run to them. Clients come from a mix of reliable
 	// and unreliable networks (India's unreliability drives the ~5% image
 	// false-positive rate the paper reports).
+	const clients = 400
 	regions := []geo.CountryCode{"US", "DE", "GB", "BR", "IN", "IN", "KR", "JP"}
-	rng := stats.NewRNG(99)
-	clients := 0
-	falsePositivesImages := 0
-	imageControlMeasurements := 0
-	start := time.Date(2014, 6, 1, 0, 0, 0, 0, time.UTC)
+	s := testbed.New("testbed.encore-test.org").Validate(71, clients, regions)
 
-	for i := 0; i < 400; i++ {
-		region := regions[i%len(regions)]
-		client, err := stack.Net.NewClient(region)
-		if err != nil {
-			continue
-		}
-		clients++
-		b := browser.New(browser.SampleFamily(rng), client, stack.Net, rng.Uint64())
-		for _, target := range tb.Targets() {
-			if target.TaskType == core.TaskScript && b.Family != core.BrowserChrome {
-				continue // the scheduler would never assign these
-			}
-			task := core.Task{
-				MeasurementID: fmt.Sprintf("tb-%d-%s-%s", i, target.TaskType, target.URL),
-				Type:          target.TaskType,
-				TargetURL:     target.URL,
-				PatternKey:    "testbed",
-				Created:       start,
-			}
-			res := b.ExecuteTask(task)
-			want := tb.ExpectedTaskSuccess(target)
-			key := fmt.Sprintf("%-16s %s", target.Mechanism, target.TaskType)
-			record(key, res.Success == want)
-			if target.Mechanism == censor.MechanismNone && target.TaskType == core.TaskImage {
-				imageControlMeasurements++
-				if !res.Success {
-					falsePositivesImages++
-				}
-			}
-		}
-	}
-
-	fmt.Printf("testbed soundness over %d clients:\n\n", clients)
+	fmt.Printf("testbed soundness: %d measurements from %d clients:\n\n", s.Measurements, clients)
 	fmt.Printf("%-16s %-12s %8s\n", "mechanism", "task", "accuracy")
 	for _, m := range append([]censor.Mechanism{censor.MechanismNone}, censor.Mechanisms()...) {
 		for _, tt := range core.TaskTypes() {
-			key := fmt.Sprintf("%-16s %s", m, tt)
-			if c, ok := outcomes[key]; ok && c.total > 0 {
-				fmt.Printf("%-16s %-12s %7.1f%%  (%d measurements)\n", m, tt, 100*float64(c.correct)/float64(c.total), c.total)
+			if c := s.Cells[m][tt]; c.Total > 0 {
+				fmt.Printf("%-16s %-12s %7.1f%%  (%d measurements)\n", m, tt, 100*float64(c.Correct)/float64(c.Total), c.Total)
 			}
 		}
 	}
 	fmt.Printf("\nimage-task false positive rate on unfiltered controls: %.1f%% (%d/%d)\n",
-		100*float64(falsePositivesImages)/float64(imageControlMeasurements),
-		falsePositivesImages, imageControlMeasurements)
+		s.PctImageFalsePositives(), s.ControlImageFailures, s.ControlImages)
 	fmt.Println("paper §7.1 reports no true positives missed and a ~5% image false-positive rate from clients in India.")
 }

@@ -170,12 +170,15 @@ type SubmitRequest struct {
 // two lanes is normally used:
 //
 //   - Submissions carries raw client submissions; the server attributes each
-//     against its task index, applies the abuse guard, and geolocates the
+//     against its task index, applies the rate guard, and geolocates the
 //     submitting address, exactly as the v1 beacon path does.
 //   - Measurements carries fully attributed records — a federation edge
 //     collector forwarding its committed measurements upstream. The server
 //     rejects this lane with attribution_not_allowed unless it was
 //     explicitly configured as an aggregation-tier upstream.
+//
+// On either lane, a member whose terminal state conflicts with the one the
+// store holds is rejected at its index with conflicting_result.
 type BatchSubmitRequest struct {
 	Submissions  []SubmitRequest       `json:"submissions,omitempty"`
 	Measurements []results.Measurement `json:"measurements,omitempty"`

@@ -120,25 +120,36 @@ func TestBinaryForwardAndMeasurements(t *testing.T) {
 		}
 	}
 
-	// A re-sent frame is absorbed and a later upgrade frame applies.
-	frame, err := wire.AppendRecordFrame(nil, 42, 42, (*wire.Record)(&ms[0]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	upgraded := ms[0]
+	// A re-sent frame is absorbed, a frame retracting edge-1's failure to
+	// success is refused at its own index (the first terminal state wins),
+	// and an init → success upgrade applies.
+	retracted := ms[0]
+	retracted.State = core.StateSuccess
+	fresh := ms[1]
+	fresh.MeasurementID, fresh.State = "edge-3", core.StateInit
+	upgraded := fresh
 	upgraded.State = core.StateSuccess
-	frame, err = wire.AppendRecordFrame(frame, 43, 43, (*wire.Record)(&upgraded))
-	if err != nil {
-		t.Fatal(err)
+	var frame []byte
+	for i, m := range []results.Measurement{ms[0], retracted, fresh, upgraded} {
+		var err error
+		if frame, err = wire.AppendRecordFrame(frame, uint64(42+i), uint64(42+i), (*wire.Record)(&m)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	fresp, err := c.ForwardRecordFrames(ctx, frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fresp.Accepted != 2 {
+	if fresp.Accepted != 3 || len(fresp.Rejected) != 1 {
 		t.Fatalf("raw-frame forward response %+v", fresp)
 	}
-	if got, _ := store.Get("edge-1"); got.State != core.StateSuccess {
+	if rej := fresp.Rejected[0]; rej.Index != 1 || rej.MeasurementID != "edge-1" || rej.Code != api.CodeConflictingResult {
+		t.Fatalf("raw-frame rejection %+v, want index 1 (edge-1) %s", rej, api.CodeConflictingResult)
+	}
+	if got, _ := store.Get("edge-1"); got != ms[0] {
+		t.Fatalf("refused retraction applied: %+v", got)
+	}
+	if got, _ := store.Get("edge-3"); got != upgraded {
 		t.Fatalf("raw-frame upgrade not applied: %+v", got)
 	}
 

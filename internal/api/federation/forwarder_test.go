@@ -7,11 +7,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"encore/internal/api"
 	apiclient "encore/internal/api/client"
 	"encore/internal/collectserver"
 	"encore/internal/core"
@@ -273,5 +276,70 @@ func TestForwarderConcurrentCommits(t *testing.T) {
 	}
 	if want := workers * perWorker; upStore.Len() != want {
 		t.Fatalf("upstream has %d, want %d", upStore.Len(), want)
+	}
+}
+
+// TestForwarderDeadLettersConflictingResults: the upstream already holds a
+// success, forwarded by another edge, for every even ID this edge measured as
+// a failure. The upstream's store keeps the first terminal state and refuses
+// each conflicting failure at its frame index; the forwarder dead-letters
+// exactly those records and still ships everything past them.
+func TestForwarderDeadLettersConflictingResults(t *testing.T) {
+	upStore, upAgg, upSrv := upstream(t)
+	const n = 20
+	for i := 0; i < n; i += 2 {
+		if err := upStore.Add(edgeMeasurement(i, core.StateSuccess)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	edge, wal := walEdge(t)
+	for i := 0; i < n; i++ {
+		for _, state := range []core.State{core.StateInit, core.StateFailure} {
+			if err := edge.Add(edgeMeasurement(i, state)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	f, err := NewForwarder(ForwarderConfig{Upstream: upSrv.URL, MaxBatch: 6, FlushInterval: time.Hour, WAL: wal, Logf: quiet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	edge.AddObserver(f)
+	if err := f.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st := f.Stats()
+	if f.Lag() != 0 || st.Forwarded+st.Rejected != 2*n || st.Rejected != n/2 {
+		t.Fatalf("lag %d, stats %+v: want every record shipped and %d refused", f.Lag(), st, n/2)
+	}
+	if got := st.RejectedByCode[api.CodeConflictingResult]; got != n/2 || len(st.RejectedByCode) != 1 {
+		t.Fatalf("RejectedByCode = %v, want %d %s", st.RejectedByCode, n/2, api.CodeConflictingResult)
+	}
+	var dead []string
+	for _, dl := range f.DeadLetters() {
+		if dl.Code != api.CodeConflictingResult || dl.Measurement.State != core.StateFailure {
+			t.Fatalf("dead letter %+v", dl)
+		}
+		dead = append(dead, dl.Measurement.MeasurementID)
+	}
+	var want []string
+	for i := 0; i < n; i += 2 {
+		want = append(want, fmt.Sprintf("edge-%d", i))
+	}
+	if !slices.Equal(dead, want) {
+		t.Fatalf("dead letters name %v, want %v", dead, want)
+	}
+	for i := 0; i < n; i++ {
+		want := []core.State{core.StateSuccess, core.StateFailure}[i%2]
+		if m, _ := upStore.Get(fmt.Sprintf("edge-%d", i)); m.State != want {
+			t.Fatalf("upstream edge-%d is %s, want %s", i, m.State, want)
+		}
+	}
+	if got, want := upAgg.Groups(), results.Aggregate(upStore.All()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("upstream aggregator %+v, store aggregate %+v", got, want)
 	}
 }

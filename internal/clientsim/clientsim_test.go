@@ -180,7 +180,7 @@ func TestInfrastructureBlockingSuppressesMeasurements(t *testing.T) {
 	if res.CoordinatorBlocked < 150 {
 		t.Fatalf("coordinator should be blocked for nearly all CN visits, got %d/%d", res.CoordinatorBlocked, res.Visits)
 	}
-	byRegion := s.Store.CountByRegion()
+	byRegion := s.Store.Stats().ByCountry
 	if byRegion["CN"] > 10 {
 		t.Fatalf("CN contributed %d measurements despite infrastructure blocking", byRegion["CN"])
 	}

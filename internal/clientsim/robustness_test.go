@@ -80,7 +80,7 @@ func TestWebmasterProxyBypassesCoordinatorBlocking(t *testing.T) {
 		t.Fatalf("webmaster proxying should keep measurements flowing: %d submissions", res.TasksSubmitted)
 	}
 	// Filtering measurements from CN must still work end to end.
-	byRegion := stack.Store.CountByRegion()
+	byRegion := stack.Store.Stats().ByCountry
 	if byRegion["CN"] < 100 {
 		t.Fatalf("CN contributed only %d measurements", byRegion["CN"])
 	}

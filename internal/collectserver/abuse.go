@@ -11,16 +11,14 @@ import (
 // §8 notes that "attackers may attempt to submit poisoned measurement results
 // to alter the conclusions that Encore draws about censorship" and that
 // reputation mechanisms can raise the bar without eliminating the problem.
-// AbuseGuard implements the first line of defence the collection server can
-// apply on its own: per-client submission rate limiting and rejection of
-// conflicting terminal states for the same measurement (a client cannot
-// report both success and failure for one measurement ID).
+// AbuseGuard is the first line of defence the collection server applies on
+// its own: per-client submission rate limiting. The other §8 rule — a client
+// cannot report both success and failure for one measurement — is the
+// store's (results.ErrConflictingData), which holds it on every lane and
+// across restarts.
 
-// Errors returned by the guard.
-var (
-	ErrRateLimited     = errors.New("collectserver: client exceeded submission rate limit")
-	ErrConflictingData = errors.New("collectserver: conflicting terminal states for measurement")
-)
+// ErrRateLimited is returned by the guard for a client over its rate.
+var ErrRateLimited = errors.New("collectserver: client exceeded submission rate limit")
 
 // AbuseGuardConfig parameterizes the guard.
 type AbuseGuardConfig struct {
@@ -37,10 +35,9 @@ func DefaultAbuseGuardConfig() AbuseGuardConfig {
 	return AbuseGuardConfig{MaxSubmissionsPerWindow: 120, Window: time.Hour}
 }
 
-// guardShardCount is the number of lock shards for both the per-client rate
-// state and the per-measurement terminal state. Checks from different clients
-// (and for different measurements) hash to different shards and proceed in
-// parallel instead of serializing behind one guard-wide mutex.
+// guardShardCount is the number of lock shards for the per-client rate
+// state. Checks from different clients hash to different shards and proceed
+// in parallel instead of serializing behind one guard-wide mutex.
 const guardShardCount = 16
 
 // rateShard holds the rate buckets for the client IPs that hash to it.
@@ -49,22 +46,12 @@ type rateShard struct {
 	buckets map[string]*rateBucket
 }
 
-// terminalShard holds the first-terminal-state records for the measurement
-// IDs that hash to it. An entry must outlive the store record it vouches for,
-// so it is never pruned: it is one byte per ID, not a string.
-type terminalShard struct {
-	mu     sync.Mutex
-	states map[string]bool // measurement ID -> first terminal state seen was "success"
-}
-
-// AbuseGuard tracks per-client submission counts and per-measurement terminal
-// states. It is safe for concurrent use; rate and terminal state are each
-// sharded by key so unrelated clients never contend.
+// AbuseGuard tracks per-client submission counts. It is safe for concurrent
+// use; rate state is sharded by client IP so unrelated clients never
+// contend. It holds nothing per measurement ID.
 type AbuseGuard struct {
-	cfg AbuseGuardConfig
-
-	rate     [guardShardCount]rateShard
-	terminal [guardShardCount]terminalShard
+	cfg  AbuseGuardConfig
+	rate [guardShardCount]rateShard
 }
 
 type rateBucket struct {
@@ -85,52 +72,30 @@ func NewAbuseGuard(cfg AbuseGuardConfig) *AbuseGuard {
 	for i := range g.rate {
 		g.rate[i].buckets = make(map[string]*rateBucket)
 	}
-	for i := range g.terminal {
-		g.terminal[i].states = make(map[string]bool)
-	}
 	return g
 }
 
-// guardShardIndex hashes a key to a shard index, sharing the store's shard
-// hash.
-func guardShardIndex(key string) int {
-	return int(results.ShardHash(key) % guardShardCount)
-}
-
-// Check decides whether a submission from clientIP for measurementID with the
-// given state (as a string; init states never conflict) should be accepted
-// now. A nil error means accept.
+// Check decides whether a submission from clientIP should be accepted now,
+// counting it against the client's window. A nil error means accept; a
+// submission without a client IP is not rate limited. measurementID and state
+// are not consulted — conflicting terminal states are the store's to refuse —
+// and stay only so existing callers compile unchanged.
 func (g *AbuseGuard) Check(clientIP, measurementID, state string, now time.Time) error {
-	if clientIP != "" {
-		sh := &g.rate[guardShardIndex(clientIP)]
-		sh.mu.Lock()
-		b, ok := sh.buckets[clientIP]
-		if !ok || now.Sub(b.windowStart) >= g.cfg.Window {
-			b = &rateBucket{windowStart: now}
-			sh.buckets[clientIP] = b
-		}
-		if b.count >= g.cfg.MaxSubmissionsPerWindow {
-			sh.mu.Unlock()
-			return ErrRateLimited
-		}
-		b.count++
-		sh.mu.Unlock()
+	if clientIP == "" {
+		return nil
 	}
-
-	if state == "success" || state == "failure" {
-		sh := &g.terminal[guardShardIndex(measurementID)]
-		sh.mu.Lock()
-		success := state == "success"
-		prev, ok := sh.states[measurementID]
-		if ok && prev != success {
-			sh.mu.Unlock()
-			return ErrConflictingData
-		}
-		if !ok {
-			sh.states[measurementID] = success
-		}
-		sh.mu.Unlock()
+	sh := &g.rate[results.ShardHash(clientIP)%guardShardCount]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	b, ok := sh.buckets[clientIP]
+	if !ok || now.Sub(b.windowStart) >= g.cfg.Window {
+		b = &rateBucket{windowStart: now}
+		sh.buckets[clientIP] = b
 	}
+	if b.count >= g.cfg.MaxSubmissionsPerWindow {
+		return ErrRateLimited
+	}
+	b.count++
 	return nil
 }
 
@@ -147,17 +112,4 @@ func (g *AbuseGuard) Prune(now time.Time) {
 		}
 		sh.mu.Unlock()
 	}
-}
-
-// TrackedClients reports how many client IPs currently have rate state, for
-// monitoring.
-func (g *AbuseGuard) TrackedClients() int {
-	total := 0
-	for i := range g.rate {
-		sh := &g.rate[i]
-		sh.mu.Lock()
-		total += len(sh.buckets)
-		sh.mu.Unlock()
-	}
-	return total
 }

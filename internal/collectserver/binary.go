@@ -45,8 +45,9 @@ func namesRecords(header string) bool {
 // attributed records. Wire-level failures — a torn or truncated frame, a CRC
 // mismatch, an over-length prefix, a CRC-clean payload that doesn't decode —
 // abort the request with a typed 400 naming the frame index, exactly as an
-// unparsable JSON body aborts the JSON lane; semantic failures (guard,
-// validation) reject per-index in the sink and the stream continues.
+// unparsable JSON body aborts the JSON lane; semantic failures (rate guard,
+// validation, a terminal state the store refuses as conflicting) reject
+// per-index in the sink and the stream continues.
 func (k *batchSink) decodeFrames(body io.Reader) *api.Error {
 	fr := wire.GetFrameReader(body)
 	defer wire.PutFrameReader(fr)

@@ -15,8 +15,11 @@
 // AttachAggregator keeps the incremental analysis tier current at the point
 // of arrival; AttachWAL makes every committed measurement durable. Close
 // shuts the path down in crash-consistent order (flush the forwarder, then
-// sync the log); internal/node wires a Server's tiers in order. An
-// AbuseGuard applies the §8 anti-poisoning defences inline.
+// sync the log); internal/node wires a Server's tiers in order. Of the §8
+// anti-poisoning defences, an AbuseGuard limits each client's submission
+// rate at admission, on the raw lanes; the store refuses a terminal state
+// that conflicts with the one it holds, on every lane
+// (results.ErrConflictingData).
 package collectserver
 
 import (
@@ -56,8 +59,9 @@ type Server struct {
 	// submissions from any origin succeed; the paper's collector must
 	// accept cross-origin submissions.
 	AllowCrossOrigin bool
-	// Guard applies the §8 anti-poisoning defences (rate limiting and
-	// conflicting-result rejection). Nil disables them.
+	// Guard limits each client's submission rate (§8) on the raw lanes. Nil
+	// disables it. Conflicting terminal states are refused by the store, with
+	// or without a guard.
 	Guard *AbuseGuard
 	// WAL, when non-nil (AttachWAL), is the durability tier behind Store:
 	// every committed measurement is appended to its segmented log, and
@@ -68,16 +72,18 @@ type Server struct {
 	// batch endpoint's federation lane (BatchSubmitRequest.Measurements).
 	// Only an aggregation-tier upstream fed by trusted edge collectors
 	// should enable it: attributed records bypass task attribution and the
-	// abuse guard, so accepting them from arbitrary clients would hand §8
-	// poisoning attackers a direct line into the store. Set it before the
-	// server starts handling requests, like the other configuration fields.
+	// rate guard, so accepting them from arbitrary clients would hand §8
+	// poisoning attackers a direct line into the store. The store still
+	// refuses a record whose terminal state conflicts with the one it holds,
+	// per index, like on every lane. Set it before the server starts
+	// handling requests, like the other configuration fields.
 	AllowAttributed bool
 	// AttributedToken, when non-empty, requires every batch carrying the
 	// federation lane to present it as an "Authorization: Bearer" shared
 	// secret; batches without it (or with the wrong token) are rejected with
 	// the typed 403, exactly like a lane the server never allowed. It
 	// hardens AllowAttributed: the attributed lane bypasses task attribution
-	// and the abuse guard, so an aggregation tier reachable beyond its own
+	// and the rate guard, so an aggregation tier reachable beyond its own
 	// edges needs more than a config bit between it and §8 poisoning.
 	AttributedToken string
 	// Forwarder, when non-nil, is closed by Close before the WAL is synced,
@@ -144,15 +150,15 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintf(w, "ok: %d measurements\n", s.Store.Len())
 }
 
-// submissionError maps an Accept rejection to its typed API error. The
-// mapping is the satellite fix for the seed behaviour of leaking raw
-// err.Error() strings as HTTP 400 bodies: guard rejections become 429/409,
-// unknown measurement IDs 404, and everything else a generic 400.
+// submissionError maps an Accept rejection to its typed API error, so no raw
+// err.Error() string leaks as an HTTP 400 body: a rate-limit rejection
+// becomes 429, a conflicting terminal state 409, an unknown measurement ID
+// 404, and everything else a generic 400.
 func submissionError(err error) *api.Error {
 	switch {
 	case errors.Is(err, ErrRateLimited):
 		return &api.Error{Code: api.CodeRateLimited, Message: "submission rate limit exceeded"}
-	case errors.Is(err, ErrConflictingData):
+	case errors.Is(err, results.ErrConflictingData):
 		return &api.Error{Code: api.CodeConflictingResult, Message: "conflicting terminal state already recorded"}
 	case errors.Is(err, ErrUnknownMeasurement):
 		return &api.Error{Code: api.CodeUnknownMeasurement, Message: "measurement id not registered"}

@@ -8,6 +8,7 @@ package collectserver
 
 import (
 	"crypto/subtle"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -25,9 +26,17 @@ import (
 // batch size, large enough to amortize the per-commit shard locks.
 const commitChunk = 256
 
-// chunkPool recycles the commit buffers, so a request allocates none. Chunks
-// go back cleared: an idle buffer pins no record's strings.
-var chunkPool = sync.Pool{New: func() any { return new([commitChunk]results.Measurement) }}
+// commitBuffer holds the admitted measurements a batch has not yet committed
+// and, beside each, its index in the request's lane, where a refusal at
+// commit is reported.
+type commitBuffer struct {
+	ms    [commitChunk]results.Measurement
+	lanes [commitChunk]int
+}
+
+// chunkPool recycles the commit buffers, so a request allocates none. Buffers
+// go back cleared: an idle one pins no record's strings.
+var chunkPool = sync.Pool{New: func() any { return new(commitBuffer) }}
 
 // transport is the identity a request's transport supplies once for every
 // submission it carries, exactly as it would for a run of beacons — and what
@@ -61,7 +70,7 @@ func (s *Server) newTransport(ip, userAgent, referer string, arrival time.Time) 
 }
 
 // admit is the pipeline's one admission stage: it validates a raw submission,
-// attributes it to its registered task, applies the abuse guard at arrival
+// attributes it to its registered task, applies the rate guard at arrival
 // time, and normalizes and timestamps the Measurement to commit. Every lane
 // calls it, so the encodings cannot drift semantically. The Measurement's ID
 // is the task index's own string, so the copy decoded from the request is
@@ -124,11 +133,14 @@ func (s *Server) admit(sub api.SubmitRequest, from transport) (results.Measureme
 // — the store keys records by measurement ID with upgrade-only transitions,
 // so re-submitting a committed prefix is idempotent.
 type batchSink struct {
-	s            *Server
-	r            *http.Request
-	from         transport
-	resp         api.BatchSubmitResponse
+	s    *Server
+	r    *http.Request
+	from transport
+	resp api.BatchSubmitResponse
+	// pending are the admitted measurements not yet committed; lanes[i] is
+	// pending[i]'s index in its lane.
 	pending      []results.Measurement
+	lanes        []int
 	attributedOK bool
 }
 
@@ -166,7 +178,7 @@ func (k *batchSink) raw(index int, sub api.SubmitRequest) *api.Error {
 		k.reject(index, sub.MeasurementID, submissionError(err))
 		return nil
 	}
-	return k.add(m)
+	return k.add(index, m)
 }
 
 // attributed takes one federation-lane record: the edge that committed it
@@ -180,11 +192,13 @@ func (k *batchSink) attributed(index int, m results.Measurement) *api.Error {
 			&api.Error{Code: api.CodeInvalidSubmission, Message: "invalid measurement record"})
 		return nil
 	}
-	return k.add(m)
+	return k.add(index, m)
 }
 
-func (k *batchSink) add(m results.Measurement) *api.Error {
+// add buffers the admitted measurement at lane index for the next commit.
+func (k *batchSink) add(index int, m results.Measurement) *api.Error {
 	k.pending = append(k.pending, m)
+	k.lanes = append(k.lanes, index)
 	if len(k.pending) >= commitChunk {
 		return k.commit()
 	}
@@ -192,15 +206,25 @@ func (k *batchSink) add(m results.Measurement) *api.Error {
 }
 
 // commit writes the buffered measurements to the store in one grouped call.
+// A member the store refuses as a conflicting terminal state is rejected at
+// its lane index; only what committed counts as accepted.
 func (k *batchSink) commit() *api.Error {
 	if len(k.pending) == 0 {
 		return nil
 	}
-	if _, err := k.s.Store.AddBatch(k.pending); err != nil {
+	stored, err := k.s.Store.AddBatch(k.pending)
+	var conflict *results.ConflictError
+	switch {
+	case errors.As(err, &conflict):
+		e := submissionError(err)
+		for _, i := range conflict.Indices {
+			k.reject(k.lanes[i], k.pending[i].MeasurementID, e)
+		}
+	case err != nil:
 		return api.Errorf(api.CodeInternal, "store commit failed")
 	}
-	k.resp.Accepted += len(k.pending)
+	k.resp.Accepted += stored
 	clear(k.pending)
-	k.pending = k.pending[:0]
+	k.pending, k.lanes = k.pending[:0], k.lanes[:0]
 	return nil
 }

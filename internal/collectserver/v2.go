@@ -9,7 +9,6 @@ import (
 	"sync"
 
 	"encore/internal/api"
-	"encore/internal/results"
 	"encore/internal/urlpattern"
 	"encore/internal/wire"
 )
@@ -122,12 +121,12 @@ func (s *Server) ingestBatch(r *http.Request) (api.BatchSubmitResponse, *api.Err
 		}
 		body = gz
 	}
-	chunk := chunkPool.Get().(*[commitChunk]results.Measurement)
-	k := batchSink{s: s, r: r, pending: chunk[:0],
+	buf := chunkPool.Get().(*commitBuffer)
+	k := batchSink{s: s, r: r, pending: buf.ms[:0], lanes: buf.lanes[:0],
 		from: s.newTransport(api.ClientIP(r), r.UserAgent(), urlpattern.DomainOf(r.Referer()), s.Now())}
 	defer func() {
 		clear(k.pending) // an aborted request's uncommitted tail
-		chunkPool.Put(chunk)
+		chunkPool.Put(buf)
 	}()
 	body = io.LimitReader(body, maxBatchBody)
 	var e *api.Error

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -145,6 +146,57 @@ func TestReopenResumesStore(t *testing.T) {
 	if len(seen) != commits {
 		t.Fatalf("log holds %d positions, two lives committed %d", len(seen), commits)
 	}
+}
+
+// TestConflictRefusedAcrossRestart: a failure refused because the
+// measurement already reported success is refused again after the node
+// restarts on the same log — the rule is the store's, and recovery rebuilds
+// the store.
+func TestConflictRefusedAcrossRestart(t *testing.T) {
+	wal := &results.WALConfig{Dir: t.TempDir()}
+	index := results.NewTaskIndex()
+	index.Register(core.Task{MeasurementID: "m-restart", Type: core.TaskImage,
+		TargetURL: "http://site0.example/favicon.ico", PatternKey: "domain:site0.example"})
+	submit := func(n *Node, state core.State, ip string) error {
+		return n.Server.Accept(core.Submission{MeasurementID: "m-restart", State: state, ClientIP: ip,
+			UserAgent: "Mozilla/5.0 Chrome/39.0", Received: testStart})
+	}
+	refuse := func(n *Node, life string) {
+		t.Helper()
+		if err := submit(n, core.StateFailure, "203.0.113.9"); !errors.Is(err, results.ErrConflictingData) {
+			t.Fatalf("%s: conflicting failure: err = %v, want ErrConflictingData", life, err)
+		}
+		if m, _ := n.Server.Store.Get("m-restart"); m.State != core.StateSuccess {
+			t.Fatalf("%s: stored state %s, want success", life, m.State)
+		}
+	}
+
+	first, err := Open(Config{Index: index, Geo: geo.NewRegistry(1), WAL: wal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Server.Guard == nil {
+		t.Fatal("node opened without the default guard")
+	}
+	for _, state := range []core.State{core.StateInit, core.StateSuccess} {
+		if err := submit(first, state, "203.0.113.7"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	refuse(first, "first life")
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	second, err := Open(Config{Index: index, Geo: geo.NewRegistry(1), WAL: wal})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	if second.Recovered.Records != 2 {
+		t.Fatalf("recovered %d records, want the 2 committed", second.Recovered.Records)
+	}
+	refuse(second, "after restart")
 }
 
 // TestServeShutdownOrder drives an edge through Serve while submitters are

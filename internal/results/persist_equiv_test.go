@@ -4,12 +4,14 @@ package results
 // (WriteJSONL/ReadJSONL, the export encore-analyze reads) and the WAL
 // (the durable commit log). These tests pin the two to each other on the edge
 // cases that historically make persistence formats drift — empty stores,
-// in-place upgrade retraction, and control-traffic records — by asserting
+// in-place upgrades with a refused retraction, and control-traffic records —
+// by asserting
 // that a store reloaded through either format produces the identical
 // canonical snapshot.
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"encore/internal/core"
@@ -25,12 +27,15 @@ func persistCases() []persistCase {
 	return []persistCase{
 		{name: "empty", fill: func(t *testing.T, s *Store) {}},
 		{name: "upgrade-retraction", fill: func(t *testing.T, s *Store) {
-			// init → success → failure for one ID: only the last record may
-			// survive in either format.
-			for _, state := range []core.State{core.StateInit, core.StateSuccess, core.StateFailure} {
+			// init → success, then a failure for the same ID that the store
+			// refuses: only the success may survive in either format.
+			for _, state := range []core.State{core.StateInit, core.StateSuccess} {
 				if err := s.Add(walTestMeasurement(3, state)); err != nil {
 					t.Fatal(err)
 				}
+			}
+			if err := s.Add(walTestMeasurement(3, core.StateFailure)); !errors.Is(err, ErrConflictingData) {
+				t.Fatalf("retraction to failure: err = %v, want ErrConflictingData", err)
 			}
 		}},
 		{name: "control-traffic", fill: func(t *testing.T, s *Store) {

@@ -2,6 +2,7 @@ package results
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -39,19 +40,22 @@ func genMeasurements(ids []uint16, states []uint8, regions []uint8) []Measuremen
 
 // TestQuickStoreNeverDowngradesTerminalStates checks that whatever order
 // submissions arrive in, a measurement that has ever reported a terminal
-// state never reverts to init, and the store never holds two records with the
+// state never reverts to init nor changes to the other terminal state (Add
+// refuses exactly those), and the store never holds two records with the
 // same ID.
 func TestQuickStoreNeverDowngradesTerminalStates(t *testing.T) {
 	f := func(ids []uint16, states []uint8, regions []uint8) bool {
 		ms := genMeasurements(ids, states, regions)
 		store := NewStore()
-		sawTerminal := make(map[string]bool)
+		firstTerminal := make(map[string]core.State)
 		for _, m := range ms {
-			if err := store.Add(m); err != nil {
+			first, sawTerminal := firstTerminal[m.MeasurementID]
+			conflicting := sawTerminal && m.Completed() && m.State != first
+			if err := store.Add(m); (err != nil) != conflicting || err != nil && !errors.Is(err, ErrConflictingData) {
 				return false
 			}
-			if m.Completed() {
-				sawTerminal[m.MeasurementID] = true
+			if m.Completed() && !sawTerminal {
+				firstTerminal[m.MeasurementID] = m.State
 			}
 		}
 		seen := make(map[string]bool)
@@ -60,7 +64,7 @@ func TestQuickStoreNeverDowngradesTerminalStates(t *testing.T) {
 				return false
 			}
 			seen[m.MeasurementID] = true
-			if sawTerminal[m.MeasurementID] && !m.Completed() {
+			if first, ok := firstTerminal[m.MeasurementID]; ok && m.State != first {
 				return false
 			}
 		}

@@ -114,15 +114,15 @@ func TestStoreQueries(t *testing.T) {
 	if s.Len() != 10 {
 		t.Fatalf("Len=%d", s.Len())
 	}
-	if got := s.DistinctClients(); got != 4 {
+	if got := s.Stats().DistinctClients; got != 4 {
 		t.Fatalf("DistinctClients=%d, want 4", got)
 	}
 	if got := s.DistinctRegions(); got != 2 {
 		t.Fatalf("DistinctRegions=%d, want 2", got)
 	}
-	counts := s.CountByRegion()
+	counts := s.Stats().ByCountry
 	if counts[geoCC("CN")]+counts[geoCC("US")] != 10 {
-		t.Fatalf("CountByRegion=%v", counts)
+		t.Fatalf("ByCountry=%v", counts)
 	}
 	failures := s.Filter(func(m Measurement) bool { return m.State == core.StateFailure })
 	if len(failures) != 4 {
@@ -270,7 +270,7 @@ func TestConcurrentStoreAccess(t *testing.T) {
 					Region:        geoCC("US"),
 				})
 				_ = s.Len()
-				_ = s.DistinctClients()
+				_ = s.Stats()
 			}
 			done <- true
 		}(g)

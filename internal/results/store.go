@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"cmp"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -190,9 +191,10 @@ func NewStoreWithShards(n int) *Store {
 	return &Store{shards: make([]storeShard, size), mask: uint32(size - 1)}
 }
 
-// ShardHash returns the FNV-1a hash of key used to pick lock shards. It is
-// exported so the other sharded ingest components (collectserver's
-// AbuseGuard) share one shard-distribution implementation.
+// ShardHash returns the FNV-1a hash of key used to pick lock shards. The
+// store, the task index and the WAL key their shards on it by measurement
+// ID; it is exported so collectserver's AbuseGuard shards its per-client
+// rate buckets with the same distribution.
 func ShardHash(key string) uint32 { return fnv1a(fnvOffset, key) }
 
 // fnv1a folds key — a string or its undecoded bytes — into the FNV-1a hash h.
@@ -205,10 +207,33 @@ func fnv1a[S text](h uint32, key S) uint32 {
 
 const fnvOffset = 2166136261
 
-// Add appends a measurement. If a measurement with the same ID already
-// exists, the terminal state wins over init (clients submit init first and a
-// terminal state later); otherwise the later record replaces the earlier one
-// in place, keeping its original position in insertion order.
+// ErrConflictingData is returned for a terminal record naming a measurement
+// the store already holds in the other terminal state. §8: a client must not
+// be able to report both success and failure for one measurement, so the
+// first terminal state wins. The rule is the store's, so it holds on every
+// lane that commits and, because recovery rebuilds the store, across
+// restarts.
+var ErrConflictingData = errors.New("results: conflicting terminal states for measurement")
+
+// ConflictError reports the members of one AddBatch call that were refused
+// with ErrConflictingData, which it wraps.
+type ConflictError struct {
+	// Indices are the refused members' positions in the batch, ascending.
+	Indices []int
+}
+
+func (e *ConflictError) Error() string {
+	return fmt.Sprintf("results: %d batch members conflict with a recorded terminal state", len(e.Indices))
+}
+
+func (e *ConflictError) Unwrap() error { return ErrConflictingData }
+
+// Add stores a measurement. A new ID is appended. For a stored ID the
+// terminal state wins over init (clients submit init first and a terminal
+// state later): init is upgraded in place, keeping its position in insertion
+// order, a later init is ignored, and the same terminal state sent again
+// replaces the record. A terminal record in the other state is refused with
+// ErrConflictingData and changes nothing.
 func (s *Store) Add(m Measurement) error {
 	if err := m.Validate(); err != nil {
 		return err
@@ -217,7 +242,9 @@ func (s *Store) Add(m Measurement) error {
 	sh := &s.shards[h&s.mask]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	s.addLocked(sh, h, &m)
+	if !s.addLocked(sh, h, &m) {
+		return ErrConflictingData
+	}
 	return nil
 }
 
@@ -250,17 +277,21 @@ func (s *Store) notify(commitSeq, seq uint64, prev *Measurement, cur Measurement
 }
 
 // addLocked inserts or upgrades one measurement whose ID hashes to h; sh.mu
-// must be held. The commit-stream position is assigned here, inside the
-// critical section and immediately before notification, so within one shard
-// positions increase in exactly the order observers see the commits.
-func (s *Store) addLocked(sh *storeShard, h uint32, m *Measurement) {
+// must be held. It reports false when it refuses the record as conflicting
+// with the stored terminal state (see Add). The commit-stream position is
+// assigned here, inside the critical section and immediately before
+// notification, so within one shard positions increase in exactly the order
+// observers see the commits.
+func (s *Store) addLocked(sh *storeShard, h uint32, m *Measurement) bool {
 	e := storeEntry{id: m.MeasurementID, duration: m.DurationMillis, received: m.Received, state: stateCode(m.State)}
 	idx, exists := lookupID(&sh.ids, h, m.MeasurementID, sh.idAt)
 	var old *storeEntry
 	if exists {
 		old = sh.entries.at(int(idx))
-		if old.completed() && !e.completed() {
-			return // never downgrade a terminal state
+		if old.completed() && old.state != e.state {
+			// A terminal state is final: a later init is ignored, a later
+			// terminal state in the other outcome refused.
+			return !e.completed()
 		}
 	}
 	e.task = intern(&sh.tasks, taskBody{pattern: m.PatternKey, url: m.TargetURL, typ: m.TaskType, control: m.Control})
@@ -277,12 +308,13 @@ func (s *Store) addLocked(sh *storeShard, h uint32, m *Measurement) {
 		e.id, e.seq = old.id, old.seq
 		*old = e
 		s.notify(s.commits.Add(1), e.seq, prevp, *m)
-		return
+		return true
 	}
 	e.seq = s.seq.Add(1)
 	sh.ids.put(h, e.id, uint32(sh.entries.push(e)))
 	s.count.Add(1)
 	s.notify(s.commits.Add(1), e.seq, nil, *m)
+	return true
 }
 
 // replay applies one recovered WAL record, preserving its original insertion
@@ -297,6 +329,13 @@ func (s *Store) addLocked(sh *storeShard, h uint32, m *Measurement) {
 // not seen, is copied out of the decode buffer. Safe for concurrent use by
 // the per-WAL-shard replay goroutines: records of one measurement ID must be
 // (and are) replayed in log order by a single goroutine.
+//
+// Like validation, Add's first-terminal-state rule is not applied again: a
+// log holds only what its writer's store committed, so a log written by this
+// store never holds a conflicting terminal record, and one written before the
+// store owned the rule (when a later terminal state replaced an earlier one
+// on lanes that skipped the guard) replays to exactly the state its writer
+// served. wire's record_retraction.bin golden frame is that case.
 func (s *Store) replay(seq uint64, v *wire.RecordView) error {
 	e := storeEntry{seq: seq, duration: v.DurationMillis, received: v.Received, state: stateCode(v.State)}
 	if e.state == 0 {
@@ -323,61 +362,70 @@ func (s *Store) replay(seq uint64, v *wire.RecordView) error {
 	return nil
 }
 
-// AddBatch stores a batch of measurements, taking each shard lock at most
-// once. Invalid measurements are skipped — a poisoned batch member must not
-// discard well-formed submissions queued alongside it — and the first
-// validation error is returned alongside the number of measurements stored.
+// batchHashes is the batch size whose shard hashes AddBatch keeps on the
+// stack; the collector commits in chunks of this size.
+const batchHashes = 256
+
+// AddBatch stores a batch of measurements with Add's semantics, taking each
+// shard lock at most once; members of one ID commit in batch order. It
+// returns how many members committed. Invalid members are skipped — a
+// poisoned batch member must not discard well-formed submissions queued
+// alongside it — and the first validation error is returned. Members refused
+// as conflicting are reported by index in a *ConflictError (joined with the
+// validation error when there is one). A batch of at most batchHashes
+// members that refuses nothing allocates nothing of its own.
 func (s *Store) AddBatch(ms []Measurement) (int, error) {
 	var firstErr error
-	valid := ms
-	for i := range ms {
-		if err := ms[i].Validate(); err != nil {
-			if firstErr == nil {
-				// First invalid member: switch to a filtered copy.
-				firstErr = err
-				valid = append(make([]Measurement, 0, len(ms)-1), ms[:i]...)
-			}
-			continue
-		}
-		if firstErr != nil {
-			valid = append(valid, ms[i])
-		}
-	}
-	s.addBatchValidated(valid)
-	return len(valid), firstErr
-}
-
-// addBatchValidated groups pre-validated measurements by shard and inserts
-// each group under a single lock acquisition.
-func (s *Store) addBatchValidated(ms []Measurement) {
-	if len(ms) == 0 {
-		return
-	}
+	var invalid []bool // allocated at the first invalid member
 	// Group by shard through one slice of ID hashes instead of a map of
 	// slices: the map and its per-shard append chains cost O(shards)
-	// allocations per batch on the ingest hot path, where this single slice
-	// costs one.
-	hashes := make([]uint32, len(ms))
-	for i := range ms {
-		hashes[i] = ShardHash(ms[i].MeasurementID)
+	// allocations per batch on the ingest hot path.
+	var buf [batchHashes]uint32
+	hashes := buf[:0]
+	if len(ms) > len(buf) {
+		hashes = make([]uint32, 0, len(ms))
 	}
+	for i := range ms {
+		if err := ms[i].Validate(); err != nil {
+			if invalid == nil {
+				invalid, firstErr = make([]bool, len(ms)), err
+			}
+			invalid[i] = true
+		}
+		hashes = append(hashes, ShardHash(ms[i].MeasurementID))
+	}
+	stored := 0
+	var refused []int
 	for shard := range s.shards {
 		sh := &s.shards[shard]
 		locked := false
 		for i := range ms {
-			if hashes[i]&s.mask != uint32(shard) {
+			if hashes[i]&s.mask != uint32(shard) || invalid != nil && invalid[i] {
 				continue
 			}
 			if !locked {
 				sh.mu.Lock()
 				locked = true
 			}
-			s.addLocked(sh, hashes[i], &ms[i])
+			if s.addLocked(sh, hashes[i], &ms[i]) {
+				stored++
+			} else {
+				refused = append(refused, i)
+			}
 		}
 		if locked {
 			sh.mu.Unlock()
 		}
 	}
+	if refused == nil {
+		return stored, firstErr
+	}
+	slices.Sort(refused)
+	var err error = &ConflictError{Indices: refused}
+	if firstErr != nil {
+		err = errors.Join(firstErr, err)
+	}
+	return stored, err
 }
 
 // Len returns the number of stored measurements. It reads an atomic counter
@@ -474,12 +522,6 @@ func (s *Store) Range(fn func(Measurement) bool) {
 		}
 	}
 }
-
-// DistinctClients returns the number of distinct client IPs.
-func (s *Store) DistinctClients() int { return s.Stats().DistinctClients }
-
-// CountByRegion returns the number of measurements per region.
-func (s *Store) CountByRegion() map[geo.CountryCode]int { return s.Stats().ByCountry }
 
 // WriteJSONL serializes the store as JSON lines in insertion order.
 func (s *Store) WriteJSONL(w io.Writer) error {

@@ -2,8 +2,10 @@ package results
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -11,10 +13,10 @@ import (
 	"encore/internal/geo"
 )
 
-// modelStore is a sequential reference implementation with the seed's
-// original semantics: one slice in insertion order, one index map, terminal
-// states never downgraded. The sharded Store must be observationally
-// equivalent to it under any sequential operation sequence.
+// modelStore is a sequential reference implementation: one slice in
+// insertion order, one index map, terminal states never downgraded and the
+// first terminal state never replaced by the other. The sharded Store must be
+// observationally equivalent to it under any sequential operation sequence.
 type modelStore struct {
 	measurements []Measurement
 	byID         map[string]int
@@ -27,7 +29,10 @@ func (s *modelStore) Add(m Measurement) error {
 		return err
 	}
 	if idx, ok := s.byID[m.MeasurementID]; ok {
-		if s.measurements[idx].Completed() && m.State == core.StateInit {
+		if old := s.measurements[idx]; old.Completed() && old.State != m.State {
+			if m.Completed() {
+				return ErrConflictingData
+			}
 			return nil
 		}
 		s.measurements[idx] = m
@@ -47,7 +52,7 @@ func (s *modelStore) Get(id string) (Measurement, bool) {
 }
 
 // randomMeasurement draws a measurement from a small ID pool so sequences mix
-// inserts with same-ID upgrades and downgrades.
+// inserts with same-ID upgrades, downgrades and conflicting terminal states.
 func randomMeasurement(rng *rand.Rand) Measurement {
 	states := []core.State{core.StateInit, core.StateSuccess, core.StateFailure}
 	regions := []geo.CountryCode{"US", "CN", "PK", "IR", "TR", ""}
@@ -75,7 +80,7 @@ func TestShardedStoreMatchesSequentialModel(t *testing.T) {
 			m := randomMeasurement(rng)
 			gotErr := sharded.Add(m)
 			wantErr := model.Add(m)
-			if (gotErr == nil) != (wantErr == nil) {
+			if gotErr != wantErr {
 				t.Fatalf("seed %d: Add error mismatch: sharded=%v model=%v", seed, gotErr, wantErr)
 			}
 		}
@@ -104,13 +109,13 @@ func TestShardedStoreMatchesSequentialModel(t *testing.T) {
 		for _, m := range model.measurements {
 			wantByRegion[m.Region]++
 		}
-		gotByRegion := sharded.CountByRegion()
+		gotByRegion := sharded.Stats().ByCountry
 		if len(gotByRegion) != len(wantByRegion) {
-			t.Fatalf("seed %d: CountByRegion=%v, want %v", seed, gotByRegion, wantByRegion)
+			t.Fatalf("seed %d: ByCountry=%v, want %v", seed, gotByRegion, wantByRegion)
 		}
 		for r, n := range wantByRegion {
 			if gotByRegion[r] != n {
-				t.Fatalf("seed %d: CountByRegion[%s]=%d, want %d", seed, r, gotByRegion[r], n)
+				t.Fatalf("seed %d: ByCountry[%s]=%d, want %d", seed, r, gotByRegion[r], n)
 			}
 		}
 	}
@@ -120,7 +125,9 @@ func TestShardedStoreMatchesSequentialModel(t *testing.T) {
 // overlapping measurement IDs while readers run every query concurrently,
 // then checks the invariants that must survive any interleaving: no duplicate
 // IDs, terminal states never downgraded, every write visible, counters
-// consistent. Run under -race this is the store's core race test.
+// consistent. Writers race success against failure on shared IDs, so some
+// Adds are refused as conflicting. Run under -race this is the store's core
+// race test.
 func TestStoreConcurrentFanIn(t *testing.T) {
 	const (
 		writers       = 8
@@ -136,7 +143,7 @@ func TestStoreConcurrentFanIn(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < opsPerWriter; i++ {
 				m := randomMeasurement(rng)
-				if err := s.Add(m); err != nil {
+				if err := s.Add(m); err != nil && !errors.Is(err, ErrConflictingData) {
 					t.Errorf("Add: %v", err)
 					return
 				}
@@ -199,27 +206,35 @@ func TestStoreConcurrentFanIn(t *testing.T) {
 }
 
 // TestAddBatchMatchesRepeatedAdd checks the batched write path has identical
-// semantics to repeated Add, and that an invalid batch member aborts with the
-// valid prefix stored.
+// semantics to repeated Add — the members refused as conflicting are exactly
+// those repeated Add refuses — and that an invalid batch member is skipped
+// with the valid members stored.
 func TestAddBatchMatchesRepeatedAdd(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	var batch []Measurement
 	for i := 0; i < 300; i++ {
 		batch = append(batch, randomMeasurement(rng))
 	}
-	batched := NewStore()
-	stored, err := batched.AddBatch(batch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stored != len(batch) {
-		t.Fatalf("AddBatch stored %d of %d", stored, len(batch))
-	}
 	single := NewStore()
-	for _, m := range batch {
-		if err := single.Add(m); err != nil {
+	var wantRefused []int
+	for i, m := range batch {
+		if err := single.Add(m); errors.Is(err, ErrConflictingData) {
+			wantRefused = append(wantRefused, i)
+		} else if err != nil {
 			t.Fatal(err)
 		}
+	}
+	if len(wantRefused) == 0 {
+		t.Fatal("the batch holds no conflicting terminal state")
+	}
+	batched := NewStore()
+	stored, err := batched.AddBatch(batch)
+	var conflict *ConflictError
+	if !errors.As(err, &conflict) || !slices.Equal(conflict.Indices, wantRefused) {
+		t.Fatalf("AddBatch refused %v (%v), repeated Add refused %v", conflict, err, wantRefused)
+	}
+	if stored != len(batch)-len(wantRefused) {
+		t.Fatalf("AddBatch stored %d of %d", stored, len(batch)-len(wantRefused))
 	}
 	if batched.Len() != single.Len() {
 		t.Fatalf("batched Len=%d, single Len=%d", batched.Len(), single.Len())

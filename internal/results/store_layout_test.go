@@ -2,6 +2,7 @@ package results
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -83,8 +84,11 @@ func (n *naiveStore) add(m Measurement) error {
 		return err
 	}
 	old, ok := n.recs[m.MeasurementID]
-	if ok && old.Completed() && !m.Completed() {
-		return nil
+	if ok && old.Completed() && old.State != m.State {
+		if m.Completed() {
+			return ErrConflictingData // the first terminal state wins
+		}
+		return nil // a terminal state is never downgraded
 	}
 	ev := commitEvent{cur: m}
 	if ok {
@@ -103,26 +107,47 @@ func (n *naiveStore) add(m Measurement) error {
 
 // addBatch mirrors AddBatch's documented shape: invalid members are skipped,
 // the first error reported, and the valid ones commit shard by shard (each
-// shard lock is taken once), in batch order within a shard.
+// shard lock is taken once), in batch order within a shard; refused members
+// are reported by index.
 func (n *naiveStore) addBatch(ms []Measurement) (int, error) {
 	var firstErr error
-	var valid []Measurement
-	for _, m := range ms {
+	var valid, refused []int
+	for i, m := range ms {
 		if err := m.Validate(); err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		valid = append(valid, m)
+		valid = append(valid, i)
 	}
-	slices.SortStableFunc(valid, func(a, b Measurement) int {
-		return int(ShardHash(a.MeasurementID)&(defaultShardCount-1)) - int(ShardHash(b.MeasurementID)&(defaultShardCount-1))
-	})
-	for _, m := range valid {
-		_ = n.add(m)
+	shardOf := func(i int) int { return int(ShardHash(ms[i].MeasurementID) & (defaultShardCount - 1)) }
+	slices.SortStableFunc(valid, func(a, b int) int { return shardOf(a) - shardOf(b) })
+	for _, i := range valid {
+		if n.add(ms[i]) != nil {
+			refused = append(refused, i)
+		}
 	}
-	return len(valid), firstErr
+	if refused == nil {
+		return len(valid), firstErr
+	}
+	slices.Sort(refused)
+	return len(valid) - len(refused), errors.Join(firstErr, &ConflictError{Indices: refused})
+}
+
+// refusedIndices returns the members an AddBatch error reports as refused.
+func refusedIndices(err error) []int {
+	var conflict *ConflictError
+	if errors.As(err, &conflict) {
+		return conflict.Indices
+	}
+	return nil
+}
+
+// sameOutcome reports whether two Add or AddBatch errors say the same thing:
+// both nil, or the same message with the same refused members.
+func sameOutcome(got, want error) bool {
+	return fmt.Sprint(got) == fmt.Sprint(want) && slices.Equal(refusedIndices(got), refusedIndices(want))
 }
 
 func (n *naiveStore) all() []Measurement {
@@ -147,8 +172,9 @@ func (n *naiveStore) wire(t *testing.T) []byte {
 }
 
 // layoutMeasurement draws a record over small pools, so sequences mix fresh
-// inserts, in-place upgrades, ignored downgrades, replacements that change
-// the pattern×region cell, control records and shared table values. prefix
+// inserts, in-place upgrades, ignored downgrades, refused conflicting
+// terminal states, replacements that change the pattern×region cell,
+// control records and shared table values. prefix
 // keeps concurrent committers on disjoint IDs.
 func layoutMeasurement(rng *rand.Rand, prefix string) Measurement {
 	zones := []*time.Location{time.UTC, time.UTC, time.FixedZone("", 5*3600+1800)}
@@ -194,7 +220,7 @@ func applyOps(t *testing.T, rng *rand.Rand, prefix string, nOps int, s *Store, n
 			if rng.Intn(25) == 0 {
 				m.State = "bogus"
 			}
-			if got, want := s.Add(m), n.add(m); (got == nil) != (want == nil) {
+			if got, want := s.Add(m), n.add(m); !sameOutcome(got, want) {
 				t.Errorf("Add(%+v) = %v, model %v", m, got, want)
 			}
 			continue
@@ -202,8 +228,8 @@ func applyOps(t *testing.T, rng *rand.Rand, prefix string, nOps int, s *Store, n
 		ms := layoutBatch(rng, prefix)
 		got, gotErr := s.AddBatch(ms)
 		want, wantErr := n.addBatch(ms)
-		if got != want || (gotErr == nil) != (wantErr == nil) {
-			t.Errorf("AddBatch = %d, %v; model %d, %v", got, gotErr, want, wantErr)
+		if got != want || !sameOutcome(gotErr, wantErr) {
+			t.Errorf("AddBatch = %d, %v %v; model %d, %v %v", got, gotErr, refusedIndices(gotErr), want, wantErr, refusedIndices(wantErr))
 		}
 	}
 }

@@ -269,11 +269,18 @@ type Soundness struct {
 	// Measurements is how many testbed tasks ran; Correct is how many of
 	// their verdicts matched ExpectedTaskSuccess.
 	Measurements, Correct int
+	// Cells breaks Measurements and Correct down by the mechanism a target
+	// exercises (MechanismNone for the control) and the task type measuring
+	// it; a pair no target has stays zero.
+	Cells [censor.MechanismThrottle + 1][core.TaskScript + 1]SoundnessCell
 	// ControlImages counts image tasks against the unfiltered control and
 	// ControlImageFailures the ones that failed anyway: image false
 	// positives.
 	ControlImages, ControlImageFailures int
 }
+
+// SoundnessCell is one mechanism × task type cell of Soundness.
+type SoundnessCell struct{ Correct, Total int }
 
 // PctCorrect is the percentage of verdicts that matched ground truth.
 func (s Soundness) PctCorrect() float64 {
@@ -312,9 +319,12 @@ func (tb *Testbed) Validate(seed uint64, clients int, regions []geo.CountryCode)
 			task := core.Task{MeasurementID: fmt.Sprintf("tb-%d-%d", c, s.Measurements), Type: target.TaskType,
 				TargetURL: target.URL, PatternKey: "testbed"}
 			res := br.ExecuteTask(task)
+			cell := &s.Cells[target.Mechanism][target.TaskType]
 			s.Measurements++
+			cell.Total++
 			if res.Success == tb.ExpectedTaskSuccess(target) {
 				s.Correct++
+				cell.Correct++
 			}
 			if target.Mechanism == censor.MechanismNone && target.TaskType == core.TaskImage {
 				s.ControlImages++

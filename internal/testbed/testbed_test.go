@@ -202,3 +202,26 @@ func TestServe404(t *testing.T) {
 		t.Fatalf("unknown path: status=%d ok=%v", status, ok)
 	}
 }
+
+// TestValidateCells: the per-mechanism × task-type cells partition the
+// experiment's totals, and the control image cell is the false-positive
+// denominator.
+func TestValidateCells(t *testing.T) {
+	s := New("testbed.encore-test.org").Validate(3, 16, []geo.CountryCode{"US", "IN"})
+	measurements, correct := 0, 0
+	for _, row := range s.Cells {
+		for _, c := range row {
+			if c.Correct > c.Total {
+				t.Fatalf("cell %+v has more correct verdicts than measurements", c)
+			}
+			measurements += c.Total
+			correct += c.Correct
+		}
+	}
+	if measurements == 0 || measurements != s.Measurements || correct != s.Correct {
+		t.Fatalf("cells sum to %d/%d, totals %d/%d", correct, measurements, s.Correct, s.Measurements)
+	}
+	if got := s.Cells[censor.MechanismNone][core.TaskImage].Total; got != s.ControlImages {
+		t.Fatalf("control image cell holds %d, ControlImages %d", got, s.ControlImages)
+	}
+}

@@ -7,8 +7,9 @@
 # with a WAL-backed forwarder) under the race detector, one iteration of every
 # root-package benchmark (the paper's evaluation, E1-E16), of the forwarder's
 # catch-up and drain benchmarks and of the store-commit, task-index,
-# aggregator and admit benchmarks, a -count=20 race run of the forwarder's
-# in-flight and cursor tests, a -count=5 race run of the two-coordinator
+# aggregator and admit benchmarks, -count=20 race runs of the forwarder's
+# in-flight and cursor tests and of the store's first-terminal-state race,
+# a -count=5 race run of the two-coordinator
 # lifecycle test, a guard that every cmd/*/main.go serves through the one
 # serve helper, the separate bench/ module's vet and tests, and the
 # deterministic chaos suite at fixed seeds (make chaos).
@@ -47,6 +48,9 @@ go test -race ./...
 # The forwarder's two POSTs in flight, its idle drain and its cursor, many
 # times over: interleavings the single run above may not hit.
 go test -race -count=20 -run 'InFlight|PerID|Idle|Cursor' ./internal/api/federation
+# Success raced against failure for shared IDs through Add and AddBatch: the
+# store's first-terminal-state rule under many interleavings.
+go test -race -count=20 -run TestFirstTerminalWinsConcurrent ./internal/results
 # Two federated coordinators opened, served, gossiping and closed, five
 # times over: no gossip loop or other goroutine may outlive Serve.
 go test -race -count=5 -run TestCoordinatorLifecycle ./internal/loadgen
