@@ -6,18 +6,21 @@ package encore
 // randomized submission stream is driven through each lane into its own
 // collector. The two wire lanes must produce bit-identical WriteJSONL
 // snapshots (both commit whole batches, whose insertion order is
-// deterministic), and every lane must agree on admission counts, snapshot
-// content, and incremental-detection verdicts. Phase two replays the same
+// deterministic), and every lane must agree on admission counts, on the code
+// each refused member gets, on snapshot content, and on incremental-detection
+// verdicts. Phase two replays the same
 // stream with concurrent batches per lane (run under -race), where insertion
 // order is nondeterministic but content must still agree.
 
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -56,8 +59,9 @@ const (
 // crossLaneStream generates the deterministic randomized stream. Every
 // measurement ID belongs to exactly one batch, so concurrent batch delivery
 // cannot race two writes to one record; within a batch, same-ID submissions
-// (init→terminal upgrades, success→failure retractions) keep their order on
-// every lane. Origins are pre-normalized (lower-case bare domains) and
+// (init→terminal upgrades, and terminal states followed by the other one,
+// which every lane must refuse as conflicting) keep their order on every
+// lane. Origins are pre-normalized (lower-case bare domains) and
 // timestamps are millisecond-precision instants inside the campaign window,
 // so the JSON and binary encodings carry exactly the same values.
 func crossLaneStream(seed int64) []crossLaneBatch {
@@ -114,6 +118,16 @@ func crossLaneStream(seed int64) []crossLaneBatch {
 				}
 				batch.subs = append(batch.subs, up)
 			}
+			last := batch.subs[len(batch.subs)-1]
+			if last.Result != string(core.StateInit) && rng.Intn(3) == 0 && len(batch.subs) < crossLanePerShot {
+				other := last
+				other.Result = string(core.StateFailure)
+				if last.Result == string(core.StateFailure) {
+					other.Result = string(core.StateSuccess)
+				}
+				other.ElapsedMillis = float64(rng.Intn(400000)) / 4
+				batch.subs = append(batch.subs, other)
+			}
 		}
 		// A few poisoned members per stream: unknown IDs and invalid states
 		// must be rejected at the same indices on every wire lane.
@@ -156,11 +170,13 @@ func crossLaneCollector(t *testing.T) (*collectserver.Server, *results.Store, *r
 // deliverInProcess replays one batch through the programmatic Accept path,
 // applying the same normalization the v2 batch handler applies (origins are
 // pre-normalized by construction, so normalization reduces to the Referer
-// fallback and the timestamp clamp).
-func deliverInProcess(t *testing.T, srv *collectserver.Server, b crossLaneBatch) (accepted, rejected int) {
+// fallback and the timestamp clamp). It returns how many members were
+// accepted and the code of each refused one, by index, as the batch handler
+// would report them.
+func deliverInProcess(t *testing.T, srv *collectserver.Server, b crossLaneBatch) (accepted int, refused []api.RejectedSubmission) {
 	t.Helper()
 	refererDomain := strings.TrimSuffix(strings.TrimPrefix(b.referer, "http://"), "/page")
-	for _, sub := range b.subs {
+	for i, sub := range b.subs {
 		origin := sub.OriginSite
 		if strings.HasPrefix(origin, "http://") {
 			origin = strings.TrimSuffix(strings.TrimPrefix(origin, "http://"), "/a/b")
@@ -186,12 +202,19 @@ func deliverInProcess(t *testing.T, srv *collectserver.Server, b crossLaneBatch)
 			Received:       received,
 		})
 		if err != nil {
-			rejected++
+			code := api.CodeInvalidSubmission
+			switch {
+			case errors.Is(err, results.ErrConflictingData):
+				code = api.CodeConflictingResult
+			case errors.Is(err, collectserver.ErrUnknownMeasurement):
+				code = api.CodeUnknownMeasurement
+			}
+			refused = append(refused, api.RejectedSubmission{Index: i, Code: code})
 			continue
 		}
 		accepted++
 	}
-	return accepted, rejected
+	return accepted, refused
 }
 
 // laneResult is what one lane produced from the full stream.
@@ -201,16 +224,26 @@ type laneResult struct {
 	verdicts []inference.Verdict
 	accepted int
 	rejected int
+	codes    []string // "batch/index code" per refused member, sorted
 }
 
-func snapshotLane(t *testing.T, name string, store *results.Store, agg *results.Aggregator, accepted, rejected int) laneResult {
+// refusals appends batch b's refused members to codes.
+func refusals(codes []string, b int, refused []api.RejectedSubmission) []string {
+	for _, r := range refused {
+		codes = append(codes, fmt.Sprintf("%02d/%02d %s", b, r.Index, r.Code))
+	}
+	return codes
+}
+
+func snapshotLane(t *testing.T, name string, store *results.Store, agg *results.Aggregator, accepted int, codes []string) laneResult {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := store.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	verdicts := inference.New(inference.DefaultConfig()).DetectIncremental(agg)
-	return laneResult{name: name, jsonl: buf.Bytes(), verdicts: verdicts, accepted: accepted, rejected: rejected}
+	sort.Strings(codes)
+	return laneResult{name: name, jsonl: buf.Bytes(), verdicts: verdicts, accepted: accepted, rejected: len(codes), codes: codes}
 }
 
 // runWireLane drives the stream through a loopback HTTP collector with the
@@ -224,8 +257,9 @@ func runWireLane(t *testing.T, name string, binary, concurrent bool, stream []cr
 	ctx := context.Background()
 
 	var mu sync.Mutex
-	var accepted, rejected int
-	deliver := func(b crossLaneBatch) {
+	var accepted int
+	var codes []string
+	deliver := func(i int, b crossLaneBatch) {
 		resp, err := client.SubmitBatch(ctx, b.subs, &apiclient.ClientMeta{
 			IP: b.ip, UserAgent: b.ua, Referer: b.referer,
 		})
@@ -235,35 +269,35 @@ func runWireLane(t *testing.T, name string, binary, concurrent bool, stream []cr
 		}
 		mu.Lock()
 		accepted += resp.Accepted
-		rejected += len(resp.Rejected)
+		codes = refusals(codes, i, resp.Rejected)
 		mu.Unlock()
 	}
 	if concurrent {
 		var wg sync.WaitGroup
-		for _, b := range stream {
-			b := b
+		for i, b := range stream {
 			wg.Add(1)
-			go func() { defer wg.Done(); deliver(b) }()
+			go func() { defer wg.Done(); deliver(i, b) }()
 		}
 		wg.Wait()
 	} else {
-		for _, b := range stream {
-			deliver(b)
+		for i, b := range stream {
+			deliver(i, b)
 		}
 	}
-	return snapshotLane(t, name, store, agg, accepted, rejected)
+	return snapshotLane(t, name, store, agg, accepted, codes)
 }
 
 func runInProcessLane(t *testing.T, stream []crossLaneBatch) laneResult {
 	t.Helper()
 	srv, store, agg := crossLaneCollector(t)
-	var accepted, rejected int
-	for _, b := range stream {
-		a, r := deliverInProcess(t, srv, b)
+	var accepted int
+	var codes []string
+	for i, b := range stream {
+		a, refused := deliverInProcess(t, srv, b)
 		accepted += a
-		rejected += r
+		codes = refusals(codes, i, refused)
 	}
-	return snapshotLane(t, "in-process", store, agg, accepted, rejected)
+	return snapshotLane(t, "in-process", store, agg, accepted, codes)
 }
 
 // TestCrossLaneEquivalenceSequential: same stream, sequential delivery. The
@@ -279,8 +313,8 @@ func TestCrossLaneEquivalenceSequential(t *testing.T) {
 	base := runInProcessLane(t, stream)
 	jsonLane := runWireLane(t, "v2-json", false, false, stream)
 	binLane := runWireLane(t, "v2-binary", true, false, stream)
-	if base.rejected == 0 || base.accepted == 0 {
-		t.Fatalf("degenerate stream: accepted=%d rejected=%d", base.accepted, base.rejected)
+	if base.rejected == 0 || base.accepted == 0 || !slices.ContainsFunc(base.codes, isConflict) {
+		t.Fatalf("degenerate stream: accepted=%d rejected=%d, codes %v", base.accepted, base.rejected, base.codes)
 	}
 	if !bytes.Equal(binLane.jsonl, jsonLane.jsonl) {
 		t.Errorf("v2-binary WriteJSONL snapshot is not bit-identical to v2-json:\n%s",
@@ -291,6 +325,9 @@ func TestCrossLaneEquivalenceSequential(t *testing.T) {
 		if lane.accepted != base.accepted || lane.rejected != base.rejected {
 			t.Errorf("%s admission (%d accepted, %d rejected) != %s (%d, %d)",
 				lane.name, lane.accepted, lane.rejected, base.name, base.accepted, base.rejected)
+		}
+		if !slices.Equal(lane.codes, base.codes) {
+			t.Errorf("%s refusal codes diverge from %s:\n%s", lane.name, base.name, firstDiffSorted(lane.codes, base.codes))
 		}
 		if got := sortedLines(lane.jsonl); !reflect.DeepEqual(got, baseLines) {
 			t.Errorf("%s snapshot content diverges from %s:\n%s",
@@ -312,6 +349,9 @@ func TestCrossLaneEquivalenceSequential(t *testing.T) {
 func TestCrossLaneEquivalenceConcurrent(t *testing.T) {
 	stream := crossLaneStream(412)
 	base := runInProcessLane(t, stream)
+	if !slices.ContainsFunc(base.codes, isConflict) {
+		t.Fatalf("degenerate stream: no member refused as conflicting, codes %v", base.codes)
+	}
 	lanes := []laneResult{
 		runWireLane(t, "v2-json", false, true, stream),
 		runWireLane(t, "v2-binary", true, true, stream),
@@ -322,6 +362,9 @@ func TestCrossLaneEquivalenceConcurrent(t *testing.T) {
 			t.Errorf("%s admission (%d accepted, %d rejected) != in-process (%d, %d)",
 				lane.name, lane.accepted, lane.rejected, base.accepted, base.rejected)
 		}
+		if !slices.Equal(lane.codes, base.codes) {
+			t.Errorf("%s concurrent refusal codes diverge from in-process:\n%s", lane.name, firstDiffSorted(lane.codes, base.codes))
+		}
 		if got := sortedLines(lane.jsonl); !reflect.DeepEqual(got, baseLines) {
 			t.Errorf("%s concurrent snapshot content diverges from in-process:\n%s",
 				lane.name, firstDiffSorted(got, baseLines))
@@ -331,6 +374,9 @@ func TestCrossLaneEquivalenceConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// isConflict reports whether a refusal entry carries conflicting_result.
+func isConflict(code string) bool { return strings.HasSuffix(code, " "+api.CodeConflictingResult) }
 
 func sortedLines(b []byte) []string {
 	lines := strings.Split(strings.TrimRight(string(b), "\n"), "\n")

@@ -3,6 +3,7 @@ package results
 import (
 	"bytes"
 	"fmt"
+	"hash/maphash"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,11 +11,15 @@ import (
 	"encore/internal/core"
 )
 
+// degraded narrows an idHash to the bits mask keeps and sets the others, so
+// with a narrow mask home words and tags collide and every home sits at the
+// end of a stretch of the table, the last at its very end: probe runs wrap.
+func degraded(h, mask uint64) uint64 { return h&mask | ^mask }
+
 // checkIDIndex drives an idIndex, over IDs held in a table the way a store
 // shard holds them, against a map. Each op byte picks an ID from a pool of 64
-// and whether a miss inserts it; mask narrows the ID's hash, so with a narrow
-// mask nearly every ID clashes and absent IDs share present IDs' hashes.
-func checkIDIndex(t *testing.T, mask uint32, ops []byte) {
+// and whether a miss inserts it; mask degrades the hash (see degraded).
+func checkIDIndex(t *testing.T, mask uint64, ops []byte) {
 	t.Helper()
 	var (
 		x     idIndex
@@ -22,14 +27,15 @@ func checkIDIndex(t *testing.T, mask uint32, ops []byte) {
 		model = make(map[string]uint32)
 	)
 	idAt := func(i uint32) string { return ids[i] }
+	hashAt := func(i uint32) uint64 { return degraded(idHash(ids[i]), mask) }
 	get := func(id string) {
 		t.Helper()
-		h := ShardHash(id) & mask
 		want, wantOK := model[id]
-		if got, ok := lookupID(&x, h, id, idAt); ok != wantOK || got != want {
+		if got, ok := lookupID(&x, degraded(idHash(id), mask), id, idAt); ok != wantOK || got != want {
 			t.Fatalf("mask %#x: lookupID(%s) = %d, %v; model %d, %v", mask, id, got, ok, want, wantOK)
 		}
-		if got, ok := lookupID(&x, h, []byte(id), idAt); ok != wantOK || got != want {
+		b := []byte(id)
+		if got, ok := lookupID(&x, degraded(maphash.Bytes(idSeed, b), mask), b, idAt); ok != wantOK || got != want {
 			t.Fatalf("mask %#x: lookupID([]byte %s) = %d, %v; model %d, %v", mask, id, got, ok, want, wantOK)
 		}
 	}
@@ -38,7 +44,7 @@ func checkIDIndex(t *testing.T, mask uint32, ops []byte) {
 		get(id)
 		if _, ok := model[id]; !ok && op&64 == 0 {
 			ids = append(ids, id)
-			x.put(ShardHash(id)&mask, id, uint32(len(ids)-1))
+			x.put(hashAt(uint32(len(ids)-1)), hashAt)
 			model[id] = uint32(len(ids) - 1)
 		}
 	}
@@ -47,10 +53,11 @@ func checkIDIndex(t *testing.T, mask uint32, ops []byte) {
 	}
 }
 
-// TestIDIndexMatchesMap narrows the hash to 3 bits and then to a constant, so
-// the clash map does nearly all the work, and also runs the full hash.
+// TestIDIndexMatchesMap degrades the hash to 3 bits and then to a constant, so
+// tags match on nearly every word read and runs wrap the table's end, and
+// also runs the full hash.
 func TestIDIndexMatchesMap(t *testing.T) {
-	for _, mask := range []uint32{7, 0, ^uint32(0)} {
+	for _, mask := range []uint64{7 << 61, 0, ^uint64(0)} {
 		for seed := int64(1); seed <= 20; seed++ {
 			ops := make([]byte, 1+rand.New(rand.NewSource(seed)).Intn(300))
 			rand.New(rand.NewSource(seed)).Read(ops)
@@ -62,10 +69,107 @@ func TestIDIndexMatchesMap(t *testing.T) {
 // FuzzIDIndex runs operation sequences decoded from the input, under a
 // fuzz-chosen hash mask, against the map model.
 func FuzzIDIndex(f *testing.F) {
-	f.Add(uint32(7), []byte{0, 1, 2, 3, 64 | 4, 1, 2, 64 | 5, 5})
-	f.Add(uint32(0), []byte{1, 2, 3, 64 | 4, 3, 2, 1})
-	f.Add(^uint32(0), []byte{9, 9, 73, 10})
+	f.Add(uint64(7<<61), []byte{0, 1, 2, 3, 64 | 4, 1, 2, 64 | 5, 5})
+	f.Add(uint64(0), []byte{1, 2, 3, 64 | 4, 3, 2, 1})
+	f.Add(^uint64(0), []byte{9, 9, 73, 10})
 	f.Fuzz(checkIDIndex)
+}
+
+// TestIDIndexGrowth looks up every handle, and an absent ID, after each
+// doubling of the table, with the full hash and a degraded one.
+func TestIDIndexGrowth(t *testing.T) {
+	for _, c := range []struct {
+		mask uint64
+		n    int
+	}{{^uint64(0), 1 << 14}, {7 << 61, 1 << 10}} {
+		var (
+			x   idIndex
+			ids []string
+		)
+		idAt := func(i uint32) string { return ids[i] }
+		hashAt := func(i uint32) uint64 { return degraded(idHash(ids[i]), c.mask) }
+		doublings := 0
+		for len(ids) < c.n {
+			ids = append(ids, fmt.Sprintf("m-%08d", len(ids)))
+			bits := x.bits
+			x.put(hashAt(uint32(len(ids)-1)), hashAt)
+			if x.bits == bits {
+				continue
+			}
+			doublings++
+			for i, id := range ids {
+				if got, ok := lookupID(&x, hashAt(uint32(i)), id, idAt); !ok || got != uint32(i) {
+					t.Fatalf("mask %#x, %d IDs in %d words: lookupID(%s) = %d, %v; want %d", c.mask, len(ids), 1<<x.bits, id, got, ok, i)
+				}
+			}
+			if got, ok := lookupID(&x, degraded(idHash("absent"), c.mask), "absent", idAt); ok {
+				t.Fatalf("mask %#x, %d IDs: an absent ID found at %d", c.mask, len(ids), got)
+			}
+		}
+		if doublings < 8 || x.n != uint32(c.n) || 4*x.n > 3<<x.bits {
+			t.Fatalf("mask %#x: %d doublings to %d words for %d handles", c.mask, doublings, 1<<x.bits, x.n)
+		}
+	}
+}
+
+// TestIDIndexProbeLength holds the index to linear probing's expected cost
+// at its load limit α = 3/4: per hit ½(1 + 1/(1−α)) = 2.5 words read, per
+// miss ½(1 + 1/(1−α)²) = 8.5 (Knuth), within 25 %, over the scheduler's IDs,
+// the benchmark generator's and random ones.
+func TestIDIndexProbeLength(t *testing.T) {
+	const bits, n = 16, 3 << 14 // 2^16 words, 3/4 full
+	rng := rand.New(rand.NewSource(1))
+	shapes := map[string]func(i int) string{
+		"scheduler": func(i int) string { return fmt.Sprintf("m-%08d-%04x", i, rng.Intn(1<<16)) },
+		"generator": func(i int) string { return fmt.Sprintf("b%x-%x", i, rng.Intn(1<<20)) },
+		"random":    func(int) string { return fmt.Sprintf("%016x%016x", rng.Uint64(), rng.Uint64()) },
+	}
+	// wordsRead counts the words lookupID reads for hash h: up to the word
+	// holding handle+1, or the first empty one.
+	wordsRead := func(x *idIndex, h uint64, handle uint32) int {
+		low := uint32(1)<<x.bits - 1
+		j := uint32(h >> (64 - x.bits))
+		for read := 1; ; read++ {
+			if w := *x.word(j); w == 0 || w&low == handle+1 {
+				return read
+			}
+			j = (j + 1) & low
+		}
+	}
+	for name, shape := range shapes {
+		var (
+			x   idIndex
+			ids []string
+		)
+		hashAt := func(i uint32) uint64 { return idHash(ids[i]) }
+		for len(ids) < n {
+			ids = append(ids, shape(len(ids)))
+			x.put(hashAt(uint32(len(ids)-1)), hashAt)
+		}
+		if x.bits != bits {
+			t.Fatalf("%s: %d IDs in 2^%d words, want 2^%d", name, n, x.bits, bits)
+		}
+		hits, misses := 0, 0
+		for i := range ids {
+			hits += wordsRead(&x, hashAt(uint32(i)), uint32(i))
+		}
+		for i := n; i < 2*n; i++ {
+			misses += wordsRead(&x, idHash(shape(i)), n)
+		}
+		alpha := 0.75
+		for _, c := range []struct {
+			what      string
+			got, want float64
+		}{
+			{"hit", float64(hits) / n, (1 + 1/(1-alpha)) / 2},
+			{"miss", float64(misses) / n, (1 + 1/((1-alpha)*(1-alpha))) / 2},
+		} {
+			t.Logf("%s IDs: %.2f words read per %s, linear probing %.2f", name, c.got, c.what, c.want)
+			if c.got > 1.25*c.want || c.got < 0.75*c.want {
+				t.Errorf("%s IDs: %.2f words read per %s, want within 25%% of %.2f", name, c.got, c.what, c.want)
+			}
+		}
+	}
 }
 
 // collidingIDs returns pairs of distinct IDs whose full FNV-1a hashes are
@@ -91,9 +195,9 @@ func collidingIDs(t *testing.T, pairs int) [][2]string {
 }
 
 // TestCollidingIDs holds the Store, its WAL recovery and the TaskIndex to
-// their contracts when IDs share a full hash: the second of each pair lives in
-// the clash map, and the last pair's second ID is never added, so a lookup of
-// it meets its partner's hash.
+// their contracts when IDs share a full FNV-1a hash, and so a shard: the last
+// pair's second ID is never added, so a lookup of it meets its partner in the
+// shard.
 func TestCollidingIDs(t *testing.T) {
 	pairs := collidingIDs(t, 3)
 	absent := pairs[len(pairs)-1][1]
@@ -137,7 +241,7 @@ func TestCollidingIDs(t *testing.T) {
 		}
 		live := buildWALStore(t, dir, WALConfig{Policy: SyncNone}, func(s *Store) {
 			s.AddObserver(rec)
-			for k, id := range present { // inserts, the clashing ones second
+			for k, id := range present { // inserts, each pair's second after its first
 				add(s, record(k, id, core.StateInit))
 			}
 			for k, id := range present { // upgrades, in place

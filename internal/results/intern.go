@@ -12,8 +12,9 @@ import (
 // uint32 handle. Nothing in a table is moved or overwritten: a handle, once
 // issued, resolves to the same strings for the life of the process, and
 // resolving one allocates nothing. The per-ID records are themselves a
-// chunked table, found by an idIndex (idindex.go) that keeps a handle under
-// the ID's hash, so the ID string is held once, in its record.
+// chunked table, found by an idIndex (idindex.go): 4-byte words, each a
+// record's handle under a tag of the ID's hash, rebuilt from the records
+// when the table doubles, so the ID string is held once, in its record.
 
 // chunkLen is the number of elements per chunk of a chunked vector.
 const chunkLen = 256

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"slices"
 	"sync"
@@ -69,8 +70,9 @@ func (e *storeEntry) measurement(tasks *chunked[taskBody], clients *chunked[clie
 // storeShard holds the measurements whose IDs hash to it and the two tables
 // their entries point into. Tables are per shard so the lock a commit already
 // holds is all the synchronization they need; a value used in several shards
-// is stored once in each. ids finds an entry by its ID's hash, checked against
-// the entry's own ID string, so the ID is held once.
+// is stored once in each. ids finds an entry through a 4-byte word holding
+// its index and a tag of its ID's hash, checked against the entry's own ID
+// string, so the ID is held once and the index costs 4 bytes a slot.
 type storeShard struct {
 	mu      sync.RWMutex
 	ids     idIndex // measurement ID -> index into entries
@@ -85,8 +87,10 @@ func (sh *storeShard) at(i int) Measurement {
 	return sh.entries.at(i).measurement(&sh.tasks.vals, &sh.clients.vals)
 }
 
-// idAt returns the ID stored at index i; sh.mu must be held.
-func (sh *storeShard) idAt(i uint32) string { return sh.entries.at(int(i)).id }
+// idAt returns the ID stored at index i, and hashAt its idHash; sh.mu must
+// be held.
+func (sh *storeShard) idAt(i uint32) string   { return sh.entries.at(int(i)).id }
+func (sh *storeShard) hashAt(i uint32) uint64 { return idHash(sh.idAt(i)) }
 
 // each calls fn for the shard's measurements in insertion order until fn
 // returns false, reporting whether it ran to the end; sh.mu must be held.
@@ -238,8 +242,8 @@ func (s *Store) Add(m Measurement) error {
 	if err := m.Validate(); err != nil {
 		return err
 	}
-	h := ShardHash(m.MeasurementID)
-	sh := &s.shards[h&s.mask]
+	sh := &s.shards[ShardHash(m.MeasurementID)&s.mask]
+	h := idHash(m.MeasurementID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if !s.addLocked(sh, h, &m) {
@@ -276,13 +280,13 @@ func (s *Store) notify(commitSeq, seq uint64, prev *Measurement, cur Measurement
 	}
 }
 
-// addLocked inserts or upgrades one measurement whose ID hashes to h; sh.mu
-// must be held. It reports false when it refuses the record as conflicting
-// with the stored terminal state (see Add). The commit-stream position is
-// assigned here, inside the critical section and immediately before
-// notification, so within one shard positions increase in exactly the order
-// observers see the commits.
-func (s *Store) addLocked(sh *storeShard, h uint32, m *Measurement) bool {
+// addLocked inserts or upgrades one measurement whose ID's idHash is h;
+// sh.mu must be held. It reports false when it refuses the record as
+// conflicting with the stored terminal state (see Add). The commit-stream
+// position is assigned here, inside the critical section and immediately
+// before notification, so within one shard positions increase in exactly the
+// order observers see the commits.
+func (s *Store) addLocked(sh *storeShard, h uint64, m *Measurement) bool {
 	e := storeEntry{id: m.MeasurementID, duration: m.DurationMillis, received: m.Received, state: stateCode(m.State)}
 	idx, exists := lookupID(&sh.ids, h, m.MeasurementID, sh.idAt)
 	var old *storeEntry
@@ -311,7 +315,8 @@ func (s *Store) addLocked(sh *storeShard, h uint32, m *Measurement) bool {
 		return true
 	}
 	e.seq = s.seq.Add(1)
-	sh.ids.put(h, e.id, uint32(sh.entries.push(e)))
+	sh.entries.push(e)
+	sh.ids.put(h, sh.hashAt)
 	s.count.Add(1)
 	s.notify(s.commits.Add(1), e.seq, nil, *m)
 	return true
@@ -344,8 +349,8 @@ func (s *Store) replay(seq uint64, v *wire.RecordView) error {
 	if err := validKinds(v.TaskType, v.Browser); err != nil {
 		return fmt.Errorf("replaying %q: %w", v.MeasurementID, err)
 	}
-	h := fnv1a(fnvOffset, v.MeasurementID)
-	sh := &s.shards[h&s.mask]
+	sh := &s.shards[fnv1a(fnvOffset, v.MeasurementID)&s.mask]
+	h := maphash.Bytes(idSeed, v.MeasurementID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e.task = intern(&sh.tasks, taskKey[[]byte]{pattern: v.PatternKey, url: v.TargetURL, typ: v.TaskType, control: v.Control})
@@ -357,12 +362,13 @@ func (s *Store) replay(seq uint64, v *wire.RecordView) error {
 		return nil
 	}
 	e.id = string(v.MeasurementID)
-	sh.ids.put(h, e.id, uint32(sh.entries.push(e)))
+	sh.entries.push(e)
+	sh.ids.put(h, sh.hashAt)
 	s.count.Add(1)
 	return nil
 }
 
-// batchHashes is the batch size whose shard hashes AddBatch keeps on the
+// batchHashes is the batch size whose shard grouping AddBatch keeps on the
 // stack; the collector commits in chunks of this size.
 const batchHashes = 256
 
@@ -375,47 +381,65 @@ const batchHashes = 256
 // validation error when there is one). A batch of at most batchHashes
 // members that refuses nothing allocates nothing of its own.
 func (s *Store) AddBatch(ms []Measurement) (int, error) {
-	var firstErr error
-	var invalid []bool // allocated at the first invalid member
-	// Group by shard through one slice of ID hashes instead of a map of
-	// slices: the map and its per-shard append chains cost O(shards)
-	// allocations per batch on the ingest hot path.
-	var buf [batchHashes]uint32
-	hashes := buf[:0]
-	if len(ms) > len(buf) {
-		hashes = make([]uint32, 0, len(ms))
+	// One counting pass orders the valid members by shard, each shard's in
+	// batch order: order[ends[k-1]:ends[k]] are shard k's. The ID hashes are
+	// taken here, outside the shard locks.
+	var (
+		hashBuf  [batchHashes]uint64
+		shardBuf [batchHashes]uint32
+		orderBuf [batchHashes]uint32
+		endBuf   [defaultShardCount]int
+	)
+	hashes, shardOf, order, ends := hashBuf[:], shardBuf[:], orderBuf[:], endBuf[:]
+	if len(ms) > batchHashes {
+		hashes, shardOf, order = make([]uint64, len(ms)), make([]uint32, len(ms)), make([]uint32, len(ms))
 	}
+	if len(s.shards) > len(ends) {
+		ends = make([]int, len(s.shards))
+	}
+	ends = ends[:len(s.shards)]
+	const invalid = ^uint32(0)
+	var firstErr error
 	for i := range ms {
+		shardOf[i] = invalid
 		if err := ms[i].Validate(); err != nil {
-			if invalid == nil {
-				invalid, firstErr = make([]bool, len(ms)), err
+			if firstErr == nil {
+				firstErr = err
 			}
-			invalid[i] = true
+			continue
 		}
-		hashes = append(hashes, ShardHash(ms[i].MeasurementID))
+		hashes[i], shardOf[i] = idHash(ms[i].MeasurementID), ShardHash(ms[i].MeasurementID)&s.mask
+		ends[shardOf[i]]++
+	}
+	start := 0
+	for k, n := range ends {
+		ends[k] = start // placing advances it to the shard's end
+		start += n
+	}
+	for i, k := range shardOf[:len(ms)] {
+		if k != invalid {
+			order[ends[k]] = uint32(i)
+			ends[k]++
+		}
 	}
 	stored := 0
 	var refused []int
-	for shard := range s.shards {
-		sh := &s.shards[shard]
-		locked := false
-		for i := range ms {
-			if hashes[i]&s.mask != uint32(shard) || invalid != nil && invalid[i] {
-				continue
-			}
-			if !locked {
-				sh.mu.Lock()
-				locked = true
-			}
+	begin := 0
+	for k, end := range ends {
+		if begin == end {
+			continue
+		}
+		sh := &s.shards[k]
+		sh.mu.Lock()
+		for _, i := range order[begin:end] {
 			if s.addLocked(sh, hashes[i], &ms[i]) {
 				stored++
 			} else {
-				refused = append(refused, i)
+				refused = append(refused, int(i))
 			}
 		}
-		if locked {
-			sh.mu.Unlock()
-		}
+		sh.mu.Unlock()
+		begin = end
 	}
 	if refused == nil {
 		return stored, firstErr
@@ -492,8 +516,8 @@ func (s *Store) All() []Measurement {
 
 // Get returns the measurement with the given ID.
 func (s *Store) Get(id string) (Measurement, bool) {
-	h := ShardHash(id)
-	sh := &s.shards[h&s.mask]
+	sh := &s.shards[ShardHash(id)&s.mask]
+	h := idHash(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	idx, ok := lookupID(&sh.ids, h, id, sh.idAt)

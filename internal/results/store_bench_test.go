@@ -99,3 +99,32 @@ func BenchmarkTaskIndex(b *testing.B) {
 		perID(b)
 	})
 }
+
+// BenchmarkIDIndexRebuild measures the longest pause an idIndex's growth adds
+// to one insert: the put that finds the table at its load limit and rebuilds
+// it, twice the size, from a task-index shard's IDs. A table of 2^17 words,
+// the largest a benchmark shard reaches (about 78k IDs), is rebuilt from 48k
+// IDs; one of 2^21 words from 768k.
+func BenchmarkIDIndexRebuild(b *testing.B) {
+	for _, bits := range []int{17, 21} {
+		b.Run(fmt.Sprintf("words=2^%d", bits), func(b *testing.B) {
+			var sh taskIndexShard
+			for i := 0; i <= 3<<(bits-1)>>2; i++ {
+				sh.refs.push(taskRef{id: fmt.Sprintf("m-%08d-%04x", i, i*7919&0xffff)})
+				if i < 3<<(bits-1)>>2 {
+					sh.ids.put(sh.hashAt(uint32(i)), sh.hashAt)
+				}
+			}
+			full, h := sh.ids, sh.hashAt(sh.ids.n)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				x := full // put replaces the copy's words and leaves full's
+				x.put(h, sh.hashAt)
+				if x.bits != uint8(bits) {
+					b.Fatalf("rebuilt into 2^%d words, want 2^%d", x.bits, bits)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N), "ms/rebuild")
+		})
+	}
+}

@@ -20,9 +20,10 @@ import (
 // handle into its shard's table of distinct task bodies, the creation instant,
 // and the ID string Lookup returns — which a collector storing the measurement
 // shares instead of the copy it decoded. Like a Store shard, a shard keeps
-// these in a chunked table found through an idIndex, which holds a handle
-// under the ID's hash rather than a second copy of the ID. It is safe for
-// concurrent use.
+// these in a chunked table found through an idIndex, whose 4-byte words hold
+// a handle and a tag of the ID's hash rather than a second copy of the ID.
+// A Register that doubles the index rebuilds it under the shard's write lock,
+// so a Lookup never sees it half built. It is safe for concurrent use.
 type TaskIndex struct {
 	shards []taskIndexShard
 	mask   uint32
@@ -37,8 +38,10 @@ type taskIndexShard struct {
 	bodies valueTable[indexedTask]
 }
 
-// idAt returns the ID stored at index i; sh.mu must be held.
-func (sh *taskIndexShard) idAt(i uint32) string { return sh.refs.at(int(i)).id }
+// idAt returns the ID stored at index i, and hashAt its idHash; sh.mu must
+// be held.
+func (sh *taskIndexShard) idAt(i uint32) string   { return sh.refs.at(int(i)).id }
+func (sh *taskIndexShard) hashAt(i uint32) uint64 { return idHash(sh.idAt(i)) }
 
 // taskRef is what the index keeps per measurement ID.
 type taskRef struct {
@@ -59,8 +62,8 @@ func (ti *TaskIndex) Register(t core.Task) {
 	if t.MeasurementID == "" {
 		return
 	}
-	h := ShardHash(t.MeasurementID)
-	sh := &ti.shards[h&ti.mask]
+	sh := &ti.shards[ShardHash(t.MeasurementID)&ti.mask]
+	h := idHash(t.MeasurementID)
 	sh.mu.Lock()
 	ref := taskRef{id: t.MeasurementID, createdSec: t.Created.Unix(), createdNsec: uint32(t.Created.Nanosecond())}
 	t.MeasurementID, t.Created = "", time.Time{}
@@ -70,7 +73,8 @@ func (ti *TaskIndex) Register(t core.Task) {
 		ref.id = old.id
 		*old = ref
 	} else {
-		sh.ids.put(h, ref.id, uint32(sh.refs.push(ref)))
+		sh.refs.push(ref)
+		sh.ids.put(h, sh.hashAt)
 		ti.count.Add(1)
 	}
 	sh.mu.Unlock()
@@ -80,8 +84,8 @@ func (ti *TaskIndex) Register(t core.Task) {
 // task Register was given (Created by time.Time.Equal, in UTC), with the
 // index's own ID string.
 func (ti *TaskIndex) Lookup(measurementID string) (core.Task, bool) {
-	h := ShardHash(measurementID)
-	sh := &ti.shards[h&ti.mask]
+	sh := &ti.shards[ShardHash(measurementID)&ti.mask]
+	h := idHash(measurementID)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	i, ok := lookupID(&sh.ids, h, measurementID, sh.idAt)

@@ -2,7 +2,9 @@ package results
 
 import (
 	"fmt"
+	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"encore/internal/core"
@@ -62,5 +64,47 @@ func TestTaskIndexConcurrentFanIn(t *testing.T) {
 	wg.Wait()
 	if ti.Len() != workers*perW/2 {
 		t.Fatalf("Len=%d after concurrent registration, want %d", ti.Len(), workers*perW/2)
+	}
+}
+
+// TestTaskIndexConcurrentGrow: four goroutines look IDs up while one
+// registers 2^16 of them, so every shard's index doubles several times under
+// readers; every ID is found once its Register has returned.
+func TestTaskIndexConcurrentGrow(t *testing.T) {
+	const n, readers = 1 << 16, 4
+	ti := NewTaskIndex()
+	ids := make([]string, n)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("m-%08d", i)
+	}
+	var registered atomic.Int64 // IDs 0..registered-1 have returned from Register
+	var wg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for done := false; !done; {
+				k := int(registered.Load())
+				done = k == n
+				for _, i := range []int{k - 1, rng.Intn(k + 1)} {
+					if i < 0 || i >= k {
+						continue
+					}
+					if got, ok := ti.Lookup(ids[i]); !ok || got.MeasurementID != ids[i] {
+						t.Errorf("Lookup(%s) after its Register returned = %+v, %v", ids[i], got, ok)
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	for i, id := range ids {
+		ti.Register(core.Task{MeasurementID: id, PatternKey: "domain:x.com"})
+		registered.Store(int64(i + 1))
+	}
+	wg.Wait()
+	if ti.Len() != n {
+		t.Fatalf("Len = %d, want %d", ti.Len(), n)
 	}
 }

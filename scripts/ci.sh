@@ -8,9 +8,9 @@
 # root-package benchmark (the paper's evaluation, E1-E16), of the forwarder's
 # catch-up and drain benchmarks and of the store-commit, task-index,
 # aggregator and admit benchmarks, -count=20 race runs of the forwarder's
-# in-flight and cursor tests and of the store's first-terminal-state race,
-# a -count=5 race run of the two-coordinator
-# lifecycle test, a guard that every cmd/*/main.go serves through the one
+# in-flight and cursor tests, of the store's first-terminal-state race and of
+# task-index lookups racing its index's growth, a -count=5 race run of the
+# two-coordinator lifecycle test, a guard that every cmd/*/main.go serves through the one
 # serve helper, the separate bench/ module's vet and tests, and the
 # deterministic chaos suite at fixed seeds (make chaos).
 set -eu
@@ -49,8 +49,9 @@ go test -race ./...
 # times over: interleavings the single run above may not hit.
 go test -race -count=20 -run 'InFlight|PerID|Idle|Cursor' ./internal/api/federation
 # Success raced against failure for shared IDs through Add and AddBatch: the
-# store's first-terminal-state rule under many interleavings.
-go test -race -count=20 -run TestFirstTerminalWinsConcurrent ./internal/results
+# store's first-terminal-state rule under many interleavings. And lookups
+# racing registrations that double the task index's ID tables.
+go test -race -count=20 -run 'ConcurrentGrow|FirstTerminalWins' ./internal/results
 # Two federated coordinators opened, served, gossiping and closed, five
 # times over: no gossip loop or other goroutine may outlive Serve.
 go test -race -count=5 -run TestCoordinatorLifecycle ./internal/loadgen
@@ -78,8 +79,8 @@ echo "== bench module =="
 
 # Short fuzz smoke over the untrusted decode surfaces — the record payload
 # decoder, the full streaming frame path and the coordinator gossip decoder —
-# and over the results ID index, whose clash path only colliding hashes
-# reach. Ten seconds each — enough to shake out regressions around the seeded
+# and over the results ID index under degraded hashes, whose shared tags and
+# wrapping probe runs only colliding hashes reach. Ten seconds each — enough to shake out regressions around the seeded
 # corpus on every CI run; longer exploratory runs stay manual. (go test
 # accepts one -fuzz pattern per invocation, hence four runs.)
 echo "== fuzz smoke (internal/wire, internal/results) =="
